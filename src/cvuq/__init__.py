@@ -22,7 +22,6 @@ from .predictors import (
     ResidualBundle,
     fit,
     fit_predict,
-    leave_fold_out_residuals,
     ridge_coefficients,
 )
 from .risk import loss_plugin_bounds, misclassification_estimate, mse_estimate

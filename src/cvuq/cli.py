@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -26,7 +27,7 @@ from .ecdf import StepCdf
 from .errors import DataError, MalformedInput, NumericError
 from .intervals import IntervalMethod, interval
 from .levy_gauge import gauge
-from .predictors import PredictorSpec, leave_fold_out_residuals
+from .predictors import FoldFits, PredictorSpec
 from .stability import resolve_partition
 
 SCHEMA = "1"
@@ -90,9 +91,11 @@ def _fold_rule(text):
 
 def _jsonable(obj):
     if isinstance(obj, np.ndarray):
-        return obj.tolist()
+        return _jsonable(obj.tolist())
     if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
+        obj = obj.item()
+    if isinstance(obj, float) and math.isinf(obj):
+        return "inf" if obj > 0 else "-inf"
     if isinstance(obj, dict):
         return {k: _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -101,7 +104,11 @@ def _jsonable(obj):
 
 
 def _emit(payload: dict, out: str | None) -> None:
-    text = json.dumps(_jsonable({"schema": SCHEMA, **payload}))
+    """Write strict JSON: infinities become "inf"/"-inf", a NaN is a numeric failure."""
+    try:
+        text = json.dumps(_jsonable({"schema": SCHEMA, **payload}), allow_nan=False)
+    except ValueError as exc:
+        raise NumericError(f"result is not a number: {exc}") from exc
     if out:
         Path(out).write_text(text + "\n")
     else:
@@ -220,6 +227,17 @@ def _build_parser(defaults: dict) -> _Parser:
     return parser
 
 
+# Flags that count replications, test points or worker threads.
+_COUNT_FLAGS = ("threads", "reps", "train_reps", "mc_test", "mc_oracle", "outer", "inner")
+
+
+def _check_counts(args) -> None:
+    for name in _COUNT_FLAGS:
+        value = getattr(args, name, 1)
+        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+            raise UsageError(f"--{name.replace('_', '-')} must be an integer >= 1, got {value!r}")
+
+
 def _require(args, *names) -> None:
     missing = [name for name in names if getattr(args, name, None) is None]
     if missing:
@@ -234,9 +252,7 @@ def _cmd_interval(args) -> dict:
     partition = resolve_partition(_fold_rule(args.k), train.n)
     xnew = np.asarray(_floats(args.xnew))
     method = IntervalMethod(args.method, symmetrized=args.symmetrized)
-    bundle = leave_fold_out_residuals(
-        spec, train, partition, xnew, want_fitted=(args.method == "fitted_values")
-    )
+    bundle = FoldFits(spec, train, partition).bundle_at(xnew, want_fitted=(args.method == "fitted_values"))
     delta = simlab.resolve_delta(_delta(args.delta), bundle.loo_residuals)
     if args.shortest:
         from .intervals import shortest_interval
@@ -261,8 +277,7 @@ def _cmd_risk(args) -> dict:
     train = load_dataset(args.data, args.format)
     spec = _load_predictor(args.predictor)
     partition = resolve_partition(_fold_rule(args.k), train.n)
-    bundle = leave_fold_out_residuals(spec, train, partition, np.zeros(train.p))
-    u = bundle.loo_residuals
+    u = FoldFits(spec, train, partition).loo_residuals
     payload: dict = {"mse": risk_mod.mse_estimate(u)}
     try:
         payload["misclassification"] = risk_mod.misclassification_estimate(u)
@@ -452,6 +467,7 @@ def main(argv=None) -> int:
             if not isinstance(defaults, dict):
                 raise UsageError("config must be a JSON object")
         args = _build_parser(defaults).parse_args(argv)
+        _check_counts(args)
         csv_payload = None
         if args.command == "interval":
             payload = _cmd_interval(args)

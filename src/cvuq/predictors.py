@@ -17,28 +17,35 @@ the training rows yields bit-identical predictions.
 Predictor arguments throughout the library accept either a
 :class:`PredictorSpec` or a plain callable ``(xnew, train) -> float`` for
 ad-hoc algorithms.
+
+Leave-fold-out predictions come from :class:`FoldFits` alone: a guarded Gram
+downdate for ridge (``DOWNDATE_MAX_RATIO``), closed forms for constant and
+the max kinds, one refit per fold for knn_mean, dirac_threshold and callables.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import numbers
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .data import TrainingSet
-from .errors import (
-    DegenerateFit,
-    DimensionMismatch,
-    EmptyFold,
-    FoldLeavesNothing,
-    MalformedInput,
-)
+from .errors import DegenerateFit, DimensionMismatch, EmptyFold, FoldLeavesNothing, MalformedInput
 
 PREDICTOR_KINDS = ("ridge", "knn_mean", "max_response", "neg_max_response", "dirac_threshold", "constant")
 
 # Relative pivot threshold below which a Gram factorization counts as singular.
 PIVOT_RTOL = 1e-12
+
+# Largest trace(X_f'X_f) / trace(A_f) at which a ridge fold is downdated.
+# Forming A_f = X'X - X_f'X_f + ridge term by subtraction perturbs it by about
+# machine epsilon times 1 + that ratio, relative to its size, so the downdate
+# loses at most ~4 more digits than a direct solve of the fold's rows.
+DOWNDATE_MAX_RATIO = 1e4
 
 
 @dataclass(frozen=True)
@@ -56,6 +63,10 @@ class PredictorSpec:
     def __post_init__(self):
         if self.kind not in PREDICTOR_KINDS:
             raise MalformedInput(f"unknown predictor kind {self.kind!r}")
+        for name in ("lambda", "neighbors", "value", "level", "threshold"):
+            value = self.params.get(name, 0.0)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+                raise MalformedInput(f"{self.kind} {name} must be a finite number, got {value!r}")
         if self.kind == "ridge" and not self.params.get("lambda", 0.0) >= 0:
             raise MalformedInput("ridge lambda must be nonnegative")
         if self.kind == "knn_mean" and int(self.params.get("neighbors", 0)) < 1:
@@ -109,20 +120,13 @@ def _canonical_order(train: TrainingSet) -> np.ndarray:
     return np.lexsort(keys)
 
 
-def _check_pivots(L: np.ndarray, A: np.ndarray) -> None:
-    if L.shape[0] == 0:
-        return
-    pivots = np.diag(L) ** 2
-    if pivots.min() < PIVOT_RTOL * max(np.diag(A).max(), 1e-300):
-        raise DegenerateFit("Gram matrix pivot below relative threshold")
-
-
 def _solve_spd(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     try:
         L = np.linalg.cholesky(A)
     except np.linalg.LinAlgError as exc:
         raise DegenerateFit("Gram matrix is not positive definite") from exc
-    _check_pivots(L, A)
+    if L.shape[0] and np.diag(L).min() ** 2 < PIVOT_RTOL * max(np.diag(A).max(), 1e-300):
+        raise DegenerateFit("Gram matrix pivot below relative threshold")
     z = np.linalg.solve(L, b)
     return np.linalg.solve(L.T, z)
 
@@ -204,9 +208,9 @@ def fit(spec, train: TrainingSet):
         order = _canonical_order(train)
         return FittedKnn(train.x[order], train.y[order], params["neighbors"])
     if kind == "max_response":
-        return FittedConstant(np.max(train.y))
+        return FittedConstant(train.y.max())
     if kind == "neg_max_response":
-        return FittedConstant(-np.max(train.y))
+        return FittedConstant(-train.y.max())
     if kind == "dirac_threshold":
         if params.get("threshold_uses_train_size", True):
             threshold = float(train.n)
@@ -248,7 +252,7 @@ class FoldPartition:
     def k(self) -> int:
         return len(self.folds)
 
-    @property
+    @cached_property
     def fold_of(self) -> np.ndarray:
         out = np.empty(self.n, dtype=int)
         for j, f in enumerate(self.folds):
@@ -290,58 +294,81 @@ class ResidualBundle:
 
 
 class FoldFits:
-    """Cached full-data and leave-fold-out models for one training set.
+    """Cached full-data and leave-fold-out fits for one training set, computed
+    once and reused across test points.  Each predictor kind takes one path:
 
-    The fold models and the leave-fold-out residuals depend only on the
-    training data, so they are computed once and reused across test points.
-    For ridge the fold models come from a downdate of the full Gram system
-    (subtract the fold's rank-|K_j| contribution and the matching share of
-    the lambda*n ridge term); set ``fast_ridge=False`` to refit naively.
+    * ridge: downdate the full Gram system per fold (subtract the fold's
+      rank-|K_j| part and its share of the lambda*n term); a fold whose Gram
+      trace exceeds ``DOWNDATE_MAX_RATIO`` times the downdated trace is
+      refitted from its own rows instead.
+    * constant, max_response, neg_max_response: O(n) closed forms.
+    * knn_mean, dirac_threshold and callables: one refit per fold.
     """
 
-    def __init__(self, spec, train: TrainingSet, partition: FoldPartition, fast_ridge: bool = True):
+    def __init__(self, spec, train: TrainingSet, partition: FoldPartition):
         if partition.n != train.n:
             raise DimensionMismatch("partition size differs from training size")
         self.spec = spec
         self.train = train
         self.partition = partition
         self.full_model = fit(spec, train)
-        is_ridge = isinstance(spec, PredictorSpec) and spec.kind == "ridge"
-        if is_ridge and fast_ridge:
-            self.fold_models = self._ridge_downdate_models()
-        else:
-            keep_all = np.arange(train.n)
-            self.fold_models = [
-                fit(spec, train.subset(np.delete(keep_all, f))) for f in partition.folds
-            ]
-        resid = np.empty(train.n)
-        for j, f in enumerate(partition.folds):
-            resid[f] = train.y[f] - self.fold_models[j].predict(train.x[f])
-        self.loo_residuals = resid
+        kind = spec.kind if isinstance(spec, PredictorSpec) else None
+        self._coef = self._values = None
+        if kind in ("constant", "max_response", "neg_max_response"):
+            self._values = self._complement_values(kind)
+            self.loo_residuals = train.y - self._values[partition.fold_of]
+            return
+        fold_fit = self._ridge_fold_fitter() if kind == "ridge" else self._refit
+        self._models = [fold_fit(f) for f in partition.folds]
+        self.loo_residuals = np.empty(train.n)
+        for model, f in zip(self._models, partition.folds):
+            self.loo_residuals[f] = train.y[f] - model.predict(train.x[f])
+        if kind == "ridge":
+            self._coef = np.column_stack([m.beta for m in self._models])
 
-    def _ridge_downdate_models(self):
+    def _refit(self, fold: np.ndarray):
+        return fit(self.spec, self.train.subset(np.delete(np.arange(self.train.n), fold)))
+
+    def _ridge_fold_fitter(self):
         lam = float(self.spec.params.get("lambda", 0.0))
         train = self.train
         order = _canonical_order(train)
         X = train.x[order]
-        Y = train.y[order]
         S = X.T @ X
-        b = X.T @ Y
+        b = X.T @ train.y[order]
         eye = np.eye(train.p)
-        models = []
-        for f in self.partition.folds:
+
+        def fold_fit(f: np.ndarray):
             Xf = train.x[f]
-            yf = train.y[f]
-            A = S - Xf.T @ Xf + lam * (train.n - f.size) * eye
-            models.append(FittedRidge(_solve_spd(A, b - Xf.T @ yf)))
-        return models
+            G = Xf.T @ Xf
+            A = S - G + lam * (train.n - f.size) * eye
+            if np.trace(G) > DOWNDATE_MAX_RATIO * np.trace(A):
+                return self._refit(f)
+            return FittedRidge(_solve_spd(A, b - Xf.T @ train.y[f]))
+
+        return fold_fit
+
+    def _complement_values(self, kind: str) -> np.ndarray:
+        """Per-fold value of a fit on the rows outside the fold."""
+        if kind == "constant":
+            return np.full(self.partition.k, float(self.spec.params["value"]))
+        # only the fold holding the first argmax can lose the maximum
+        y = self.train.y
+        i = y.argmax()
+        top = self.partition.fold_of[i]
+        rest = y.copy()
+        rest[self.partition.folds[top]] = -np.inf
+        values = np.full(self.partition.k, y[i])
+        values[top] = rest.max()
+        return values if kind == "max_response" else -values
 
     def fold_predictions(self, X: np.ndarray) -> np.ndarray:
         """(m, k) matrix of per-fold predictions at the rows of X."""
-        if all(isinstance(m, FittedRidge) for m in self.fold_models):
-            # one matmul instead of k matvecs
-            return X @ np.column_stack([m.beta for m in self.fold_models])
-        return np.column_stack([m.predict(X) for m in self.fold_models])
+        if self._coef is not None:
+            return X @ self._coef
+        if self._values is not None:
+            return self._values[None, :].repeat(X.shape[0], axis=0)
+        return np.column_stack([m.predict(X) for m in self._models])
 
     def fitted_values(self) -> np.ndarray:
         return self.full_model.predict(self.train.x)
@@ -359,15 +386,3 @@ class FoldFits:
             full_prediction=float(self.full_model.predict(row)[0]),
             fitted_values=self.fitted_values() if want_fitted else None,
         )
-
-
-def leave_fold_out_residuals(
-    spec,
-    train: TrainingSet,
-    partition: FoldPartition,
-    xnew,
-    want_fitted: bool = False,
-    fast_ridge: bool = True,
-) -> ResidualBundle:
-    """Refit once per fold, evaluate at the held-out rows and at ``xnew``."""
-    return FoldFits(spec, train, partition, fast_ridge=fast_ridge).bundle_at(xnew, want_fitted)

@@ -32,18 +32,14 @@ def stream(seed: int, *key: int) -> np.random.Generator:
 def indexed_map(fn, count: int, threads: int = 1) -> list:
     """Evaluate ``fn(i)`` for ``i in range(count)``, results in index order.
 
-    With ``threads > 1`` the calls run on a thread pool; each call must derive
-    its randomness from its index (via :func:`stream`), which makes the output
-    independent of scheduling.
+    With ``threads > 1`` the calls run on a pool of ``min(threads, count)``
+    threads; each call must derive its randomness from its index (via
+    :func:`stream`), which makes the output independent of scheduling.
     """
     if count < 0:
         raise ValueError("count must be nonnegative")
     if threads <= 1 or count <= 1:
         return [fn(i) for i in range(count)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
+    with ThreadPoolExecutor(max_workers=min(threads, count)) as pool:
         return list(pool.map(fn, range(count)))
 
-
-def pairwise_sum(values: np.ndarray) -> float:
-    """Order-independent sum of a 1-d array (numpy's pairwise reduction)."""
-    return float(np.sum(np.asarray(values, dtype=float)))

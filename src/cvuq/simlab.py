@@ -351,6 +351,19 @@ class TrendReport:
     per_rep: np.ndarray  # (len(n_grid), reps)
 
 
+def _trend(n_grid, train_reps: int, threads: int, rep_at) -> TrendReport:
+    """Evaluate ``rep_at(n)``, a function of the replication index, for
+    ``train_reps`` replications at every training size in ``n_grid``."""
+    n_grid = tuple(int(n) for n in n_grid)
+    per_rep = np.stack([np.array(indexed_map(rep_at(n), train_reps, threads)) for n in n_grid])
+    return TrendReport(
+        n_grid=n_grid,
+        mean=per_rep.mean(axis=1),
+        std_err=per_rep.std(axis=1, ddof=1) / math.sqrt(train_reps),
+        per_rep=per_rep,
+    )
+
+
 def gauge_convergence(
     spec,
     dgp: DgpSpec,
@@ -367,26 +380,21 @@ def gauge_convergence(
     Replications share streams across n (nested samples), so trend
     comparisons use common random numbers.
     """
-    n_grid = tuple(int(n) for n in n_grid)
 
-    def one_n(n: int):
+    def rep_at(n: int):
+        partition = resolve_partition("jackknife", n)
+
         def one(r: int) -> float:
             train = dgp.sample(n, stream(seed, r, 0))
-            fits = FoldFits(spec, train, resolve_partition("jackknife", n))
-            F_hat = fold_ecdf([fits.loo_residuals[f] for f in fits.partition.folds])
+            fits = FoldFits(spec, train, partition)
+            F_hat = fold_ecdf([fits.loo_residuals[f] for f in partition.folds])
             y_o, x_o = dgp.draw(mc_oracle, stream(seed, r, 1))
             errors = y_o - fits.full_model.predict(x_o)
             return gauge(F_hat, uniform_ecdf(errors), delta).value
 
-        return np.array(indexed_map(one, train_reps, threads))
+        return one
 
-    per_rep = np.stack([one_n(n) for n in n_grid])
-    return TrendReport(
-        n_grid=n_grid,
-        mean=per_rep.mean(axis=1),
-        std_err=per_rep.std(axis=1, ddof=1) / math.sqrt(train_reps),
-        per_rep=per_rep,
-    )
+    return _trend(n_grid, train_reps, threads, rep_at)
 
 
 def sqrt_n_family(base: DgpSpec):
@@ -417,27 +425,21 @@ def infinite_length_probe(
 ) -> TrendReport:
     """Mean symmetrized-Jackknife interval length per training size for a DGP
     family whose error scale may grow with n."""
-    n_grid = tuple(int(n) for n in n_grid)
     method = IntervalMethod("cv", symmetrized=True)
 
-    def one_n(n: int):
+    def rep_at(n: int):
         dgp = dgp_family(n)
+        partition = resolve_partition("jackknife", n)
 
         def one(r: int) -> float:
             train = dgp.sample(n, stream(seed, r, 0))
             _, xs = dgp.draw(1, stream(seed, r, 1))
-            bundle = FoldFits(spec, train, resolve_partition("jackknife", n)).bundle_at(xs[0])
+            bundle = FoldFits(spec, train, partition).bundle_at(xs[0])
             return interval(method, bundle, 0.0, nominal).length
 
-        return np.array(indexed_map(one, train_reps, threads))
+        return one
 
-    per_rep = np.stack([one_n(n) for n in n_grid])
-    return TrendReport(
-        n_grid=n_grid,
-        mean=per_rep.mean(axis=1),
-        std_err=per_rep.std(axis=1, ddof=1) / math.sqrt(train_reps),
-        per_rep=per_rep,
-    )
+    return _trend(n_grid, train_reps, threads, rep_at)
 
 
 def isotonic_trend_ok(values, std_errs, direction: str, sigmas: float = 3.0) -> bool:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .data import DgpSpec, TrainingSet
 from .errors import InnerTooSmall, InvalidTolerance
-from .predictors import FoldFits, FoldPartition, PredictorSpec, fit
+from .predictors import FoldFits, FoldPartition, fit
 from .rng import indexed_map, stream
 
 
@@ -90,9 +90,8 @@ def oos_stability_profile(
     def one(r: int):
         rng = stream(seed, r)
         train, xnew = _draw_train_and_x(dgp, n, rng)
-        fits = FoldFits(spec, train, partition)
-        row = xnew.reshape(1, -1)
-        d = np.abs(float(fits.full_model.predict(row)[0]) - fits.fold_predictions(row)[0])
+        bundle = FoldFits(spec, train, partition).bundle_at(xnew)
+        d = np.abs(bundle.full_prediction - bundle.fold_predictions_at_xnew)
         return np.mean(d[None, :] >= eps_grid[:, None], axis=1), float(np.mean(d))
 
     results = indexed_map(one, reps, threads)
@@ -174,23 +173,6 @@ def equivalence_bound(k: int, eps: float, delta: float, exceed_probs) -> float:
     return float(np.sum(probs) / (k * eps**2))
 
 
-def _loo_predictions_at(spec, train: TrainingSet, x: np.ndarray) -> np.ndarray:
-    """All n leave-one-out predictions at x.  O(n) shortcuts for the
-    argmax-style predictors; singleton fold fits otherwise."""
-    if isinstance(spec, PredictorSpec) and spec.kind in ("max_response", "neg_max_response"):
-        sign = 1.0 if spec.kind == "max_response" else -1.0
-        top2 = np.partition(train.y, train.n - 2)[-2:]
-        second, mx = float(top2[0]), float(top2[1])
-        loo = np.full(train.n, sign * mx)
-        if mx > second:  # a duplicated maximum survives any single removal
-            loo[int(np.argmax(train.y))] = sign * second
-        return loo
-    if isinstance(spec, PredictorSpec) and spec.kind == "constant":
-        return np.full(train.n, float(spec.params["value"]))
-    fits = FoldFits(spec, train, FoldPartition.singletons(train.n))
-    return fits.fold_predictions(x.reshape(1, -1))[0]
-
-
 def variance_gap(spec, dgp: DgpSpec, n: int, reps: int, seed: int, threads: int = 1) -> McEstimate:
     """Var(yhat on n rows) - Var(yhat on n-1 rows) with common random numbers.
 
@@ -198,12 +180,14 @@ def variance_gap(spec, dgp: DgpSpec, n: int, reps: int, seed: int, threads: int 
     like the (n-1)-row predictor, so each replication contributes all n of
     them; this collapses the heavy-tailed single-increment noise.
     """
+    partition = FoldPartition.singletons(n)
 
     def one(r: int):
         rng = stream(seed, r)
         train, x = _draw_train_and_x(dgp, n, rng)
-        pred_n = fit(spec, train).predict_one(x)
-        loo = _loo_predictions_at(spec, train, x)
+        fits = FoldFits(spec, train, partition)
+        pred_n = fits.full_model.predict_one(x)
+        loo = fits.fold_predictions(x.reshape(1, -1))[0]
         return pred_n, pred_n**2, float(loo.mean()), float(np.mean(loo**2))
 
     cols = np.array(indexed_map(one, reps, threads))

@@ -2,7 +2,8 @@
 
 These deliberately avoid the library's breakpoint algorithms: the gauge
 oracle scans a dense grid, the Levy metric oracle bisects the defining
-infimum, and the sandwich oracle bisects the quantile characterization.
+infimum, the sandwich oracle bisects the quantile characterization, and the
+leave-fold-out oracle refits the predictor once per fold.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import numpy as np
 
 from cvuq.ecdf import StepCdf, ceil_guarded, quantiles
 from cvuq.intervals import PredInterval
+from cvuq.predictors import fit
 
 
 def eval_many(F: StepCdf, t: np.ndarray) -> np.ndarray:
@@ -123,3 +125,19 @@ def feasible_levy(F: StepCdf, G: StepCdf, eps: float) -> bool:
 
 def sandwich_holds(F: StepCdf, G: StepCdf, delta: float, eps: float) -> bool:
     return _sandwich_holds(F, G, delta, eps)
+
+
+def refit_leave_fold_out(spec, train, partition, X) -> tuple[np.ndarray, np.ndarray]:
+    """Naive leave-fold-out fits: refit on the rows outside each fold.
+
+    Returns the leave-fold-out residuals and the (m, k) matrix of per-fold
+    predictions at the rows of ``X``.
+    """
+    keep_all = np.arange(train.n)
+    resid = np.empty(train.n)
+    cols = []
+    for f in partition.folds:
+        model = fit(spec, train.subset(np.delete(keep_all, f)))
+        resid[f] = train.y[f] - model.predict(train.x[f])
+        cols.append(model.predict(X))
+    return resid, np.column_stack(cols)

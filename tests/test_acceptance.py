@@ -32,7 +32,6 @@ from cvuq.predictors import (
     FoldPartition,
     constant,
     dirac_threshold,
-    leave_fold_out_residuals,
     max_response,
     neg_max_response,
     ridge,
@@ -222,9 +221,7 @@ def test_criterion_06_jackknife_is_singleton_cv():
     for _ in range(100):
         n = int(rng.integers(3, 50))
         train = TrainingSet(rng.normal(size=n), rng.normal(size=(n, 2)))
-        bundle = leave_fold_out_residuals(
-            ridge(0.5), train, FoldPartition.singletons(n), rng.normal(size=2)
-        )
+        bundle = FoldFits(ridge(0.5), train, FoldPartition.singletons(n)).bundle_at(rng.normal(size=2))
         a1, a2 = sorted(rng.uniform(0, 1, size=2))
         delta = float(rng.normal(scale=0.3))
         got = interval(IntervalMethod("cv"), bundle, a1, a2, delta)
@@ -379,9 +376,7 @@ def test_criterion_13_risk_estimators():
     sigma = 0.8
     dgp = DgpSpec("gaussian_linear", {"beta": beta.tolist(), "sigma": sigma})
     train = dgp.sample(10_000, stream(20260813, 0))
-    bundle = leave_fold_out_residuals(
-        constant(0.0), train, FoldPartition.singletons(train.n), np.zeros(2)
-    )
+    bundle = FoldFits(constant(0.0), train, FoldPartition.singletons(train.n)).bundle_at(np.zeros(2))
     target = sigma**2 + float(beta @ beta)
     got_mse = mse_estimate(bundle.loo_residuals)
     ok_mse = abs(got_mse - target) <= 0.05 * target
@@ -389,9 +384,7 @@ def test_criterion_13_risk_estimators():
     # misclassification of the always-class-1 predictor on two balanced classes
     cls = DgpSpec("classification_grid", {"p": 1, "class_count": 2})
     ctrain = cls.sample(5000, stream(20260813, 1))
-    cbundle = leave_fold_out_residuals(
-        constant(1.0), ctrain, FoldPartition.contiguous(ctrain.n, 10), np.zeros(1)
-    )
+    cbundle = FoldFits(constant(1.0), ctrain, FoldPartition.contiguous(ctrain.n, 10)).bundle_at(np.zeros(1))
     got_rate = misclassification_estimate(cbundle.loo_residuals)
     ok_cls = abs(got_rate - 0.5) <= 0.05
 

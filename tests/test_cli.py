@@ -214,3 +214,68 @@ def test_out_file_instead_of_stdout(capsys, workdir, tmp_path):
     assert code == 0
     assert capsys.readouterr().out == ""
     assert json.loads(out.read_text())["schema"] == "1"
+
+
+def strict_json(text: str):
+    def reject(token):
+        raise ValueError(f"non-strict JSON constant {token}")
+
+    lines = text.strip().splitlines()
+    assert len(lines) == 1
+    return json.loads(lines[0], parse_constant=reject)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        '{"kind": "ridge", "lambda": "abc"}',
+        '{"kind": "ridge", "lambda": NaN}',
+        '{"kind": "knn_mean", "neighbors": "x"}',
+        '{"kind": "constant", "value": Infinity}',
+        '{"kind": "dirac_threshold", "level": -Infinity}',
+    ],
+)
+def test_non_numeric_predictor_params_exit_3(capsys, workdir, spec):
+    pred = workdir / "bad.json"
+    pred.write_text(spec)
+    code = main([
+        "stability", "vargap", "--dgp", str(workdir / "dgp.json"), "--predictor", str(pred),
+        "--n", "10", "--reps", "5",
+    ])
+    assert code == 3
+    assert strict_json(capsys.readouterr().out)["error"] == "MalformedInput"
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [("--train-reps", "0"), ("--mc-test", "0"), ("--threads", "-2"), ("--threads", "0")],
+)
+def test_counts_below_one_exit_2(capsys, workdir, flags):
+    code = main([
+        "sim", "coverage", "--dgp", str(workdir / "dgp.json"),
+        "--predictor", str(workdir / "ridge.json"), "--n", "10", "--train-reps", "2",
+        "--mc-test", "50", *flags,
+    ])
+    assert code == 2
+    assert strict_json(capsys.readouterr().out)["error"] == "usage"
+
+
+@pytest.mark.parametrize("mode", ["profile", "vargap"])
+def test_single_rep_std_err_is_inf_string(capsys, workdir, mode):
+    code = main([
+        "stability", mode, "--dgp", str(workdir / "dgp.json"),
+        "--predictor", str(workdir / "ridge.json"), "--n", "10", "--reps", "1",
+    ])
+    assert code == 0
+    payload = strict_json(capsys.readouterr().out)
+    std_err = payload["exceed_std_err"] if mode == "profile" else [payload["std_err"]]
+    assert std_err and all(v == "inf" for v in std_err)
+
+
+def test_nan_result_exits_4(capsys, workdir):
+    code = main([
+        "interval", "--data", str(workdir / "d.csv"), "--predictor", str(workdir / "ridge.json"),
+        "--alpha1", "0.1", "--alpha2", "0.9", "--xnew", "1.0", "--delta", "nan",
+    ])
+    assert code == 4
+    assert strict_json(capsys.readouterr().out)["error"] == "NumericError"

@@ -10,9 +10,9 @@ from cvuq.intervals import IntervalMethod, coverage_ceiling, interval, shortest_
 from cvuq.levy_gauge import gauge_bound_matched_pairs
 from oracles import jackknife_formula
 from cvuq.predictors import (
+    FoldFits,
     FoldPartition,
     constant,
-    leave_fold_out_residuals,
     max_response,
     neg_max_response,
     ridge,
@@ -33,7 +33,7 @@ def toy_train(y, x=None):
 def singleton_bundle(spec, y, xnew=(0.0,), want_fitted=False):
     train = toy_train(y)
     part = FoldPartition.singletons(train.n)
-    return leave_fold_out_residuals(spec, train, part, list(xnew), want_fitted=want_fitted)
+    return FoldFits(spec, train, part).bundle_at(list(xnew), want_fitted=want_fitted)
 
 
 def test_interval_constant_predictor_full_range():
@@ -66,7 +66,7 @@ def test_jackknife_equals_cv_with_singletons():
         n = int(rng.integers(3, 40))
         train = TrainingSet(rng.normal(size=n), rng.normal(size=(n, 2)))
         part = FoldPartition.singletons(n)
-        bundle = leave_fold_out_residuals(ridge(0.5), train, part, rng.normal(size=2))
+        bundle = FoldFits(ridge(0.5), train, part).bundle_at(rng.normal(size=2))
         a1, a2 = sorted(rng.uniform(0, 1, size=2))
         delta = float(rng.normal(scale=0.3))
         got = interval(CV, bundle, a1, a2, delta)
@@ -121,7 +121,7 @@ def test_fitted_values_interval():
 def test_fitted_vs_loo_matched_pairs_bound():
     train = sample_gaussian_linear(40, 3, [1.0, 0.0, -0.5], 1.0, seed=5)
     part = FoldPartition.singletons(train.n)
-    bundle = leave_fold_out_residuals(ridge(1.0), train, part, np.zeros(3), want_fitted=True)
+    bundle = FoldFits(ridge(1.0), train, part).bundle_at(np.zeros(3), want_fitted=True)
     v = bundle.full_prediction + bundle.loo_residuals
     w = bundle.full_prediction + (bundle.y - bundle.fitted_values)
     delta = float(np.max(np.abs(v - w)))

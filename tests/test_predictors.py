@@ -11,13 +11,13 @@ from cvuq.predictors import (
     dirac_threshold,
     fit_predict,
     knn_mean,
-    leave_fold_out_residuals,
     max_response,
     neg_max_response,
     ridge,
     ridge_coefficients,
 )
 from cvuq.rng import stream
+from oracles import refit_leave_fold_out
 
 
 def toy_train(y, x=None):
@@ -126,7 +126,7 @@ def test_partition_validation():
 def test_constant_bundle():
     train = toy_train([1.0, 5.0, 3.0])
     part = FoldPartition.singletons(3)
-    bundle = leave_fold_out_residuals(constant(2.0), train, part, [0.0])
+    bundle = FoldFits(constant(2.0), train, part).bundle_at([0.0])
     np.testing.assert_array_equal(bundle.loo_residuals, train.y - 2.0)
     np.testing.assert_array_equal(bundle.fold_predictions_at_xnew, np.full(3, 2.0))
     assert bundle.full_prediction == 2.0
@@ -135,7 +135,7 @@ def test_constant_bundle():
 def test_max_response_loo_residuals_by_hand():
     train = toy_train([1.0, 5.0, 3.0])
     part = FoldPartition.singletons(3)
-    bundle = leave_fold_out_residuals(max_response(), train, part, [0.0])
+    bundle = FoldFits(max_response(), train, part).bundle_at([0.0])
     # leave-one-out maxima: without y1 -> 5, without y2 -> 3, without y3 -> 5
     np.testing.assert_array_equal(bundle.loo_residuals, [1.0 - 5.0, 5.0 - 3.0, 3.0 - 5.0])
     assert bundle.full_prediction == 5.0
@@ -145,7 +145,7 @@ def test_loo_residual_definition_holds():
     rng = np.random.default_rng(5)
     train = TrainingSet(rng.normal(size=12), rng.normal(size=(12, 2)))
     part = FoldPartition.contiguous(12, 4)
-    bundle = leave_fold_out_residuals(ridge(0.5), train, part, np.zeros(2))
+    bundle = FoldFits(ridge(0.5), train, part).bundle_at(np.zeros(2))
     keep_all = np.arange(12)
     for j, f in enumerate(part.folds):
         sub = train.subset(np.delete(keep_all, f))
@@ -159,11 +159,65 @@ def test_ridge_fast_path_matches_naive():
     train = dgp.sample(50, stream(21))
     part = FoldPartition.contiguous(50, 10)
     xnew = np.zeros(5)
-    fast = leave_fold_out_residuals(ridge(0.3), train, part, xnew, fast_ridge=True)
-    slow = leave_fold_out_residuals(ridge(0.3), train, part, xnew, fast_ridge=False)
-    scale = max(1.0, np.max(np.abs(slow.loo_residuals)))
-    assert np.max(np.abs(fast.loo_residuals - slow.loo_residuals)) <= 1e-8 * scale
-    assert np.max(np.abs(fast.fold_predictions_at_xnew - slow.fold_predictions_at_xnew)) <= 1e-8
+    fast = FoldFits(ridge(0.3), train, part).bundle_at(xnew)
+    resid, preds = refit_leave_fold_out(ridge(0.3), train, part, xnew.reshape(1, -1))
+    scale = max(1.0, np.max(np.abs(resid)))
+    assert np.max(np.abs(fast.loo_residuals - resid)) <= 1e-8 * scale
+    assert np.max(np.abs(fast.fold_predictions_at_xnew - preds[0])) <= 1e-8
+
+
+def _assert_close(got, want, rtol=1e-8):
+    assert np.max(np.abs(got - want)) <= rtol * max(1.0, np.max(np.abs(want)))
+
+
+def test_fold_fits_match_refit_oracle():
+    rng = np.random.default_rng(2024)
+    specs = [ridge(0.5), ridge(1e-8), knn_mean(2), max_response(), neg_max_response(),
+             dirac_threshold(2.0), constant(1.5)]
+    for part in (FoldPartition.singletons(7), FoldPartition.contiguous(7, 3), FoldPartition.contiguous(12, 4)):
+        n = part.n
+        # first coordinate near n so the size-dependent dirac threshold bites
+        x = np.column_stack([rng.integers(n - 4, n + 1, size=n), rng.normal(size=n)])
+        y = rng.normal(size=n)
+        top = y.max() + 1.0
+        tie_across = y.copy()
+        tie_across[[part.folds[0][0], part.folds[-1][0]]] = top
+        datasets = [y, tie_across]
+        if part.folds[0].size > 1:
+            tie_within = y.copy()
+            tie_within[part.folds[0][:2]] = top
+            datasets.append(tie_within)
+        X = np.column_stack([rng.integers(n - 4, n + 1, size=5), rng.normal(size=5)])
+        for yy in datasets:
+            train = TrainingSet(yy, x)
+            for spec in specs:
+                fits = FoldFits(spec, train, part)
+                resid, preds = refit_leave_fold_out(spec, train, part, X)
+                if spec.kind == "ridge":
+                    _assert_close(fits.loo_residuals, resid)
+                    _assert_close(fits.fold_predictions(X), preds)
+                else:
+                    np.testing.assert_array_equal(fits.loo_residuals, resid)
+                    np.testing.assert_array_equal(fits.fold_predictions(X), preds)
+
+
+def test_ridge_high_leverage_row_matches_refit_oracle():
+    # One row scaled by 1e5 or 1e6 makes the downdate cancel catastrophically
+    # for the fold holding it.  Fold predictions are compared at the training
+    # rows: the folds that keep the big row have normal equations with
+    # condition ~1e12, so at fresh rows the refit oracle itself is only good
+    # to ~1e-7 (checked against a QR least-squares solve).
+    for scale in (1e5, 1e6):
+        rng = np.random.default_rng(7)
+        x = rng.normal(size=(60, 20))
+        y = x @ rng.normal(size=20) + rng.normal(size=60)
+        x[7] *= scale
+        train = TrainingSet(y, x)
+        for part in (FoldPartition.singletons(60), FoldPartition.contiguous(60, 4)):
+            fits = FoldFits(ridge(1e-8), train, part)
+            resid, preds = refit_leave_fold_out(ridge(1e-8), train, part, train.x)
+            _assert_close(fits.loo_residuals, resid)
+            _assert_close(fits.fold_predictions(train.x), preds)
 
 
 def test_max_response_stability_fraction():
@@ -173,9 +227,7 @@ def test_max_response_stability_fraction():
         train = TrainingSet(rng.normal(size=n), rng.normal(size=(n, 1)))
         fits = FoldFits(max_response(), train, FoldPartition.singletons(n))
         full = fits.full_model.predict_one(np.zeros(1))
-        changed = sum(
-            1 for m in fits.fold_models if m.predict_one(np.zeros(1)) != full
-        )
+        changed = np.count_nonzero(fits.fold_predictions(np.zeros((1, 1)))[0] != full)
         assert changed / n <= 1.0 / n + 1e-15
 
 
@@ -196,7 +248,7 @@ def test_dirac_threshold_counterexample_pattern():
 def test_fitted_values_from_full_fit():
     train = toy_train([1.0, 5.0, 3.0])
     part = FoldPartition.singletons(3)
-    bundle = leave_fold_out_residuals(max_response(), train, part, [0.0], want_fitted=True)
+    bundle = FoldFits(max_response(), train, part).bundle_at([0.0], want_fitted=True)
     np.testing.assert_array_equal(bundle.fitted_values, np.full(3, 5.0))
 
 
@@ -205,7 +257,7 @@ def test_callable_predictor_accepted():
     mean_fn = lambda x, t: float(np.mean(t.y))
     assert fit_predict(mean_fn, train, [0.0]) == 2.0
     part = FoldPartition.singletons(3)
-    bundle = leave_fold_out_residuals(mean_fn, train, part, [0.0])
+    bundle = FoldFits(mean_fn, train, part).bundle_at([0.0])
     assert bundle.full_prediction == 2.0
     np.testing.assert_allclose(bundle.loo_residuals, [1 - 2.5, 2 - 2.0, 3 - 1.5])
 

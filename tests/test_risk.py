@@ -3,7 +3,7 @@ import pytest
 
 from cvuq.data import sample_classification, sample_gaussian_linear
 from cvuq.errors import InvalidTolerance, NonIntegerResiduals, NonMonotoneLoss
-from cvuq.predictors import FoldPartition, constant, leave_fold_out_residuals
+from cvuq.predictors import FoldFits, FoldPartition, constant
 from cvuq.risk import (
     LossFn,
     absolute,
@@ -63,7 +63,7 @@ def test_mse_matches_population_for_zero_predictor():
     sigma = 0.8
     train = sample_gaussian_linear(10_000, 2, beta, sigma, seed=3)
     part = FoldPartition.singletons(train.n)
-    bundle = leave_fold_out_residuals(constant(0.0), train, part, np.zeros(2))
+    bundle = FoldFits(constant(0.0), train, part).bundle_at(np.zeros(2))
     target = sigma**2 + float(beta @ beta)
     assert mse_estimate(bundle.loo_residuals) == pytest.approx(target, rel=0.05)
 
@@ -89,7 +89,7 @@ def test_misclassification_basics():
 def test_constant_classifier_balanced_classes():
     train = sample_classification(5000, 1, 2, seed=9)
     part = FoldPartition.contiguous(train.n, 10)
-    bundle = leave_fold_out_residuals(constant(1.0), train, part, np.zeros(1))
+    bundle = FoldFits(constant(1.0), train, part).bundle_at(np.zeros(1))
     rate = misclassification_estimate(bundle.loo_residuals)
     assert rate == pytest.approx(0.5, abs=0.05)
 
