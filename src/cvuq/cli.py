@@ -24,7 +24,7 @@ from . import risk as risk_mod
 from . import simlab, stability
 from .data import DgpSpec, load_dataset, save_dataset
 from .ecdf import StepCdf
-from .errors import DataError, MalformedInput, NumericError
+from .errors import DataError, InvalidTolerance, MalformedInput, NumericError
 from .intervals import IntervalMethod, interval
 from .levy_gauge import gauge
 from .predictors import FoldFits, PredictorSpec
@@ -62,6 +62,10 @@ def _float_flag(text, flag: str) -> float:
 
 def _delta(text: str):
     if isinstance(text, str) and text.startswith("iqr:"):
+        try:
+            simlab.iqr_factor(text)
+        except InvalidTolerance as exc:
+            raise UsageError(str(exc)) from exc
         return text
     try:
         return float(text)
@@ -236,6 +240,13 @@ def _check_counts(args) -> None:
         value = getattr(args, name, 1)
         if isinstance(value, bool) or not isinstance(value, int) or value < 1:
             raise UsageError(f"--{name.replace('_', '-')} must be an integer >= 1, got {value!r}")
+
+
+def _check_levels(args) -> None:
+    for name in ("alpha1", "alpha2"):
+        value = getattr(args, name, None)
+        if value is not None and (not isinstance(value, (int, float)) or math.isnan(value)):
+            raise UsageError(f"--{name} must be a number, got {value!r}")
 
 
 def _require(args, *names) -> None:
@@ -468,6 +479,7 @@ def main(argv=None) -> int:
                 raise UsageError("config must be a JSON object")
         args = _build_parser(defaults).parse_args(argv)
         _check_counts(args)
+        _check_levels(args)
         csv_payload = None
         if args.command == "interval":
             payload = _cmd_interval(args)

@@ -21,7 +21,7 @@ from typing import Callable
 import numpy as np
 
 from .ecdf import StepCdf, eval_cdf, quantile
-from .errors import DimensionMismatch, UnboundedLoss
+from .errors import DimensionMismatch, InvalidTolerance, UnboundedLoss
 
 
 @dataclass(frozen=True)
@@ -57,8 +57,8 @@ def _one_side(F: StepCdf, G: StepCdf, delta: float):
 def gauge(F: StepCdf, G: StepCdf, delta: float) -> GaugeResult:
     """Exact gauge between two step cdfs; the witness is the first maximizer
     in candidate order, preferring the F-over-G side on ties."""
-    if delta < 0:
-        raise ValueError("delta must be nonnegative")
+    if not delta >= 0:
+        raise InvalidTolerance("delta must be nonnegative")
     v_fg, t_fg = _one_side(F, G, delta)
     v_gf, t_gf = _one_side(G, F, delta)
     if v_fg >= v_gf:
@@ -106,8 +106,8 @@ def gauge_bound_wasserstein(a, b, weights, delta: float) -> float:
     weights = np.asarray(weights, dtype=float)
     if a.shape != b.shape or a.shape != weights.shape:
         raise DimensionMismatch("a, b and weights must have equal length")
-    if delta <= 0:
-        raise ValueError("delta must be positive")
+    if not delta > 0:
+        raise InvalidTolerance("delta must be positive")
     return float(np.sum(weights * np.abs(a - b)) / delta)
 
 
@@ -126,10 +126,10 @@ def _squared_diff_integral(F: StepCdf, G: StepCdf, lo: float, hi: float) -> floa
 def gauge_bound_l2(F: StepCdf, G: StepCdf, delta: float, mu: float, K: float) -> float:
     """Windowed L2 bound: tail mass outside [mu-K, mu+K] plus the root of
     (1/delta) * integral of (F-G)^2 over [mu-K-delta, mu+K+2*delta]."""
-    if delta <= 0:
-        raise ValueError("delta must be positive")
-    if K < 0:
-        raise ValueError("K must be nonnegative")
+    if not delta > 0:
+        raise InvalidTolerance("delta must be positive")
+    if not K >= 0:
+        raise InvalidTolerance("K must be nonnegative")
     tail = 1.0 - eval_cdf(F, mu + K) + eval_cdf(F, mu - K)
     integral = _squared_diff_integral(F, G, mu - K - delta, mu + K + 2 * delta)
     return tail + math.sqrt(integral / delta)
@@ -140,8 +140,8 @@ def gauge_bound_l2_global(F: StepCdf, G: StepCdf, delta: float) -> float:
 
     Returns the square root, an upper bound for the gauge itself.
     """
-    if delta <= 0:
-        raise ValueError("delta must be positive")
+    if not delta > 0:
+        raise InvalidTolerance("delta must be positive")
     lo = min(F.jumps[0], G.jumps[0]) - 1.0
     hi = max(F.jumps[-1], G.jumps[-1]) + 1.0
     return math.sqrt(_squared_diff_integral(F, G, lo, hi) / delta)
@@ -204,8 +204,8 @@ def lipschitz_transfer_bound(f: MonotoneFn, F: StepCdf, G: StepCdf, delta: float
 
 def scaled(F: StepCdf, c: float) -> StepCdf:
     """The cdf of X/c for X ~ F, i.e. t -> F(c*t); needs c > 0."""
-    if c <= 0:
-        raise ValueError("c must be positive")
+    if not c > 0:
+        raise InvalidTolerance("c must be positive")
     return StepCdf(F.jumps / c, F.cum)
 
 

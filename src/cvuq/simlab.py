@@ -2,11 +2,16 @@
 interval length, and gauge convergence at desk scale.
 
 Coverage is evaluated with a fresh-test-point oracle: freeze the training
-set, draw test pairs, and count hits of the per-test-point interval.  Fold
-fits are cached per training set (they do not depend on the test point), and
-the per-point interval endpoints are computed vectorized with exactly the
-same quantile semantics and floating-point operation order as
-:func:`cvuq.intervals.interval`.
+set, draw test pairs, and count hits of the per-test-point interval; every
+hit equals that of :func:`cvuq.intervals.interval` exactly.  The cv_plus
+atoms a_j = yhat^{(-fold(j))}(x) + u_j are counted, never sorted: rounding
+keeps x -> fl(x -+ d) nondecreasing, so with Q_a the k(a)-th smallest atom
+
+    y >= fl(Q_{a1} - d)  iff  #{j : fl(a_j - d) <= y} >= k(a1),
+    y <= fl(Q_{a2} + d)  iff  #{j : fl(a_j + d) <  y} <  k(a2),
+
+the comparison form of the jackknife+ coverage argument (Barber, Candes,
+Ramdas and Tibshirani, Ann. Statist. 49(1), 2021).
 
 ``delta`` arguments accept a float, a string ``"iqr:FACTOR"`` (factor times
 the interquartile range of the leave-fold-out residuals), or a callable
@@ -29,16 +34,39 @@ from .predictors import FoldFits
 from .rng import indexed_map, stream
 from .stability import equivalence_bound, resolve_partition
 
+# Test rows are processed in blocks of about this many cells (256 KiB of
+# float64), which keeps them in cache and bounds the kernel's memory.
+BLOCK_ATOMS = 1 << 15
+
+
+def _row_blocks(m: int, width: int):
+    step = max(1, BLOCK_ATOMS // width)
+    return (slice(s, s + step) for s in range(0, m, step))
+
+
+def _infinite_end(alpha: float) -> float:
+    return math.inf if alpha > 1.0 else -math.inf
+
+
+def iqr_factor(rule: str) -> float:
+    """FACTOR of the delta rule ``"iqr:FACTOR"``, which must be finite."""
+    kind, _, text = rule.partition(":")
+    try:
+        factor = float(text) if kind == "iqr" else math.nan
+    except ValueError:
+        factor = math.nan
+    if not math.isfinite(factor):
+        raise InvalidTolerance(f"cannot parse delta rule {rule!r}: use iqr:FACTOR with a finite FACTOR")
+    return factor
+
 
 def resolve_delta(delta, residuals) -> float:
     if callable(delta):
         return float(delta(residuals))
     if isinstance(delta, str):
-        kind, _, factor = delta.partition(":")
-        if kind != "iqr" or not factor:
-            raise InvalidTolerance(f"cannot parse delta rule {delta!r}")
+        factor = iqr_factor(delta)
         q75, q25 = np.quantile(residuals, [0.75, 0.25])
-        return float(factor) * float(q75 - q25)
+        return factor * float(q75 - q25)
     return float(delta)
 
 
@@ -52,53 +80,59 @@ class CoverageEngine:
         sizes = np.array([f.size for f in self.partition.folds])
         self.atom_weights = (1.0 / (self.partition.k * sizes))[self.partition.fold_of]
         self.equal_weights = bool(np.all(sizes == sizes[0]))
+        # the fold-matrix column of each cv_plus atom; None when it is the identity
+        fold_of = self.partition.fold_of
+        self.columns = None if np.array_equal(fold_of, np.arange(fold_of.size)) else fold_of
+        self._offset_cdfs = {}
 
-    def residual_quantile(self, alpha: float, absolute: bool = False) -> float:
-        values = np.abs(self.u) if absolute else self.u
-        return quantile(fold_ecdf([values[f] for f in self.partition.folds]), alpha)
-
-    def fitted_residuals(self) -> np.ndarray:
-        return self.fits.train.y - self.fits.fitted_values()
-
-    def prepare(self, x_test: np.ndarray) -> "PreparedTests":
-        """Cache the per-test-set work shared across levels and methods."""
-        return PreparedTests(self, np.ascontiguousarray(x_test, dtype=float))
-
-    def endpoints(self, method: IntervalMethod, alpha1: float, alpha2: float, delta, prepared):
-        """(lo, hi) arrays over test rows, matching intervals.interval exactly."""
-        d = resolve_delta(delta, self.u)
-        if method.symmetrized and method.base != "cv_plus":
-            if method.base == "cv":
-                radius = self.residual_quantile(alpha2 - alpha1, absolute=True) + d
+    def _offset_cdf(self, base: str, absolute: bool):
+        """The residual ecdf of the cv or fitted_values interval, built once."""
+        if (base, absolute) not in self._offset_cdfs:
+            if base == "cv":
+                values = np.abs(self.u) if absolute else self.u
+                F = fold_ecdf([values[f] for f in self.partition.folds])
             else:
-                radius = quantile(uniform_ecdf(np.abs(self.fitted_residuals())), alpha2 - alpha1) + d
-            return prepared.full - radius, prepared.full + radius
-        if method.base == "cv":
-            lo_off = self.residual_quantile(alpha1)
-            hi_off = self.residual_quantile(alpha2)
-            return (prepared.full + lo_off) - d, (prepared.full + hi_off) + d
-        if method.base == "fitted_values":
-            F = uniform_ecdf(self.fitted_residuals())
-            return (prepared.full + quantile(F, alpha1)) - d, (prepared.full + quantile(F, alpha2)) + d
-        q1 = prepared.row_quantile(alpha1, method.symmetrized)
-        q2 = prepared.row_quantile(alpha2, method.symmetrized)
-        return q1 - d, q2 + d
+                fitted = self.fits.train.y - self.fits.fitted_values()
+                F = uniform_ecdf(np.abs(fitted) if absolute else fitted)
+            self._offset_cdfs[base, absolute] = F
+        return self._offset_cdfs[base, absolute]
 
-    def coverage(self, method, alpha1, alpha2, delta, y_test, prepared) -> float:
-        lo, hi = self.endpoints(method, alpha1, alpha2, delta, prepared)
-        return float(np.mean((y_test >= lo) & (y_test <= hi)))
+    def prepare(self, x_test: np.ndarray, y_test: np.ndarray) -> "PreparedTests":
+        """Cache the per-test-set work shared across levels and methods."""
+        return PreparedTests(self, np.ascontiguousarray(x_test, dtype=float), np.asarray(y_test, dtype=float))
+
+    def coverage(self, method: IntervalMethod, alpha1: float, alpha2: float, delta, prepared) -> float:
+        """Fraction of the prepared test pairs whose y lies in its interval."""
+        d = resolve_delta(delta, self.u)
+        if method.base == "cv_plus":
+            return float(np.mean(prepared.cv_plus_hits(alpha1, alpha2, d, method.symmetrized)))
+        y, full = prepared.y_test, prepared.full
+        if method.symmetrized:
+            radius = quantile(self._offset_cdf(method.base, True), alpha2 - alpha1) + d
+            lo, hi = full - radius, full + radius
+        else:
+            F = self._offset_cdf(method.base, False)
+            lo, hi = (full + quantile(F, alpha1)) - d, (full + quantile(F, alpha2)) + d
+        return float(np.mean((y >= lo) & (y <= hi)))
 
 
 class PreparedTests:
-    """Lazy per-test-set caches: full predictions, fold-prediction matrix, and
-    the row-sorted cv_plus atom matrix reused across quantile levels."""
+    """Test pairs of one engine with lazy caches: full-data predictions, the
+    (m, k) fold-prediction matrix, and per (d, absolute) the row counts
+    #{j : fl(a_j - d) <= y} and #{j : fl(a_j + d) < y}.  fl(. -+ d) keeps the
+    atoms' order, so each counted set is a prefix of the sorted atoms and
+    holds the k-th one exactly when that quantile's interval end passes y:
+    one pass serves every level pair.  With unequal folds an atom of fold j
+    weighs 1/(k |K_j|) and the counts are weights, compared with the level.
+    """
 
-    def __init__(self, engine: CoverageEngine, x_test: np.ndarray):
+    def __init__(self, engine: CoverageEngine, x_test: np.ndarray, y_test: np.ndarray):
         self.engine = engine
         self.x_test = x_test
+        self.y_test = y_test
         self._full = None
         self._P = None
-        self._sorted = {}
+        self._counts = {}
 
     @property
     def full(self) -> np.ndarray:
@@ -112,33 +146,49 @@ class PreparedTests:
             self._P = self.engine.fits.fold_predictions(self.x_test)
         return self._P
 
-    def _sorted_atoms(self, absolute: bool):
-        if absolute not in self._sorted:
-            engine = self.engine
-            res = np.abs(engine.u) if absolute else engine.u
-            A = self.fold_matrix[:, engine.partition.fold_of] + res[None, :]
-            if engine.equal_weights:
-                self._sorted[absolute] = (np.sort(A, axis=1), None)
-            else:
-                order = np.argsort(A, axis=1, kind="stable")
-                cums = np.cumsum(engine.atom_weights[order], axis=1)
-                cums[:, -1] = 1.0
-                self._sorted[absolute] = (np.take_along_axis(A, order, axis=1), cums)
-        return self._sorted[absolute]
+    def _count(self, hit: np.ndarray) -> np.ndarray:
+        """Per row, the number of hit atoms, or their weight with unequal folds."""
+        if self.engine.equal_weights:
+            return np.count_nonzero(hit, axis=1)
+        return np.where(hit, self.engine.atom_weights, 0.0).sum(axis=1)
 
-    def row_quantile(self, alpha: float, absolute: bool = False) -> np.ndarray:
-        """Per-row quantile of the cv_plus atoms, same semantics as StepCdf."""
-        sorted_A, cums = self._sorted_atoms(absolute)
-        m, n = sorted_A.shape
-        if alpha <= 0.0:
-            return np.full(m, -math.inf)
-        if alpha > 1.0:
-            return np.full(m, math.inf)
-        if cums is None:
-            k = min(max(ceil_guarded(alpha * n), 1), n)
-            return sorted_A[:, k - 1]
-        idx = np.argmax(cums >= alpha - LEVEL_GUARD, axis=1)
-        return sorted_A[np.arange(m), idx]
+    def _atom_counts(self, d: float, absolute: bool):
+        if (d, absolute) not in self._counts:
+            engine, P, y = self.engine, self.fold_matrix, self.y_test
+            res = np.abs(engine.u) if absolute else engine.u
+            le, lt = [], []
+            for rows in _row_blocks(y.size, res.size):
+                atoms = (P[rows] if engine.columns is None else P[rows][:, engine.columns]) + res
+                lower, upper = (atoms, atoms) if d == 0 else (atoms - d, atoms + d)
+                le.append(self._count(lower <= y[rows, None]))
+                lt.append(self._count(upper < y[rows, None]))
+            self._counts[d, absolute] = (np.concatenate(le), np.concatenate(lt))
+        return self._counts[d, absolute]
+
+    def _reaches(self, counts: np.ndarray, alpha: float) -> np.ndarray:
+        """Rows whose counted atoms reach the level alpha in (0, 1]."""
+        engine = self.engine
+        if engine.equal_weights:
+            n = engine.partition.n
+            return counts >= min(max(ceil_guarded(alpha * n), 1), n)
+        # any atom reaches a level at or below the lightest atom's weight
+        return counts >= max(alpha - LEVEL_GUARD, float(engine.atom_weights.min()))
+
+    def cv_plus_hits(self, alpha1: float, alpha2: float, d: float, absolute: bool) -> np.ndarray:
+        """Rows with y in [Q_{a1} - d, Q_{a2} + d]; a level outside (0, 1]
+        puts that end at an infinite quantile, as in :func:`cvuq.ecdf.quantile`."""
+        y, (le, lt) = self.y_test, self._atom_counts(d, absolute)
+        lower = self._reaches(le, alpha1) if 0.0 < alpha1 <= 1.0 else y >= _infinite_end(alpha1) - d
+        upper = ~self._reaches(lt, alpha2) if 0.0 < alpha2 <= 1.0 else y <= _infinite_end(alpha2) + d
+        return lower & upper
+
+    def fold_exceedance(self, d: float) -> np.ndarray:
+        """Per fold j, the fraction of test points with |yhat(x) - yhat^{(-K_j)}(x)| > d."""
+        P, full = self.fold_matrix, self.full
+        exceed = np.zeros(P.shape[1], dtype=np.intp)
+        for rows in _row_blocks(*P.shape):
+            exceed += np.count_nonzero(np.abs(full[rows, None] - P[rows]) > d, axis=0)
+        return exceed / P.shape[0]
 
 
 def conditional_coverage(
@@ -159,7 +209,7 @@ def conditional_coverage(
     fits = FoldFits(spec, train, resolve_partition(partition_rule, train.n))
     y_test, x_test = dgp.draw(mc_test, stream(seed))
     engine = CoverageEngine(fits)
-    return engine.coverage(method, alpha1, alpha2, delta, y_test, engine.prepare(x_test))
+    return engine.coverage(method, alpha1, alpha2, delta, engine.prepare(x_test, y_test))
 
 
 @dataclass(frozen=True)
@@ -196,7 +246,7 @@ def coverage_distribution(
         fits = FoldFits(spec, train, partition)
         y_test, x_test = dgp.draw(mc_test, stream(seed, r, 1))
         engine = CoverageEngine(fits)
-        return engine.coverage(method, alpha1, alpha2, delta, y_test, engine.prepare(x_test))
+        return engine.coverage(method, alpha1, alpha2, delta, engine.prepare(x_test, y_test))
 
     cov = np.array(indexed_map(one, train_reps, threads))
     q05, q50, q95 = np.quantile(cov, [0.05, 0.5, 0.95])
@@ -260,20 +310,19 @@ def jk_vs_jkplus_gap(
         fits = FoldFits(spec, train, partition)
         engine = CoverageEngine(fits)
         y_test, x_test = dgp.draw(mc_test, stream(seed, r, 1))
-        prepared = engine.prepare(x_test)
+        prepared = engine.prepare(x_test, y_test)
         d = resolve_delta(delta, engine.u)
         d_stab = resolve_delta(stability_delta, engine.u)
-        c_j = engine.coverage(cv, alpha1, alpha2, d, y_test, prepared)
-        c_jp = engine.coverage(cvp, alpha1, alpha2, d, y_test, prepared)
+        c_j = engine.coverage(cv, alpha1, alpha2, d, prepared)
+        c_jp = engine.coverage(cvp, alpha1, alpha2, d, prepared)
         # per-fold exceedance of the stability tolerance across test points
-        diffs = np.abs(prepared.full[:, None] - prepared.fold_matrix)
-        exceed = (diffs > d_stab).mean(axis=0)
+        exceed = prepared.fold_exceedance(d_stab)
         # equivalence-deficit event: CV at widened levels and inflated
         # distortion falls short of CV+ by eps somewhere on the pair grid
         worst = math.inf
         for b1, b2 in pair_grid:
-            c_infl = engine.coverage(cv, b1 - eps, b2 + eps, d_stab, y_test, prepared)
-            c_plus = engine.coverage(cvp, b1, b2, 0.0, y_test, prepared)
+            c_infl = engine.coverage(cv, b1 - eps, b2 + eps, d_stab, prepared)
+            c_plus = engine.coverage(cvp, b1, b2, 0.0, prepared)
             worst = min(worst, c_infl - c_plus)
         return c_j, c_jp, worst <= -eps, exceed, d_stab
 

@@ -2,8 +2,10 @@
 
 These deliberately avoid the library's breakpoint algorithms: the gauge
 oracle scans a dense grid, the Levy metric oracle bisects the defining
-infimum, the sandwich oracle bisects the quantile characterization, and the
-leave-fold-out oracle refits the predictor once per fold.
+infimum, the sandwich oracle bisects the quantile characterization, the
+leave-fold-out oracle refits the predictor once per fold, and the coverage
+oracles build every test point's interval, by the scalar path or by sorting
+each row of cv_plus atoms.
 """
 
 from __future__ import annotations
@@ -12,8 +14,8 @@ import math
 
 import numpy as np
 
-from cvuq.ecdf import StepCdf, ceil_guarded, quantiles
-from cvuq.intervals import PredInterval
+from cvuq.ecdf import LEVEL_GUARD, StepCdf, ceil_guarded, quantiles
+from cvuq.intervals import PredInterval, interval
 from cvuq.predictors import fit
 
 
@@ -141,3 +143,51 @@ def refit_leave_fold_out(spec, train, partition, X) -> tuple[np.ndarray, np.ndar
         resid[f] = train.y[f] - model.predict(train.x[f])
         cols.append(model.predict(X))
     return resid, np.column_stack(cols)
+
+
+def per_point_coverage(fits, method, alpha1, alpha2, delta, x_test, y_test) -> float:
+    """Coverage from one scalar :func:`cvuq.intervals.interval` per test point."""
+    hits = 0
+    for y, x in zip(y_test, x_test):
+        bundle = fits.bundle_at(x, want_fitted=True)
+        hits += interval(method, bundle, alpha1, alpha2, delta).contains(y)
+    return hits / y_test.size
+
+
+def sorted_atom_coverage(fits, alpha1, alpha2, delta, x_test, y_test, absolute=False) -> float:
+    """cv_plus coverage by sorting each test point's atom row and reading the
+    quantiles off it: the k-th smallest atom with equal folds, the first
+    atom whose cumulative fold weight reaches the level otherwise."""
+    part = fits.partition
+    res = np.abs(fits.loo_residuals) if absolute else fits.loo_residuals
+    A = fits.fold_predictions(x_test)[:, part.fold_of] + res[None, :]
+    m, n = A.shape
+    sizes = np.array([f.size for f in part.folds])
+    if np.all(sizes == sizes[0]):
+        A.sort(axis=1)
+        cums = None
+    else:
+        order = np.argsort(A, axis=1, kind="stable")
+        cums = np.cumsum((1.0 / (part.k * sizes))[part.fold_of][order], axis=1)
+        cums[:, -1] = 1.0
+        A = np.take_along_axis(A, order, axis=1)
+
+    def row_quantile(alpha):
+        if alpha <= 0.0:
+            return np.full(m, -math.inf)
+        if alpha > 1.0:
+            return np.full(m, math.inf)
+        if cums is None:
+            return A[:, min(max(ceil_guarded(alpha * n), 1), n) - 1]
+        return A[np.arange(m), np.argmax(cums >= alpha - LEVEL_GUARD, axis=1)]
+
+    lo = row_quantile(alpha1) - delta
+    hi = row_quantile(alpha2) + delta
+    return float(np.mean((y_test >= lo) & (y_test <= hi)))
+
+
+def dense_fold_exceedance(fits, x_test, delta) -> np.ndarray:
+    """Per-fold fraction of test points with |full - fold prediction| > delta,
+    from the whole (m, k) difference matrix."""
+    full = fits.full_model.predict(x_test)
+    return (np.abs(full[:, None] - fits.fold_predictions(x_test)) > delta).mean(axis=0)

@@ -279,3 +279,33 @@ def test_nan_result_exits_4(capsys, workdir):
     ])
     assert code == 4
     assert strict_json(capsys.readouterr().out)["error"] == "NumericError"
+
+
+@pytest.mark.parametrize(
+    "command, flags, code",
+    [
+        pytest.param(["interval"], ["--alpha1", "nan"], 2, id="interval-alpha1-nan"),
+        pytest.param(["interval"], ["--alpha2", "nan"], 2, id="interval-alpha2-nan"),
+        pytest.param(["interval"], ["--delta", "iqr:abc"], 2, id="interval-delta-iqr_abc"),
+        pytest.param(["interval"], ["--delta", "iqr:inf"], 2, id="interval-delta-iqr_inf"),
+        pytest.param(["sim", "coverage"], ["--delta", "iqr:abc"], 2, id="sim-coverage-delta-iqr_abc"),
+        pytest.param(["sim", "coverage"], ["--delta", "iqr:nan"], 2, id="sim-coverage-delta-iqr_nan"),
+        pytest.param(["sim", "equiv"], ["--delta", "iqr:"], 2, id="sim-equiv-delta-iqr"),
+        pytest.param(["sim", "equiv"], ["--stab-delta", "iqr:-inf"], 2, id="sim-equiv-stab-delta-iqr_-inf"),
+        pytest.param(["gauge"], ["--delta", "-1"], 3, id="gauge-delta-minus1"),
+    ],
+)
+def test_bad_level_or_tolerance_exits_with_json_error(capsys, workdir, command, flags, code):
+    cdf = workdir / "f.json"
+    cdf.write_text(uniform_ecdf([0.0, 1.0]).to_json())
+    data, pred = str(workdir / "d.csv"), str(workdir / "ridge.json")
+    valid = {
+        "interval": ["--data", data, "--predictor", pred, "--alpha1", "0.1", "--alpha2", "0.9", "--xnew", "1.0"],
+        "sim": ["--dgp", str(workdir / "dgp.json"), "--predictor", pred, "--n", "10",
+                "--train-reps", "2", "--mc-test", "20"],
+        "gauge": ["--f", str(cdf), "--g", str(cdf), "--delta", "0.1"],
+    }
+    # the bad flag comes last, so it overrides the valid one
+    assert main([*command, *valid[command[0]], *flags]) == code
+    payload = strict_json(capsys.readouterr().out)
+    assert payload["error"] == ("usage" if code == 2 else "InvalidTolerance")

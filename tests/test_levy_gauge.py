@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cvuq.ecdf import quantile, uniform_ecdf, weighted_ecdf
-from cvuq.errors import UnboundedLoss
+from cvuq.errors import InvalidTolerance, UnboundedLoss
 from cvuq.levy_gauge import (
     MonotoneFn,
     expectation_transfer,
@@ -279,3 +279,18 @@ def test_unbounded_descriptor_rejected():
         expectation_transfer(f, F, F, 0.1)
     with pytest.raises(UnboundedLoss):
         koksma_bound(MonotoneFn(lambda x: x, 0.0, 1.0), F, F)
+
+
+def test_bad_tolerances_are_invalid_tolerance_errors():
+    F = uniform_ecdf([0.0, 1.0])
+    for bad in (-1.0, math.nan):
+        with pytest.raises(InvalidTolerance):
+            gauge(F, F, bad)
+        with pytest.raises(InvalidTolerance):
+            gauge_bound_l2_global(F, F, bad)
+        with pytest.raises(InvalidTolerance):
+            gauge_bound_l2(F, F, 0.1, 0.0, bad)
+        with pytest.raises(InvalidTolerance):
+            scaled(F, bad)
+    with pytest.raises(InvalidTolerance):
+        gauge_bound_wasserstein([0.0], [1.0], [1.0], 0.0)

@@ -1,14 +1,17 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from cvuq.data import DgpSpec
+from cvuq.data import DgpSpec, TrainingSet
+from cvuq.errors import InvalidTolerance
 from cvuq.intervals import IntervalMethod, interval
 from cvuq.levy_gauge import gauge
 from cvuq.predictors import FoldFits, FoldPartition, constant, max_response, ridge
 from cvuq.rng import stream
 from cvuq.simlab import (
+    DEFAULT_PAIR_GRID,
     CoverageEngine,
     conditional_coverage,
     constant_family,
@@ -22,6 +25,7 @@ from cvuq.simlab import (
     sqrt_n_family,
 )
 from cvuq.stability import resolve_partition
+from oracles import dense_fold_exceedance, per_point_coverage, sorted_atom_coverage
 
 GAUSS = DgpSpec("gaussian_linear", {"beta": [1.0, -0.5], "sigma": 1.0})
 GAUSS1 = DgpSpec("gaussian_linear", {"beta": [0.0], "sigma": 1.0})
@@ -43,15 +47,11 @@ def test_engine_matches_per_point_intervals_exactly():
         fits = FoldFits(ridge(0.5), train, resolve_partition(part_rule, train.n))
         engine = CoverageEngine(fits)
         y_test, x_test = GAUSS.draw(200, stream(1, 1))
-        prepared = engine.prepare(x_test)
+        prepared = engine.prepare(x_test, y_test)
         for method in ALL_METHODS:
             for a1, a2, d in ((0.1, 0.9, 0.0), (0.0, 0.8, 0.3), (0.25, 1.0, -0.2), (0.5, 0.5, 0.1)):
-                fast = engine.coverage(method, a1, a2, d, y_test, prepared)
-                hits = 0
-                for y, x in zip(y_test, x_test):
-                    bundle = fits.bundle_at(x, want_fitted=True)
-                    hits += interval(method, bundle, a1, a2, d).contains(y)
-                assert fast == hits / y_test.size, (method, a1, a2, d)
+                fast = engine.coverage(method, a1, a2, d, prepared)
+                assert fast == per_point_coverage(fits, method, a1, a2, d, x_test, y_test), (method, a1, a2, d)
 
 
 def test_conditional_coverage_trivial_cases():
@@ -158,13 +158,13 @@ def test_shrunken_inflated_duality_set_algebra():
     fits = FoldFits(ridge(0.5), train, FoldPartition.singletons(25))
     engine = CoverageEngine(fits)
     y_test, x_test = GAUSS.draw(2000, stream(11, 1))
-    prepared = engine.prepare(x_test)
+    prepared = engine.prepare(x_test, y_test)
     cv = IntervalMethod("cv")
     for d in (0.05, 0.2, 1.0):
         for a1, a2 in ((0.1, 0.9), (0.3, 0.6), (0.45, 0.55)):
-            shr = engine.coverage(cv, a1, a2, -2 * d, y_test, prepared)
-            lo_flank = engine.coverage(cv, 0.0, a1, d, y_test, prepared)
-            hi_flank = engine.coverage(cv, a2, 1.0, d, y_test, prepared)
+            shr = engine.coverage(cv, a1, a2, -2 * d, prepared)
+            lo_flank = engine.coverage(cv, 0.0, a1, d, prepared)
+            hi_flank = engine.coverage(cv, a2, 1.0, d, prepared)
             bundle = fits.bundle_at(x_test[0])
             if interval(cv, bundle, a1, a2, -2 * d).empty:
                 pass  # empty intervals cover nothing by construction
@@ -187,5 +187,87 @@ def test_resolve_delta_rules():
     assert resolve_delta("iqr:-0.1", u) == pytest.approx(-0.1 * iqr)
     assert resolve_delta(0.7, u) == 0.7
     assert resolve_delta(lambda r: r.max(), u) == 4.0
-    with pytest.raises(Exception):
-        resolve_delta("bogus:1", u)
+    for rule in ("bogus:1", "iqr:", "iqr:abc", "iqr:inf", "iqr:nan"):
+        with pytest.raises(InvalidTolerance):
+            resolve_delta(rule, u)
+
+
+CV_PLUS = [IntervalMethod("cv_plus"), IntervalMethod("cv_plus", symmetrized=True)]
+
+
+@pytest.mark.parametrize("rule", ["jackknife", 7])
+def test_kernel_matches_sorted_atom_oracle(rule):
+    n, m = 200, 5000
+    train = GAUSS.sample(n, stream(14, 0))
+    fits = FoldFits(ridge(0.5), train, resolve_partition(rule, n))
+    engine = CoverageEngine(fits)
+    y_test, x_test = GAUSS.draw(m, stream(14, 1))
+    prepared = engine.prepare(x_test, y_test)
+    for method in CV_PLUS:
+        for d in (0.0, 0.05, -0.2):
+            for a1, a2 in DEFAULT_PAIR_GRID:
+                fast = engine.coverage(method, a1, a2, d, prepared)
+                slow = sorted_atom_coverage(fits, a1, a2, d, x_test, y_test, method.symmetrized)
+                assert fast == slow, (method, d, a1, a2)
+    for d in (0.0, 0.01, 0.1):
+        np.testing.assert_array_equal(prepared.fold_exceedance(d), dense_fold_exceedance(fits, x_test, d))
+
+
+def _lattice_case(n, rule):
+    # constant predictor 0 on responses that are multiples of 0.25: every atom
+    # is a training response, test responses sit on atoms and on atoms +- 0.25
+    y = np.round(GAUSS1.draw(n, stream(15, n))[0] * 4.0) / 4.0
+    fits = FoldFits(constant(0.0), TrainingSet(y, np.zeros((n, 1))), resolve_partition(rule, n))
+    y_test = np.unique(np.concatenate([y, y + 0.25, y - 0.25, [-10.0, 10.0]]))
+    return fits, np.zeros((y_test.size, 1)), y_test
+
+
+def _ridge_case(n, rule):
+    train = GAUSS.sample(n, stream(16, n))
+    y_test, x_test = GAUSS.draw(24, stream(16, n, 1))
+    return FoldFits(ridge(0.5), train, resolve_partition(rule, n)), x_test, y_test
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        pytest.param(lambda: _ridge_case(10, 3), id="ridge-k3-n10"),
+        pytest.param(lambda: _ridge_case(13, 4), id="ridge-k4-n13"),
+        pytest.param(lambda: _lattice_case(25, "jackknife"), id="ties-jackknife-n25"),
+        pytest.param(lambda: _lattice_case(10, 3), id="ties-k3-n10"),
+    ],
+)
+def test_kernel_matches_scalar_intervals_on_adversarial_inputs(case):
+    fits, x_test, y_test = case()
+    part = fits.partition
+    n = part.n
+    weights = np.concatenate([np.full(f.size, 1.0 / (part.k * f.size)) for f in part.folds])
+    # every exact multiple of 1/n and cumulative fold weight as either level,
+    # crossed pairs, and levels near and outside the ends of (0, 1]
+    grid = sorted({j / n for j in range(n + 1)} | {float(c) for c in np.cumsum(weights)})
+    pairs = [(a, 1.0) for a in grid] + [(0.0, b) for b in grid] + list(zip(grid, reversed(grid)))
+    pairs += [(1e-13, 1.0), (0.0, 1e-13), (-0.1, 0.5), (0.0, 1.5), (1.2, 1.5), (-0.5, 0.0)]
+    engine = CoverageEngine(fits)
+    prepared = engine.prepare(x_test, y_test)
+    for method in CV_PLUS:
+        for d in (0.0, 0.25, -0.25, -2.0):
+            for a1, a2 in pairs:
+                fast = engine.coverage(method, a1, a2, d, prepared)
+                assert fast == per_point_coverage(fits, method, a1, a2, d, x_test, y_test), (method, d, a1, a2)
+
+
+def test_cv_plus_kernel_memory_is_blocked():
+    n, m = 200, 50_000
+    train = GAUSS.sample(n, stream(17, 0))
+    engine = CoverageEngine(FoldFits(ridge(0.5), train, FoldPartition.singletons(n)))
+    y_test, x_test = GAUSS.draw(m, stream(17, 1))
+    prepared = engine.prepare(x_test, y_test)
+    cvp = IntervalMethod("cv_plus")
+    engine.coverage(cvp, 0.05, 0.95, 0.0, prepared)  # fills the prediction caches
+    tracemalloc.start()
+    try:
+        engine.coverage(cvp, 0.05, 0.95, 0.1, prepared)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < m * n * 8 / 4
