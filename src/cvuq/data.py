@@ -20,12 +20,12 @@ import csv
 import io
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.special import ndtr
-from scipy.stats import t as student_t
+from scipy.special import ndtr, stdtrit
 
 from .errors import DimensionMismatch, MalformedInput, TooFewRows
 from .rng import stream
@@ -158,6 +158,48 @@ def save_dataset(train: TrainingSet, path, format: str = "csv") -> None:
         raise MalformedInput(f"unknown format {format!r}")
 
 
+def _student_t_quantile(q: np.ndarray, dof: float) -> np.ndarray:
+    """Student-t quantile function; stdtrit maps q = 0 to +inf, not -inf."""
+    t = stdtrit(dof, q)
+    t[q == 0.0] = -math.inf
+    return t
+
+
+def _param(params: dict, name: str, default=None):
+    if name not in params and default is None:
+        raise MalformedInput(f"dgp parameter {name!r} is required")
+    return params.get(name, default)
+
+
+def _number(params: dict, name: str, default=None) -> float:
+    value = _param(params, name, default)
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:  # an integer too large for a float
+            number = math.nan
+        if not math.isnan(number):
+            return number
+    raise MalformedInput(f"dgp parameter {name!r} must be a number, got {value!r}")
+
+
+def _integer(params: dict, name: str, default=None) -> int:
+    value = _number(params, name, default)
+    if not value.is_integer():
+        raise MalformedInput(f"dgp parameter {name!r} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _array(params: dict, name: str) -> np.ndarray:
+    try:
+        values = np.asarray(_param(params, name), dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise MalformedInput(f"dgp parameter {name!r} must hold numbers: {exc}") from exc
+    if not np.all(np.isfinite(values)):
+        raise MalformedInput(f"dgp parameter {name!r} must be finite")
+    return values
+
+
 DGP_KINDS = ("gaussian_linear", "student_linear", "classification_grid", "custom_table", "dirac_first_coord")
 
 
@@ -181,16 +223,23 @@ class DgpSpec:
             raise MalformedInput(f"unknown dgp kind {self.kind!r}")
         p = self.params
         if self.kind in ("gaussian_linear", "student_linear"):
-            beta = np.asarray(p["beta"], dtype=float)
-            if beta.ndim != 1:
+            if _array(p, "beta").ndim != 1:
                 raise DimensionMismatch("beta must be a vector")
-            if not p.get("sigma", 1.0) > 0:
+            if not _number(p, "sigma", 1.0) > 0:
                 raise MalformedInput("sigma must be positive")
-            if self.kind == "student_linear" and not p.get("dof", 0) > 0:
+            if self.kind == "student_linear" and not _number(p, "dof") > 0:
                 raise MalformedInput("dof must be positive")
-        elif self.kind == "classification_grid":
-            if int(p.get("class_count", 0)) < 2:
+        elif self.kind == "custom_table":
+            ty, tx = _array(p, "table_y"), _array(p, "table_x")
+            if ty.ndim != 1 or ty.size == 0 or tx.ndim != 2 or tx.shape[0] != ty.size:
+                raise MalformedInput("table_y must be a nonempty vector and table_x a matrix with one row per entry")
+        else:
+            if _integer(p, "p", 1) < 1:
+                raise MalformedInput("p must be at least 1")
+            if self.kind == "classification_grid" and _integer(p, "class_count") < 2:
                 raise MalformedInput("class_count must be at least 2")
+            if self.kind == "dirac_first_coord":
+                _number(p, "point")
 
     @property
     def p(self) -> int:
@@ -214,7 +263,7 @@ class DgpSpec:
             beta = np.asarray(self.params["beta"], dtype=float)
             sigma = float(self.params.get("sigma", 1.0))
             dof = float(self.params["dof"])
-            y = x @ beta + sigma * student_t.ppf(ndtr(z), dof)
+            y = x @ beta + sigma * _student_t_quantile(ndtr(z), dof)
         elif self.kind == "classification_grid":
             K = int(self.params["class_count"])
             y = 1.0 + np.floor(K * ndtr(x[:, 0])) % K

@@ -18,9 +18,10 @@ Predictor arguments throughout the library accept either a
 :class:`PredictorSpec` or a plain callable ``(xnew, train) -> float`` for
 ad-hoc algorithms.
 
-Leave-fold-out predictions come from :class:`FoldFits` alone: a guarded Gram
-downdate for ridge (``DOWNDATE_MAX_RATIO``), closed forms for constant and
-the max kinds, one refit per fold for knn_mean, dirac_threshold and callables.
+Leave-fold-out predictions come from :class:`FoldFits` alone: for ridge, one
+Cholesky factorization per fold size and a batched Woodbury update of every
+fold, guarded by ``WOODBURY_MIN_EIG``; closed forms for constant and the max
+kinds; one refit per fold for knn_mean, dirac_threshold and callables.
 """
 
 from __future__ import annotations
@@ -41,11 +42,12 @@ PREDICTOR_KINDS = ("ridge", "knn_mean", "max_response", "neg_max_response", "dir
 # Relative pivot threshold below which a Gram factorization counts as singular.
 PIVOT_RTOL = 1e-12
 
-# Largest trace(X_f'X_f) / trace(A_f) at which a ridge fold is downdated.
-# Forming A_f = X'X - X_f'X_f + ridge term by subtraction perturbs it by about
-# machine epsilon times 1 + that ratio, relative to its size, so the downdate
-# loses at most ~4 more digits than a direct solve of the fold's rows.
-DOWNDATE_MAX_RATIO = 1e4
+# Smallest eigenvalue of a ridge fold's Woodbury capacitance matrix
+# I - Z_f'Z_f (equivalently I - Z_f Z_f') at which the fold is updated from
+# the shared factorization.  Rounding error is amplified by at most its
+# inverse, so an updated fold loses at most ~4 more digits than a direct
+# solve of its rows; below it the fold is refitted from its own rows.
+WOODBURY_MIN_EIG = 1e-4
 
 
 @dataclass(frozen=True)
@@ -120,7 +122,8 @@ def _canonical_order(train: TrainingSet) -> np.ndarray:
     return np.lexsort(keys)
 
 
-def _solve_spd(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _solve_spd(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Solve A x = b by Cholesky; returns x and the factor L of A = L L'."""
     try:
         L = np.linalg.cholesky(A)
     except np.linalg.LinAlgError as exc:
@@ -128,18 +131,22 @@ def _solve_spd(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     if L.shape[0] and np.diag(L).min() ** 2 < PIVOT_RTOL * max(np.diag(A).max(), 1e-300):
         raise DegenerateFit("Gram matrix pivot below relative threshold")
     z = np.linalg.solve(L, b)
-    return np.linalg.solve(L.T, z)
+    return np.linalg.solve(L.T, z), L
+
+
+def _normal_equations(train: TrainingSet) -> tuple[np.ndarray, np.ndarray]:
+    """X'X and X'Y on canonically ordered rows."""
+    order = _canonical_order(train)
+    X = train.x[order]
+    return X.T @ X, X.T @ train.y[order]
 
 
 def ridge_coefficients(train: TrainingSet, lam: float) -> np.ndarray:
     """Solve (X'X + lambda*n*I) beta = X'Y on canonically ordered rows."""
     if lam < 0:
         raise MalformedInput("lambda must be nonnegative")
-    order = _canonical_order(train)
-    X = train.x[order]
-    Y = train.y[order]
-    A = X.T @ X + lam * train.n * np.eye(train.p)
-    return _solve_spd(A, X.T @ Y)
+    gram, b = _normal_equations(train)
+    return _solve_spd(gram + lam * train.n * np.eye(train.p), b)[0]
 
 
 class _Fitted:
@@ -297,10 +304,18 @@ class FoldFits:
     """Cached full-data and leave-fold-out fits for one training set, computed
     once and reused across test points.  Each predictor kind takes one path:
 
-    * ridge: downdate the full Gram system per fold (subtract the fold's
-      rank-|K_j| part and its share of the lambda*n term); a fold whose Gram
-      trace exceeds ``DOWNDATE_MAX_RATIO`` times the downdated trace is
-      refitted from its own rows instead.
+    * ridge: for each fold size s, factor S_s = X'X + lambda*(n - s)*I = L L'
+      once and whiten the rows, Z = L^{-1} X'.  A fold f of that size has the
+      Woodbury update beta_f = beta_s - L^{-T} Z_f (I - Z_f'Z_f)^{-1} r_f with
+      r_f = y_f - X_f beta_s, solved for all folds in one stacked call, in the
+      p x p form (I - Z_f Z_f')^{-1} Z_f r_f when s > p.  A fold whose
+      capacitance matrix has an eigenvalue below ``WOODBURY_MIN_EIG`` is
+      refitted from its own rows, and so is a fold whose own Gram matrix may
+      fail the pivot check (its smallest eigenvalue, bounded below by the
+      capacitance eigenvalue times lambda_min(S_s), under ``PIVOT_RTOL``
+      times its largest diagonal entry) and every fold of a size whose S_s
+      fails the pivot check; a refit raises ``DegenerateFit`` as a direct
+      fit would.  ``fallback_folds`` lists them.
     * constant, max_response, neg_max_response: O(n) closed forms.
     * knn_mean, dirac_threshold and callables: one refit per fold.
     """
@@ -314,39 +329,69 @@ class FoldFits:
         self.full_model = fit(spec, train)
         kind = spec.kind if isinstance(spec, PredictorSpec) else None
         self._coef = self._values = None
+        self._fallback = ()
         if kind in ("constant", "max_response", "neg_max_response"):
             self._values = self._complement_values(kind)
             self.loo_residuals = train.y - self._values[partition.fold_of]
-            return
-        fold_fit = self._ridge_fold_fitter() if kind == "ridge" else self._refit
-        self._models = [fold_fit(f) for f in partition.folds]
-        self.loo_residuals = np.empty(train.n)
-        for model, f in zip(self._models, partition.folds):
-            self.loo_residuals[f] = train.y[f] - model.predict(train.x[f])
-        if kind == "ridge":
-            self._coef = np.column_stack([m.beta for m in self._models])
+        elif kind == "ridge":
+            self._coef, self._fallback = self._ridge_fold_coefficients()
+            fitted = np.einsum("ij,ji->i", train.x, self._coef[:, partition.fold_of])
+            self.loo_residuals = train.y - fitted
+        else:
+            self._models = [self._refit(f) for f in partition.folds]
+            self.loo_residuals = np.empty(train.n)
+            for model, f in zip(self._models, partition.folds):
+                self.loo_residuals[f] = train.y[f] - model.predict(train.x[f])
+
+    @property
+    def fallback_folds(self) -> tuple:
+        """Indices of the ridge folds refitted from their own rows instead of
+        updated in closed form."""
+        return self._fallback
 
     def _refit(self, fold: np.ndarray):
         return fit(self.spec, self.train.subset(np.delete(np.arange(self.train.n), fold)))
 
-    def _ridge_fold_fitter(self):
+    def _ridge_fold_coefficients(self) -> tuple[np.ndarray, tuple]:
+        """(p, k) matrix of leave-fold-out ridge coefficients, and the folds
+        refitted from their own rows."""
         lam = float(self.spec.params.get("lambda", 0.0))
-        train = self.train
-        order = _canonical_order(train)
-        X = train.x[order]
-        S = X.T @ X
-        b = X.T @ train.y[order]
+        train, folds = self.train, self.partition.folds
+        gram, b = _normal_equations(train)
         eye = np.eye(train.p)
-
-        def fold_fit(f: np.ndarray):
-            Xf = train.x[f]
-            G = Xf.T @ Xf
-            A = S - G + lam * (train.n - f.size) * eye
-            if np.trace(G) > DOWNDATE_MAX_RATIO * np.trace(A):
-                return self._refit(f)
-            return FittedRidge(_solve_spd(A, b - Xf.T @ train.y[f]))
-
-        return fold_fit
+        coef = np.empty((train.p, len(folds)))
+        sizes = np.array([f.size for f in folds])
+        fallback = []
+        for s in np.unique(sizes):
+            members = np.flatnonzero(sizes == s)
+            S = gram + lam * (train.n - s) * eye
+            try:
+                beta, L = _solve_spd(S, b)
+            except DegenerateFit:
+                fallback.extend(members)
+                continue
+            rows = np.concatenate([folds[j] for j in members]).reshape(-1, s)  # (folds, s)
+            Z = np.linalg.solve(L, train.x.T)[:, rows].transpose(1, 0, 2)  # (folds, p, s)
+            Xf = train.x[rows]  # (folds, s, p)
+            r = train.y[rows] - Xf @ beta
+            small = s <= train.p  # s x s capacitance matrices, else p x p by push-through
+            M = np.eye(s) - Z.transpose(0, 2, 1) @ Z if small else eye - Z @ Z.transpose(0, 2, 1)
+            eig = np.linalg.eigvalsh(M).min(axis=-1, initial=np.inf)
+            # A_f = L (I - Z_f Z_f') L', so eig * lambda_min(S_s) bounds the
+            # smallest eigenvalue, hence every Cholesky pivot, of the fold's
+            # own Gram matrix: a fold that might fail its pivot check is refitted
+            diag = np.diag(S) - np.einsum("fsj,fsj->fj", Xf, Xf)
+            pivot_floor = PIVOT_RTOL * np.maximum(diag.max(axis=1, initial=0.0), 1e-300)
+            lam_min = np.linalg.eigvalsh(S).min(initial=np.inf)
+            ok = (eig >= WOODBURY_MIN_EIG) & (eig * lam_min >= pivot_floor)
+            Z, M, r = Z[ok], M[ok], r[ok, :, None]
+            v = Z @ np.linalg.solve(M, r) if small else np.linalg.solve(M, Z @ r)
+            coef[:, members[ok]] = beta[:, None] - np.linalg.solve(L.T, v[..., 0].T)
+            fallback.extend(members[~ok])
+        fallback = tuple(sorted(int(j) for j in fallback))
+        for j in fallback:
+            coef[:, j] = self._refit(folds[j]).beta
+        return coef, fallback
 
     def _complement_values(self, kind: str) -> np.ndarray:
         """Per-fold value of a fit on the rows outside the fold."""

@@ -27,7 +27,7 @@ import numpy as np
 
 from .data import DgpSpec
 from .ecdf import LEVEL_GUARD, ceil_guarded, fold_ecdf, quantile, uniform_ecdf
-from .errors import InvalidTolerance
+from .errors import InvalidTolerance, NumericError
 from .intervals import IntervalMethod, interval
 from .levy_gauge import gauge
 from .predictors import FoldFits
@@ -61,13 +61,19 @@ def iqr_factor(rule: str) -> float:
 
 
 def resolve_delta(delta, residuals) -> float:
+    """The tolerance ``delta`` stands for; a NaN tolerance is a NumericError,
+    since every comparison with a NaN interval end is false."""
     if callable(delta):
-        return float(delta(residuals))
-    if isinstance(delta, str):
+        d = float(delta(residuals))
+    elif isinstance(delta, str):
         factor = iqr_factor(delta)
         q75, q25 = np.quantile(residuals, [0.75, 0.25])
-        return factor * float(q75 - q25)
-    return float(delta)
+        d = factor * float(q75 - q25)
+    else:
+        d = float(delta)
+    if math.isnan(d):
+        raise NumericError(f"delta {delta!r} resolves to NaN")
+    return d
 
 
 class CoverageEngine:

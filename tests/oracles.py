@@ -3,7 +3,8 @@
 These deliberately avoid the library's breakpoint algorithms: the gauge
 oracle scans a dense grid, the Levy metric oracle bisects the defining
 infimum, the sandwich oracle bisects the quantile characterization, the
-leave-fold-out oracle refits the predictor once per fold, and the coverage
+leave-fold-out oracles refit the predictor once per fold (ridge also by
+orthogonal least squares, without normal equations), and the coverage
 oracles build every test point's interval, by the scalar path or by sorting
 each row of cv_plus atoms.
 """
@@ -142,6 +143,25 @@ def refit_leave_fold_out(spec, train, partition, X) -> tuple[np.ndarray, np.ndar
         model = fit(spec, train.subset(np.delete(keep_all, f)))
         resid[f] = train.y[f] - model.predict(train.x[f])
         cols.append(model.predict(X))
+    return resid, np.column_stack(cols)
+
+
+def lstsq_refit_leave_fold_out(lam, train, partition, X) -> tuple[np.ndarray, np.ndarray]:
+    """Leave-fold-out ridge fits by orthogonal least squares, never forming
+    normal equations: each fold solves min |[X_keep; sqrt(lam n_keep) I] b -
+    [y_keep; 0]| with ``np.linalg.lstsq``.  Same returns as
+    :func:`refit_leave_fold_out`.
+    """
+    keep_all = np.arange(train.n)
+    resid = np.empty(train.n)
+    cols = []
+    for f in partition.folds:
+        keep = np.delete(keep_all, f)
+        A = np.vstack([train.x[keep], math.sqrt(lam * keep.size) * np.eye(train.p)])
+        rhs = np.concatenate([train.y[keep], np.zeros(train.p)])
+        beta = np.linalg.lstsq(A, rhs, rcond=None)[0]
+        resid[f] = train.y[f] - train.x[f] @ beta
+        cols.append(X @ beta)
     return resid, np.column_stack(cols)
 
 

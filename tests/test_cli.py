@@ -293,6 +293,8 @@ def test_nan_result_exits_4(capsys, workdir):
         pytest.param(["sim", "equiv"], ["--delta", "iqr:"], 2, id="sim-equiv-delta-iqr"),
         pytest.param(["sim", "equiv"], ["--stab-delta", "iqr:-inf"], 2, id="sim-equiv-stab-delta-iqr_-inf"),
         pytest.param(["gauge"], ["--delta", "-1"], 3, id="gauge-delta-minus1"),
+        pytest.param(["sim", "coverage"], ["--delta", "nan"], 4, id="sim-coverage-delta-nan"),
+        pytest.param(["sim", "equiv"], ["--delta", "nan"], 4, id="sim-equiv-delta-nan"),
     ],
 )
 def test_bad_level_or_tolerance_exits_with_json_error(capsys, workdir, command, flags, code):
@@ -308,4 +310,25 @@ def test_bad_level_or_tolerance_exits_with_json_error(capsys, workdir, command, 
     # the bad flag comes last, so it overrides the valid one
     assert main([*command, *valid[command[0]], *flags]) == code
     payload = strict_json(capsys.readouterr().out)
-    assert payload["error"] == ("usage" if code == 2 else "InvalidTolerance")
+    assert payload["error"] == {2: "usage", 3: "InvalidTolerance", 4: "NumericError"}[code]
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        pytest.param('{"kind": "gaussian_linear", "beta": "ab"}', id="beta-string"),
+        pytest.param('{"kind": "classification_grid", "p": -1, "class_count": 3}', id="grid-p-negative"),
+        pytest.param('{"kind": "classification_grid", "class_count": "abc"}', id="grid-class-count-string"),
+        pytest.param('{"kind": "dirac_first_coord", "p": 1}', id="dirac-without-point"),
+        pytest.param('{"kind": "custom_table", "table_y": [1.0, 2.0], "table_x": [[1.0]]}', id="table-lengths-differ"),
+        pytest.param('{"kind": "gaussian_linear", "beta": [1.0], "sigma": 1%s}' % ("0" * 400), id="sigma-overflows"),
+        pytest.param('{"kind": "gaussian_linear", "beta": [1%s]}' % ("0" * 400), id="beta-overflows"),
+        pytest.param('{"kind": "classification_grid", "p": 1%s, "class_count": 3}' % ("0" * 400), id="grid-p-overflows"),
+    ],
+)
+def test_malformed_dgp_exits_3(capsys, tmp_path, spec):
+    dgp = tmp_path / "bad_dgp.json"
+    dgp.write_text(spec)
+    code = main(["dgp", "--dgp", str(dgp), "--n", "10", "--data-out", str(tmp_path / "out.csv")])
+    assert code == 3
+    assert strict_json(capsys.readouterr().out)["error"] == "MalformedInput"

@@ -159,3 +159,28 @@ def test_training_set_immutable():
     train = sample_gaussian_linear(5, 1, [1.0], 1.0, seed=0)
     with pytest.raises(ValueError):
         train.y[0] = 3.0
+
+
+class _FixedNormals:
+    """Stands in for a Generator: hands out one fixed block of normals."""
+
+    def __init__(self, block):
+        self.block = np.asarray(block, dtype=float)
+
+    def standard_normal(self, shape):
+        assert shape == self.block.shape
+        return self.block.copy()
+
+
+@pytest.mark.parametrize("dof", [0.3, 1.0, 2.5, 30.0, 1e6])
+def test_student_linear_draw_matches_scipy_t_ppf(dof):
+    from scipy.special import ndtr
+    from scipy.stats import t as student_t
+
+    z = np.concatenate([[-40.0, -38.5, -8.0, 0.0, 8.0, 38.0, 40.0], np.random.default_rng(14).normal(size=500)])
+    x = np.random.default_rng(15).normal(size=z.size)
+    dgp = DgpSpec("student_linear", {"beta": [0.5], "sigma": 1.5, "dof": dof})
+    y, _ = dgp.draw(z.size, _FixedNormals(np.column_stack([x, z])))
+    expect = x * 0.5 + 1.5 * student_t.ppf(ndtr(z), dof)
+    assert y[0] == -np.inf and y[6] == np.inf
+    np.testing.assert_array_equal(y, expect)

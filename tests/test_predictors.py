@@ -1,3 +1,6 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -17,7 +20,7 @@ from cvuq.predictors import (
     ridge_coefficients,
 )
 from cvuq.rng import stream
-from oracles import refit_leave_fold_out
+from oracles import lstsq_refit_leave_fold_out, refit_leave_fold_out
 
 
 def toy_train(y, x=None):
@@ -100,6 +103,18 @@ def test_permutation_invariance_exact():
             perm = rng.permutation(train.n)
             shuffled = TrainingSet(train.y[perm], train.x[perm])
             assert fit_predict(spec, shuffled, xnew) == base
+
+
+def test_permutation_invariance_with_tied_responses():
+    # responses on a lattice, so rows tie in y and the features break the ties
+    rng = np.random.default_rng(13)
+    train = TrainingSet(rng.integers(0, 3, size=30).astype(float), rng.normal(size=(30, 2)))
+    xnew = rng.normal(size=2)
+    for spec in (ridge(0.7), knn_mean(5)):
+        base = fit_predict(spec, train, xnew)
+        for _ in range(5):
+            perm = rng.permutation(train.n)
+            assert fit_predict(spec, TrainingSet(train.y[perm], train.x[perm]), xnew) == base
 
 
 def test_dimension_mismatch():
@@ -218,6 +233,119 @@ def test_ridge_high_leverage_row_matches_refit_oracle():
             resid, preds = refit_leave_fold_out(ridge(1e-8), train, part, train.x)
             _assert_close(fits.loo_residuals, resid)
             _assert_close(fits.fold_predictions(train.x), preds)
+
+
+def _gaussian_train(n, p, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n, p))
+    return TrainingSet(x @ rng.normal(size=p) + rng.normal(size=n), x)
+
+
+def _high_leverage_train(scale):
+    rng = np.random.default_rng(7)
+    x = rng.normal(size=(60, 20))
+    y = x @ rng.normal(size=20) + rng.normal(size=60)
+    x[7] *= scale
+    return TrainingSet(y, x)
+
+
+# (lambda, training set, partition, tolerance on residuals, on fresh-row
+# predictions), relative to max(1, largest oracle magnitude).
+LSTSQ_CASES = {
+    "singletons": (0.5, _gaussian_train(30, 4, 1), FoldPartition.singletons(30), 1e-12, 1e-12),
+    "k3-n10-unequal": (1e-8, _gaussian_train(10, 2, 2), FoldPartition.contiguous(10, 3), 1e-12, 1e-12),
+    "k4-n40": (0.5, _gaussian_train(40, 5, 3), FoldPartition.contiguous(40, 4), 1e-12, 1e-12),
+    "p>n-lambda0.1": (0.1, _gaussian_train(40, 80, 4), FoldPartition.contiguous(40, 4), 1e-12, 1e-12),
+    # the shared fit nearly interpolates every row (smallest capacitance
+    # eigenvalue ~3e-7), so every fold is refitted
+    "p>n-lambda1e-6": (1e-6, _gaussian_train(40, 80, 4), FoldPartition.contiguous(40, 4), 1e-8, 1e-8),
+    # folds of 6 rows with p = 2: the p x p form of the update
+    "k2-n12-p2": (0.3, _gaussian_train(12, 2, 5), FoldPartition.contiguous(12, 2), 1e-12, 1e-12),
+    # the folds that keep the x1e5 row have normal equations with condition
+    # ~1e12, so at fresh rows any Gram-based solve is good to ~1e-7 only
+    "high-leverage-1e5": (1e-8, _high_leverage_train(1e5), FoldPartition.singletons(60), 1e-9, 1e-6),
+}
+
+
+@pytest.mark.parametrize("case", LSTSQ_CASES)
+def test_ridge_fold_fits_match_lstsq_oracle(case):
+    lam, train, part, rtol_resid, rtol_pred = LSTSQ_CASES[case]
+    X = np.random.default_rng(8).normal(size=(5, train.p))
+    fits = FoldFits(ridge(lam), train, part)
+    resid, preds = lstsq_refit_leave_fold_out(lam, train, part, X)
+    _assert_close(fits.loo_residuals, resid, rtol_resid)
+    _assert_close(fits.fold_predictions(X), preds, rtol_pred)
+
+
+def test_ridge_fallback_folds_hold_the_high_leverage_row():
+    train = _high_leverage_train(1e5)
+    assert FoldFits(ridge(1e-8), train, FoldPartition.singletons(60)).fallback_folds == (7,)
+    assert FoldFits(ridge(1e-8), train, FoldPartition.contiguous(60, 4)).fallback_folds == (0,)
+
+
+def test_ridge_fold_size_failing_pivot_check_is_refitted():
+    # two equal columns: the pivot ratio of X'X + shift*I is about 2*shift/|c|^2.
+    # The full fit's shift lambda*n gives 1.5e-12, above PIVOT_RTOL; the fold
+    # size's lambda*(n - 5) gives 0.75e-12, below it; each fold's own rows
+    # (|c_keep|^2 < 0.6) give more than 1.2e-12 again.
+    rng = np.random.default_rng(3)
+    c = rng.normal(size=10)
+    c /= np.linalg.norm(c)
+    train = TrainingSet(rng.normal(size=10), np.column_stack([c, c]))
+    part = FoldPartition.contiguous(10, 2)
+    spec = ridge(1.5e-12 / 20)
+    fits = FoldFits(spec, train, part)
+    assert fits.fallback_folds == (0, 1)
+    resid, preds = refit_leave_fold_out(spec, train, part, train.x)
+    _assert_close(fits.loo_residuals, resid, 1e-12)
+    _assert_close(fits.fold_predictions(train.x), preds, 1e-12)
+
+
+@pytest.mark.parametrize("k", [2, 10], ids=["p-by-p-form", "jackknife"])
+def test_ridge_nearly_collinear_fold_raises_like_refit(k):
+    # X = [c, c + eps*e] with e nonzero only on fold 0's rows: the fold
+    # sizes' S_s pass the pivot check (ratio ~3e-11), but without fold 0 the
+    # columns are equal and that fold's own pivot ratio (~4e-14) fails it,
+    # although its capacitance eigenvalue (5e-4 to 1e-3) passes WOODBURY_MIN_EIG
+    rng = np.random.default_rng(5)
+    c = rng.normal(size=10)
+    c /= np.linalg.norm(c)
+    part = FoldPartition.contiguous(10, k)
+    e = np.zeros(10)
+    e[part.folds[0]] = 1.0
+    e /= np.linalg.norm(e)
+    train = TrainingSet(rng.normal(size=10), np.column_stack([c, c + 6e-6 * e]))
+    spec = ridge(2e-15)
+    with pytest.raises(DegenerateFit):
+        refit_leave_fold_out(spec, train, part, train.x)
+    with pytest.raises(DegenerateFit):
+        FoldFits(spec, train, part)
+
+
+@pytest.mark.parametrize("p", [2, 50])
+def test_ridge_no_fallback_on_gaussian_draws(p):
+    # the coverage benchmark's draws: n = 200, jackknife, lambda = 1e-8
+    dgp = DgpSpec("gaussian_linear", {"beta": [1 / math.sqrt(p)] * p, "sigma": 1.0})
+    for seed in range(3):
+        for r in range(4):
+            train = dgp.sample(200, stream(seed, r, 0))
+            assert FoldFits(ridge(1e-8), train, FoldPartition.singletons(200)).fallback_folds == ()
+
+
+def test_ridge_fold_fits_memory_is_linear_in_n():
+    # two folds of 2,000 rows: an s x s capacitance matrix per fold would take
+    # 64 MB; the p x p form keeps the peak at a few copies of X
+    n, p = 4000, 3
+    train = _gaussian_train(n, p, 9)
+    part = FoldPartition.contiguous(n, 2)
+    tracemalloc.start()
+    try:
+        fits = FoldFits(ridge(0.1), train, part)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert fits.fallback_folds == ()
+    assert peak < 50 * n * p * 8
 
 
 def test_max_response_stability_fraction():

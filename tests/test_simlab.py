@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from cvuq.data import DgpSpec, TrainingSet
-from cvuq.errors import InvalidTolerance
+from cvuq.errors import InvalidTolerance, NumericError
 from cvuq.intervals import IntervalMethod, interval
 from cvuq.levy_gauge import gauge
 from cvuq.predictors import FoldFits, FoldPartition, constant, max_response, ridge
@@ -189,6 +189,9 @@ def test_resolve_delta_rules():
     assert resolve_delta(lambda r: r.max(), u) == 4.0
     for rule in ("bogus:1", "iqr:", "iqr:abc", "iqr:inf", "iqr:nan"):
         with pytest.raises(InvalidTolerance):
+            resolve_delta(rule, u)
+    for rule in (math.nan, lambda r: math.nan):
+        with pytest.raises(NumericError):
             resolve_delta(rule, u)
 
 
