@@ -25,7 +25,7 @@ from . import simlab, stability
 from .data import DgpSpec, load_dataset, save_dataset
 from .ecdf import StepCdf
 from .errors import DataError, InvalidTolerance, MalformedInput, NumericError
-from .intervals import IntervalMethod, interval
+from .intervals import IntervalMethod, interval, shortest_interval
 from .levy_gauge import gauge
 from .predictors import FoldFits, PredictorSpec
 from .stability import resolve_partition
@@ -50,7 +50,10 @@ def _floats(text: str) -> list[float]:
 
 
 def _ints(text: str) -> list[int]:
-    return [int(v) for v in _floats(text)]
+    values = _floats(text)
+    if not values or not all(v.is_integer() for v in values):
+        raise UsageError(f"expected comma-separated integers, got {text!r}")
+    return [int(v) for v in values]
 
 
 def _float_flag(text, flag: str) -> float:
@@ -231,19 +234,20 @@ def _build_parser(defaults: dict) -> _Parser:
     return parser
 
 
-# Flags that count replications, test points or worker threads.
-_COUNT_FLAGS = ("threads", "reps", "train_reps", "mc_test", "mc_oracle", "outer", "inner")
+# Flags that count replications, test points or worker threads, and the seed: least valid value.
+_COUNT_FLAGS = {"threads": 1, "reps": 1, "train_reps": 1, "mc_test": 1, "mc_oracle": 1, "outer": 1, "inner": 1,
+                "seed": 0}
 
 
 def _check_counts(args) -> None:
-    for name in _COUNT_FLAGS:
-        value = getattr(args, name, 1)
-        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-            raise UsageError(f"--{name.replace('_', '-')} must be an integer >= 1, got {value!r}")
+    for name, least in _COUNT_FLAGS.items():
+        value = getattr(args, name, least)
+        if isinstance(value, bool) or not isinstance(value, int) or value < least:
+            raise UsageError(f"--{name.replace('_', '-')} must be an integer >= {least}, got {value!r}")
 
 
 def _check_levels(args) -> None:
-    for name in ("alpha1", "alpha2"):
+    for name in ("alpha1", "alpha2", "eps", "nominal"):
         value = getattr(args, name, None)
         if value is not None and (not isinstance(value, (int, float)) or math.isnan(value)):
             raise UsageError(f"--{name} must be a number, got {value!r}")
@@ -266,8 +270,6 @@ def _cmd_interval(args) -> dict:
     bundle = FoldFits(spec, train, partition).bundle_at(xnew, want_fitted=(args.method == "fitted_values"))
     delta = simlab.resolve_delta(_delta(args.delta), bundle.loo_residuals)
     if args.shortest:
-        from .intervals import shortest_interval
-
         a1, a2, piv = shortest_interval(method, bundle, args.alpha2 - args.alpha1, delta)
     else:
         a1, a2 = args.alpha1, args.alpha2

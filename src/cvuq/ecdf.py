@@ -4,7 +4,8 @@ A :class:`StepCdf` stores the jump locations and cumulative weights of a
 right-continuous step function: ``F(t) = cum[j]`` for ``jumps[j] <= t <
 jumps[j+1]``, ``0`` before the first jump and ``1`` from the last jump on.
 Quantiles follow the extended definition ``Q_a(F) = inf{x: F(x) >= a}`` with
-``-inf`` for ``a <= 0`` and ``+inf`` for ``a > 1``.
+``-inf`` for ``a <= 0`` and ``+inf`` for ``a > 1``, one rule in :func:`quantiles`,
+which also reads order statistics off unmerged weighted atoms (:class:`SortedAtoms`).
 """
 
 from __future__ import annotations
@@ -106,61 +107,60 @@ def fold_ecdf(per_fold_values) -> StepCdf:
         raise EmptyFold("need at least two folds")
     if any(g.size == 0 for g in groups):
         raise EmptyFold("every fold must be nonempty")
-    k = len(groups)
-    values = np.concatenate(groups)
-    weights = np.concatenate([np.full(g.size, 1.0 / (k * g.size)) for g in groups])
-    return weighted_ecdf(values, weights)
+    sizes = np.array([g.size for g in groups])
+    weights = np.repeat(1.0 / (len(groups) * sizes), sizes)
+    return weighted_ecdf(np.concatenate(groups), weights)
+
+
+def _weight_below(F: StepCdf, t: float, side: str) -> float:
+    if math.isnan(t):
+        raise ValueError("t must not be NaN")
+    if t == math.inf:
+        return 1.0
+    if t == -math.inf:
+        return 0.0
+    idx = np.searchsorted(F.jumps, t, side=side)
+    return float(F.cum[idx - 1]) if idx > 0 else 0.0
 
 
 def eval_cdf(F: StepCdf, t: float) -> float:
     """F(t): total weight of atoms at or below t."""
-    if math.isnan(t):
-        raise ValueError("t must not be NaN")
-    if t == math.inf:
-        return 1.0
-    if t == -math.inf:
-        return 0.0
-    idx = np.searchsorted(F.jumps, t, side="right")
-    return float(F.cum[idx - 1]) if idx > 0 else 0.0
+    return _weight_below(F, t, "right")
 
 
 def left_limit(F: StepCdf, t: float) -> float:
     """F(t-): total weight of atoms strictly below t."""
-    if math.isnan(t):
-        raise ValueError("t must not be NaN")
-    if t == math.inf:
-        return 1.0
-    if t == -math.inf:
-        return 0.0
-    idx = np.searchsorted(F.jumps, t, side="left")
-    return float(F.cum[idx - 1]) if idx > 0 else 0.0
+    return _weight_below(F, t, "left")
 
 
 def quantile(F: StepCdf, alpha: float) -> float:
     """Extended quantile: -inf for alpha <= 0, +inf for alpha > 1, else the
     smallest jump whose cumulative weight reaches alpha (within LEVEL_GUARD).
     """
-    if math.isnan(alpha):
-        raise ValueError("alpha must not be NaN")
-    if alpha <= 0.0:
-        return -math.inf
-    if alpha > 1.0:
-        return math.inf
-    idx = np.searchsorted(F.cum, alpha - LEVEL_GUARD, side="left")
-    return float(F.jumps[idx])
+    return float(quantiles(F, alpha))
 
 
-def quantiles(F: StepCdf, alphas) -> np.ndarray:
-    """Vectorized :func:`quantile` over an array of levels."""
+def quantiles(F, alphas) -> np.ndarray:
+    """:func:`quantile` at every level of ``alphas``; ``F`` is a
+    :class:`StepCdf` or :class:`SortedAtoms`."""
     alphas = np.asarray(alphas, dtype=float)
-    out = np.empty(alphas.shape, dtype=float)
-    out[alphas <= 0.0] = -math.inf
-    out[alphas > 1.0] = math.inf
-    inner = (alphas > 0.0) & (alphas <= 1.0)
-    if np.any(inner):
-        idx = np.searchsorted(F.cum, alphas[inner] - LEVEL_GUARD, side="left")
-        out[inner] = F.jumps[idx]
-    return out
+    if np.isnan(alphas).any():
+        raise ValueError("alpha must not be NaN")
+    # the index is clamped to the last jump only for levels above 1
+    q = F.jumps[np.minimum(F.cum.searchsorted(alphas - LEVEL_GUARD), F.jumps.size - 1)]
+    return np.where(alphas <= 0.0, -math.inf, np.where(alphas > 1.0, math.inf, q))
+
+
+class SortedAtoms:
+    """Weighted atoms sorted, repeats kept, with unvalidated cumulative weights.
+    With distinct atoms these are :func:`weighted_ecdf`'s bit for bit; ties
+    only reorder additions, which ``LEVEL_GUARD`` absorbs."""
+
+    def __init__(self, values: np.ndarray, weights: np.ndarray):
+        order = np.argsort(values, kind="stable")
+        self.jumps = values[order]
+        self.cum = np.cumsum(weights[order])
+        self.cum[-1] = 1.0
 
 
 def ceil_guarded(x: float, guard: float = LEVEL_GUARD) -> int:

@@ -266,6 +266,14 @@ class FoldPartition:
             out[f] = j
         return out
 
+    @cached_property
+    def atom_weights(self) -> np.ndarray:
+        """Read-only weight 1/(k*|K_j|) of each row, j the row's fold."""
+        sizes = np.bincount(self.fold_of, minlength=self.k)
+        weights = (1.0 / (self.k * sizes))[self.fold_of]
+        weights.setflags(write=False)
+        return weights
+
     @classmethod
     def singletons(cls, n: int) -> "FoldPartition":
         return cls(tuple(np.array([i]) for i in range(n)), n)
@@ -304,8 +312,8 @@ class FoldFits:
     """Cached full-data and leave-fold-out fits for one training set, computed
     once and reused across test points.  Each predictor kind takes one path:
 
-    * ridge: for each fold size s, factor S_s = X'X + lambda*(n - s)*I = L L'
-      once and whiten the rows, Z = L^{-1} X'.  A fold f of that size has the
+    * ridge: X'X, X'Y once; for each fold size s, factor S_s = X'X +
+      lambda*(n - s)*I = L L' once, whiten Z = L^{-1} X'.  A fold f has the
       Woodbury update beta_f = beta_s - L^{-T} Z_f (I - Z_f'Z_f)^{-1} r_f with
       r_f = y_f - X_f beta_s, solved for all folds in one stacked call, in the
       p x p form (I - Z_f Z_f')^{-1} Z_f r_f when s > p.  A fold whose
@@ -326,17 +334,17 @@ class FoldFits:
         self.spec = spec
         self.train = train
         self.partition = partition
-        self.full_model = fit(spec, train)
         kind = spec.kind if isinstance(spec, PredictorSpec) else None
         self._coef = self._values = None
         self._fallback = ()
+        if kind == "ridge":
+            self.full_model, self._coef, self._fallback = self._ridge_fits()
+            self.loo_residuals = train.y - np.einsum("ij,ji->i", train.x, self._coef[:, partition.fold_of])
+            return
+        self.full_model = fit(spec, train)
         if kind in ("constant", "max_response", "neg_max_response"):
             self._values = self._complement_values(kind)
             self.loo_residuals = train.y - self._values[partition.fold_of]
-        elif kind == "ridge":
-            self._coef, self._fallback = self._ridge_fold_coefficients()
-            fitted = np.einsum("ij,ji->i", train.x, self._coef[:, partition.fold_of])
-            self.loo_residuals = train.y - fitted
         else:
             self._models = [self._refit(f) for f in partition.folds]
             self.loo_residuals = np.empty(train.n)
@@ -352,13 +360,15 @@ class FoldFits:
     def _refit(self, fold: np.ndarray):
         return fit(self.spec, self.train.subset(np.delete(np.arange(self.train.n), fold)))
 
-    def _ridge_fold_coefficients(self) -> tuple[np.ndarray, tuple]:
-        """(p, k) matrix of leave-fold-out ridge coefficients, and the folds
-        refitted from their own rows."""
+    def _ridge_fits(self) -> tuple[FittedRidge, np.ndarray, tuple]:
+        """The full-data fit, the (p, k) leave-fold-out coefficients and the
+        folds refitted from their own rows, from one X'X and X'Y."""
         lam = float(self.spec.params.get("lambda", 0.0))
         train, folds = self.train, self.partition.folds
         gram, b = _normal_equations(train)
         eye = np.eye(train.p)
+        # ridge_coefficients' expression, so a full-data DegenerateFit comes first
+        full = FittedRidge(_solve_spd(gram + lam * train.n * eye, b)[0])
         coef = np.empty((train.p, len(folds)))
         sizes = np.array([f.size for f in folds])
         fallback = []
@@ -391,7 +401,7 @@ class FoldFits:
         fallback = tuple(sorted(int(j) for j in fallback))
         for j in fallback:
             coef[:, j] = self._refit(folds[j]).beta
-        return coef, fallback
+        return full, coef, fallback
 
     def _complement_values(self, kind: str) -> np.ndarray:
         """Per-fold value of a fit on the rows outside the fold."""

@@ -3,7 +3,10 @@ interval length, and gauge convergence at desk scale.
 
 Coverage is evaluated with a fresh-test-point oracle: freeze the training
 set, draw test pairs, and count hits of the per-test-point interval; every
-hit equals that of :func:`cvuq.intervals.interval` exactly.  The cv_plus
+hit equals that of :func:`cvuq.intervals.interval` exactly.  Both follow one
+quantile rule, :func:`cvuq.ecdf.quantiles`: Q_a is the first sorted atom
+whose cumulative fold weight reaches a.  The cv and fitted_values offsets
+are order statistics of the residuals, sorted once per engine.  The cv_plus
 atoms a_j = yhat^{(-fold(j))}(x) + u_j are counted, never sorted: rounding
 keeps x -> fl(x -+ d) nondecreasing, so with Q_a the k(a)-th smallest atom
 
@@ -26,11 +29,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import DgpSpec
-from .ecdf import LEVEL_GUARD, ceil_guarded, fold_ecdf, quantile, uniform_ecdf
+from .ecdf import LEVEL_GUARD, ceil_guarded, uniform_ecdf, weighted_ecdf
 from .errors import InvalidTolerance, NumericError
-from .intervals import IntervalMethod, interval
+from .intervals import IntervalMethod, interval, interval_atoms, interval_ends
 from .levy_gauge import gauge
-from .predictors import FoldFits
+from .predictors import FoldFits, ResidualBundle
 from .rng import indexed_map, stream
 from .stability import equivalence_bound, resolve_partition
 
@@ -83,25 +86,11 @@ class CoverageEngine:
         self.fits = fits
         self.partition = fits.partition
         self.u = fits.loo_residuals
-        sizes = np.array([f.size for f in self.partition.folds])
-        self.atom_weights = (1.0 / (self.partition.k * sizes))[self.partition.fold_of]
-        self.equal_weights = bool(np.all(sizes == sizes[0]))
+        self.equal_weights = bool(np.all(self.partition.atom_weights == self.partition.atom_weights[0]))
         # the fold-matrix column of each cv_plus atom; None when it is the identity
         fold_of = self.partition.fold_of
         self.columns = None if np.array_equal(fold_of, np.arange(fold_of.size)) else fold_of
-        self._offset_cdfs = {}
-
-    def _offset_cdf(self, base: str, absolute: bool):
-        """The residual ecdf of the cv or fitted_values interval, built once."""
-        if (base, absolute) not in self._offset_cdfs:
-            if base == "cv":
-                values = np.abs(self.u) if absolute else self.u
-                F = fold_ecdf([values[f] for f in self.partition.folds])
-            else:
-                fitted = self.fits.train.y - self.fits.fitted_values()
-                F = uniform_ecdf(np.abs(fitted) if absolute else fitted)
-            self._offset_cdfs[base, absolute] = F
-        return self._offset_cdfs[base, absolute]
+        self._offsets = {}
 
     def prepare(self, x_test: np.ndarray, y_test: np.ndarray) -> "PreparedTests":
         """Cache the per-test-set work shared across levels and methods."""
@@ -112,14 +101,13 @@ class CoverageEngine:
         d = resolve_delta(delta, self.u)
         if method.base == "cv_plus":
             return float(np.mean(prepared.cv_plus_hits(alpha1, alpha2, d, method.symmetrized)))
-        y, full = prepared.y_test, prepared.full
-        if method.symmetrized:
-            radius = quantile(self._offset_cdf(method.base, True), alpha2 - alpha1) + d
-            lo, hi = full - radius, full + radius
-        else:
-            F = self._offset_cdf(method.base, False)
-            lo, hi = (full + quantile(F, alpha1)) - d, (full + quantile(F, alpha2)) + d
-        return float(np.mean((y >= lo) & (y <= hi)))
+        if method not in self._offsets:  # the residual atoms, sorted once: they need no test point
+            fitted = self.fits.fitted_values() if method.base == "fitted_values" else None
+            bundle = ResidualBundle(self.partition, self.fits.train.y, self.u, fold_predictions_at_xnew=None,
+                                    full_prediction=math.nan, fitted_values=fitted)
+            self._offsets[method] = interval_atoms(method, bundle)
+        lo, hi = interval_ends(method, prepared.full, self._offsets[method], alpha1, alpha2, d)
+        return float(np.mean((prepared.y_test >= lo) & (prepared.y_test <= hi)))
 
 
 class PreparedTests:
@@ -156,7 +144,7 @@ class PreparedTests:
         """Per row, the number of hit atoms, or their weight with unequal folds."""
         if self.engine.equal_weights:
             return np.count_nonzero(hit, axis=1)
-        return np.where(hit, self.engine.atom_weights, 0.0).sum(axis=1)
+        return np.where(hit, self.engine.partition.atom_weights, 0.0).sum(axis=1)
 
     def _atom_counts(self, d: float, absolute: bool):
         if (d, absolute) not in self._counts:
@@ -178,11 +166,11 @@ class PreparedTests:
             n = engine.partition.n
             return counts >= min(max(ceil_guarded(alpha * n), 1), n)
         # any atom reaches a level at or below the lightest atom's weight
-        return counts >= max(alpha - LEVEL_GUARD, float(engine.atom_weights.min()))
+        return counts >= max(alpha - LEVEL_GUARD, float(engine.partition.atom_weights.min()))
 
     def cv_plus_hits(self, alpha1: float, alpha2: float, d: float, absolute: bool) -> np.ndarray:
         """Rows with y in [Q_{a1} - d, Q_{a2} + d]; a level outside (0, 1]
-        puts that end at an infinite quantile, as in :func:`cvuq.ecdf.quantile`."""
+        puts that end at an infinite quantile, as in :func:`cvuq.ecdf.quantiles`."""
         y, (le, lt) = self.y_test, self._atom_counts(d, absolute)
         lower = self._reaches(le, alpha1) if 0.0 < alpha1 <= 1.0 else y >= _infinite_end(alpha1) - d
         upper = ~self._reaches(lt, alpha2) if 0.0 < alpha2 <= 1.0 else y <= _infinite_end(alpha2) + d
@@ -442,7 +430,7 @@ def gauge_convergence(
         def one(r: int) -> float:
             train = dgp.sample(n, stream(seed, r, 0))
             fits = FoldFits(spec, train, partition)
-            F_hat = fold_ecdf([fits.loo_residuals[f] for f in partition.folds])
+            F_hat = weighted_ecdf(fits.loo_residuals, partition.atom_weights)
             y_o, x_o = dgp.draw(mc_oracle, stream(seed, r, 1))
             errors = y_o - fits.full_model.predict(x_o)
             return gauge(F_hat, uniform_ecdf(errors), delta).value

@@ -145,8 +145,8 @@ def pac_bound_cv(
         raise InvalidTolerance("L must be nonnegative")
     stab_abs = np.asarray(est_stability_terms, dtype=float)
     stab_trunc = stab_abs if est_stability_trunc is None else np.asarray(est_stability_trunc, dtype=float)
-    if stab_abs.size != k or stab_trunc.size != k:
-        raise InvalidTolerance("need one stability term per fold")
+    if k < 1 or stab_abs.size != k or stab_trunc.size != k:
+        raise InvalidTolerance("need at least one fold and one stability term per fold")
     bound_trunc = (
         1.0
         - 2.0 * est_pred_err_tail / eps
@@ -168,7 +168,7 @@ def equivalence_bound(k: int, eps: float, delta: float, exceed_probs) -> float:
     if delta < 0:
         raise InvalidTolerance("delta must be nonnegative")
     probs = np.asarray(exceed_probs, dtype=float)
-    if probs.size != k or np.any(probs < 0) or np.any(probs > 1):
+    if k < 1 or probs.size != k or np.any(probs < 0) or np.any(probs > 1):
         raise InvalidTolerance("need one probability in [0, 1] per fold")
     return float(np.sum(probs) / (k * eps**2))
 

@@ -5,8 +5,8 @@ oracle scans a dense grid, the Levy metric oracle bisects the defining
 infimum, the sandwich oracle bisects the quantile characterization, the
 leave-fold-out oracles refit the predictor once per fold (ridge also by
 orthogonal least squares, without normal equations), and the coverage
-oracles build every test point's interval, by the scalar path or by sorting
-each row of cv_plus atoms.
+oracles build every test point's interval, from a validated step cdf or by
+sorting each row of cv_plus atoms.
 """
 
 from __future__ import annotations
@@ -15,8 +15,8 @@ import math
 
 import numpy as np
 
-from cvuq.ecdf import LEVEL_GUARD, StepCdf, ceil_guarded, quantiles
-from cvuq.intervals import PredInterval, interval
+from cvuq.ecdf import LEVEL_GUARD, StepCdf, ceil_guarded, fold_ecdf, quantile, quantiles, uniform_ecdf
+from cvuq.intervals import PredInterval
 from cvuq.predictors import fit
 
 
@@ -165,12 +165,33 @@ def lstsq_refit_leave_fold_out(lam, train, partition, X) -> tuple[np.ndarray, np
     return resid, np.column_stack(cols)
 
 
+def stepcdf_interval(method, bundle, alpha1, alpha2, delta=0.0) -> PredInterval:
+    """:func:`cvuq.intervals.interval` read off a validated :class:`StepCdf`:
+    the fold ecdf of per-fold atom lists (the uniform ecdf for fitted values)
+    and :func:`cvuq.ecdf.quantile` on its merged jumps."""
+    part = bundle.partition
+    if method.base == "fitted_values":
+        res, ecdf = bundle.y - bundle.fitted_values, uniform_ecdf
+    else:
+        res, ecdf = bundle.loo_residuals, lambda values: fold_ecdf([values[f] for f in part.folds])
+    if method.symmetrized:
+        res = np.abs(res)
+    if method.symmetrized and method.base != "cv_plus":
+        radius = quantile(ecdf(res), alpha2 - alpha1) + delta
+        return PredInterval(bundle.full_prediction - radius, bundle.full_prediction + radius)
+    if method.base == "cv_plus":
+        F = ecdf(bundle.fold_predictions_at_xnew[part.fold_of] + res)
+    else:
+        F = ecdf(bundle.full_prediction + res)
+    return PredInterval(quantile(F, alpha1) - delta, quantile(F, alpha2) + delta)
+
+
 def per_point_coverage(fits, method, alpha1, alpha2, delta, x_test, y_test) -> float:
-    """Coverage from one scalar :func:`cvuq.intervals.interval` per test point."""
+    """Coverage from one :func:`stepcdf_interval` per test point."""
     hits = 0
     for y, x in zip(y_test, x_test):
         bundle = fits.bundle_at(x, want_fitted=True)
-        hits += interval(method, bundle, alpha1, alpha2, delta).contains(y)
+        hits += stepcdf_interval(method, bundle, alpha1, alpha2, delta).contains(y)
     return hits / y_test.size
 
 

@@ -1,8 +1,12 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cvuq.cli import main
 from cvuq.ecdf import uniform_ecdf
@@ -295,6 +299,13 @@ def test_nan_result_exits_4(capsys, workdir):
         pytest.param(["gauge"], ["--delta", "-1"], 3, id="gauge-delta-minus1"),
         pytest.param(["sim", "coverage"], ["--delta", "nan"], 4, id="sim-coverage-delta-nan"),
         pytest.param(["sim", "equiv"], ["--delta", "nan"], 4, id="sim-equiv-delta-nan"),
+        pytest.param(["sim", "equiv"], ["--eps", "nan"], 2, id="sim-equiv-eps-nan"),
+        pytest.param(["sim", "problen"], ["--nominal", "nan"], 2, id="sim-problen-nominal-nan"),
+        pytest.param(["sim", "problen"], ["--n-grid", ""], 2, id="sim-problen-empty-n-grid"),
+        pytest.param(["sim", "gauge"], ["--n-grid", "5,nan"], 2, id="sim-gauge-n-grid-nan"),
+        pytest.param(["sim", "coverage"], ["--seed", "-1"], 2, id="sim-coverage-seed-negative"),
+        pytest.param(["stability", "pacbound"], ["--stab", ""], 3, id="stability-pacbound-no-folds"),
+        pytest.param(["stability", "eqbound"], ["--exceed", ""], 3, id="stability-eqbound-no-folds"),
     ],
 )
 def test_bad_level_or_tolerance_exits_with_json_error(capsys, workdir, command, flags, code):
@@ -306,6 +317,7 @@ def test_bad_level_or_tolerance_exits_with_json_error(capsys, workdir, command, 
         "sim": ["--dgp", str(workdir / "dgp.json"), "--predictor", pred, "--n", "10",
                 "--train-reps", "2", "--mc-test", "20"],
         "gauge": ["--f", str(cdf), "--g", str(cdf), "--delta", "0.1"],
+        "stability": ["--eps", "0.5", "--delta", "0.1", "--stab", "0.1,0.2", "--exceed", "0.05,0.05"],
     }
     # the bad flag comes last, so it overrides the valid one
     assert main([*command, *valid[command[0]], *flags]) == code
@@ -332,3 +344,82 @@ def test_malformed_dgp_exits_3(capsys, tmp_path, spec):
     code = main(["dgp", "--dgp", str(dgp), "--n", "10", "--data-out", str(tmp_path / "out.csv")])
     assert code == 3
     assert strict_json(capsys.readouterr().out)["error"] == "MalformedInput"
+
+
+# Argv fragments for the fuzz test: non-finite, negative, zero, tiny and
+# non-numeric values.  Sizes stay tiny (n <= 12, reps <= 3, threads <= 2), so
+# no example starts more than two threads or runs for long.
+NUMBERS = st.sampled_from(["nan", "inf", "-inf", "-1", "-0.5", "0", "1e-13", "0.5", "1", "2", "abc"])
+DELTAS = st.sampled_from(["0", "0.1", "-0.1", "nan", "inf", "-inf", "iqr:0.1", "iqr:-inf", "iqr:x", "x"])
+COUNTS = st.sampled_from(["-2", "0", "1", "2", "3", "nan", "x", "1.5"])
+SIZES = st.sampled_from(["-1", "0", "1", "2", "5", "12", "nan", "x"])
+RULES = st.sampled_from(["jackknife", "n", "-1", "0", "1", "2", "3", "12", "x"])
+LISTS = st.sampled_from(["0.1,0.2", "nan,0.1", "inf", "-1,2", "x", "", "0,0,0"])
+GRIDS = st.sampled_from(["5,8", "0,5", "-3,5", "1", "12", "nan", "x", "", "2.5"])
+METHODS = st.sampled_from(["cv", "cv_plus", "fitted_values", "bogus"])
+COMMON = {"--seed": st.sampled_from(["0", "-1", "3", "x"]), "--threads": st.sampled_from(["-2", "0", "1", "2", "x"])}
+SIM = {"--n": SIZES, "--n-grid": GRIDS, "--k": RULES, "--method": METHODS, "--alpha1": NUMBERS,
+       "--alpha2": NUMBERS, "--delta": DELTAS, "--nominal": NUMBERS, "--train-reps": COUNTS,
+       "--mc-test": COUNTS, "--mc-oracle": COUNTS, "--eps": NUMBERS, "--stab-delta": DELTAS,
+       "--predictors": st.sampled_from(["max_response", "neg_max_response,constant", "bogus"])}
+STABILITY = {"--n": SIZES, "--k": RULES, "--eps-grid": LISTS, "--reps": COUNTS, "--m": COUNTS,
+             "--outer": COUNTS, "--inner": COUNTS, "--delta": DELTAS, "--eps": NUMBERS, "--mu": NUMBERS,
+             "--bound-l": NUMBERS, "--tail": NUMBERS, "--abs-err": NUMBERS, "--stab": LISTS,
+             "--stab-trunc": LISTS, "--exceed": LISTS, "--kfolds": SIZES}
+# name: (subcommand argv, valid flags given before the fuzzed ones, fuzzable
+# flags, fuzzable switches)
+FUZZ_COMMANDS = {
+    "interval": (["interval"], ["--data", "{data}", "--predictor", "{pred}", "--alpha1", "0.1",
+                                "--alpha2", "0.9", "--xnew", "1.0"],
+                 {"--alpha1": NUMBERS, "--alpha2": NUMBERS, "--delta": DELTAS, "--k": RULES,
+                  "--xnew": LISTS, "--method": METHODS}, ["--symmetrized", "--shortest"]),
+    "gauge": (["gauge"], ["--f", "{cdf}", "--g", "{cdf}", "--delta", "0.1"], {"--delta": NUMBERS}, []),
+    "risk": (["risk"], ["--data", "{data}", "--predictor", "{pred}", "--loss", "absolute"],
+             {"--k": RULES, "--eps": NUMBERS, "--indicator-at": NUMBERS}, []),
+    "dgp": (["dgp"], ["--dgp", "{dgp}", "--n", "5", "--data-out", "{out}"], {"--n": SIZES}, []),
+    **{f"stability {mode}": (["stability", mode], ["--dgp", "{dgp}", "--predictor", "{pred}", "--n", "8",
+                                                  "--reps", "3", "--outer", "2", "--inner", "2",
+                                                  "--stab", "0.1,0.2", "--exceed", "0.05,0.05"], STABILITY, [])
+       for mode in ("profile", "mstab", "pacbound", "eqbound", "vargap", "drift")},
+    **{f"sim {mode}": (["sim", mode], ["--dgp", "{dgp}", "--predictor", "{pred}", "--n", "8",
+                                      "--n-grid", "5,8", "--train-reps", "2", "--mc-test", "20",
+                                      "--mc-oracle", "20"], SIM, ["--symmetrized"])
+       for mode in ("coverage", "equiv", "length", "gauge", "problen")},
+}
+
+
+@st.composite
+def fuzz_argv(draw):
+    command, valid, flags, switches = FUZZ_COMMANDS[draw(st.sampled_from(sorted(FUZZ_COMMANDS)))]
+    options = {**COMMON, **flags}
+    chosen = draw(st.lists(st.sampled_from(sorted(options)), max_size=3, unique=True))
+    fuzzed = [token for flag in chosen for token in (flag, draw(options[flag]))]
+    for switch in switches:
+        fuzzed += [switch] if draw(st.booleans()) else []
+    return [*command, *valid, *fuzzed]
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    (root / "d.csv").write_text("y,x1\n" + "".join(f"{0.3 * i - 1},{0.1 * i}\n" for i in range(10)))
+    (root / "ridge.json").write_text('{"kind": "ridge", "lambda": 1.0}')
+    (root / "dgp.json").write_text('{"kind": "gaussian_linear", "beta": [1.0], "sigma": 1.0}')
+    (root / "f.json").write_text(uniform_ecdf([0.0, 1.0, 2.0]).to_json())
+    paths = {"data": "d.csv", "pred": "ridge.json", "dgp": "dgp.json", "cdf": "f.json", "out": "out.csv"}
+    return {key: str(root / name) for key, name in paths.items()}
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@example(argv=["sim", "equiv", "--dgp", "{dgp}", "--predictor", "{pred}", "--n", "10",
+               "--train-reps", "2", "--mc-test", "20", "--eps", "nan"])
+@example(argv=["sim", "problen", "--dgp", "{dgp}", "--predictor", "{pred}", "--n-grid", "10",
+               "--train-reps", "2", "--nominal", "nan"])
+@given(argv=fuzz_argv())
+def test_fuzzed_argv_exits_with_strict_json(fuzz_files, argv):
+    argv = [token.format(**fuzz_files) for token in argv]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    assert code in (0, 2, 3, 4), argv
+    strict_json(out.getvalue())

@@ -8,7 +8,7 @@ from cvuq.ecdf import ceil_guarded
 from cvuq.errors import InvalidTolerance, MissingFittedValues
 from cvuq.intervals import IntervalMethod, coverage_ceiling, interval, shortest_interval
 from cvuq.levy_gauge import gauge_bound_matched_pairs
-from oracles import jackknife_formula
+from oracles import jackknife_formula, stepcdf_interval
 from cvuq.predictors import (
     FoldFits,
     FoldPartition,
@@ -17,10 +17,13 @@ from cvuq.predictors import (
     neg_max_response,
     ridge,
 )
+from cvuq.stability import resolve_partition
 
 CV = IntervalMethod("cv")
 CVP = IntervalMethod("cv_plus")
 FV = IntervalMethod("fitted_values")
+ALL_METHODS = [IntervalMethod(base, symmetrized=sym) for base in ("cv", "cv_plus", "fitted_values")
+               for sym in (False, True)]
 
 
 def toy_train(y, x=None):
@@ -198,3 +201,54 @@ def test_interval_shrunken_can_be_empty():
     bundle = singleton_bundle(constant(0.0), [0.0, 0.1])
     piv = interval(CV, bundle, 0.4, 0.6, -5.0)
     assert piv.empty and piv.length == 0.0
+
+
+def _unequal_folds(n):
+    # non-contiguous folds of sizes 3, 2 and 5
+    return FoldPartition(([0, 3, 7], [1, 8], [2, 4, 5, 6, 9]), n)
+
+
+def _oracle_case(rule, lattice):
+    n = 12 if rule == "jackknife" else 10
+    rng = np.random.default_rng(23)
+    if lattice:
+        # max_response on responses that are multiples of 0.25: tied atoms
+        train = toy_train(np.round(rng.normal(size=n) * 4.0) / 4.0)
+        spec, xnew = max_response(), np.zeros(1)
+    else:
+        train = TrainingSet(rng.normal(size=n), rng.normal(size=(n, 2)))
+        spec, xnew = ridge(0.5), rng.normal(size=2)
+    return FoldFits(spec, train, resolve_partition(rule, n)).bundle_at(xnew, want_fitted=True)
+
+
+@pytest.mark.parametrize("lattice", [False, True], ids=["distinct", "lattice"])
+@pytest.mark.parametrize("rule", ["jackknife", 3, _unequal_folds], ids=["singletons", "k3-n10", "callable-unequal"])
+def test_interval_matches_stepcdf_oracle(rule, lattice):
+    bundle = _oracle_case(rule, lattice)
+    n = bundle.n
+    # every cumulative fold weight and multiple of 1/n as either level, crossed
+    # pairs, and levels near and outside the ends of (0, 1]
+    grid = sorted({j / n for j in range(n + 1)} | {float(c) for c in np.cumsum(bundle.partition.atom_weights)})
+    pairs = [(a, 1.0) for a in grid] + [(0.0, b) for b in grid] + list(zip(grid, reversed(grid)))
+    pairs += [(1e-13, 1.0), (0.0, 1e-13), (1e-13, 1.0 + 1e-13), (0.5, 1.0 + 1e-13), (-0.1, 0.5)]
+    for method in ALL_METHODS:
+        for d in (0.0, 0.25, -0.25):
+            for a1, a2 in pairs:
+                got = interval(method, bundle, a1, a2, d)
+                want = stepcdf_interval(method, bundle, a1, a2, d)
+                assert (got.lo, got.hi) == (want.lo, want.hi), (method, d, a1, a2)
+
+
+def test_shortest_interval_exhaustive_oracle_unequal_folds():
+    rng = np.random.default_rng(29)
+    for _ in range(5):
+        train = TrainingSet(rng.normal(size=10), rng.normal(size=(10, 2)))
+        bundle = FoldFits(ridge(0.5), train, _unequal_folds(10)).bundle_at(rng.normal(size=2))
+        nominal = float(rng.uniform(0.3, 0.9))
+        for method in (CV, CVP):
+            for d in (0.0, 0.1):
+                a1, a2, piv = shortest_interval(method, bundle, nominal, d)
+                at = interval(method, bundle, a1, a2, d)
+                assert (piv.lo, piv.hi) == (at.lo, at.hi)
+                for g in np.linspace(0.0, 1.0 - nominal, 2001):
+                    assert piv.length <= interval(method, bundle, g, g + nominal, d).length + 1e-12

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from cvuq import predictors
 from cvuq.data import DgpSpec, TrainingSet
 from cvuq.errors import DegenerateFit, DimensionMismatch, EmptyFold, FoldLeavesNothing, MalformedInput
 from cvuq.predictors import (
@@ -20,6 +21,7 @@ from cvuq.predictors import (
     ridge_coefficients,
 )
 from cvuq.rng import stream
+from cvuq.stability import resolve_partition
 from oracles import lstsq_refit_leave_fold_out, refit_leave_fold_out
 
 
@@ -67,6 +69,33 @@ def test_ridge_degenerate_gram():
     train = toy_train([1.0, 2.0], [[1.0, 1.0], [2.0, 2.0]])
     with pytest.raises(DegenerateFit):
         ridge_coefficients(train, 0.0)
+
+
+def test_ridge_fold_fits_form_normal_equations_once(monkeypatch):
+    # the full fit reuses the fold path's X'X and X'Y: ridge_coefficients'
+    # result bit for bit, and a degenerate full-data Gram matrix still raises
+    calls = []
+    order = predictors._canonical_order
+    monkeypatch.setattr(predictors, "_canonical_order", lambda train: calls.append(1) or order(train))
+    dgp = DgpSpec("gaussian_linear", {"beta": [1.0, 0.5, -1.0], "sigma": 1.0})
+    for n, rule, lam in ((30, "jackknife", 0.5), (31, 4, 1e-8), (12, 2, 1.0)):
+        train = dgp.sample(n, stream(31, n))
+        calls.clear()
+        fits = FoldFits(ridge(lam), train, resolve_partition(rule, n))
+        assert len(calls) == 1
+        assert np.array_equal(fits.full_model.beta, ridge_coefficients(train, lam))
+    with pytest.raises(DegenerateFit):
+        FoldFits(ridge(0.0), toy_train([1.0, 2.0, 3.0], [[1.0, 1.0], [2.0, 2.0], [3.0, 3.0]]),
+                 FoldPartition.singletons(3))
+
+
+def test_partition_atom_weights():
+    part = FoldPartition(([0, 3, 7], [1, 8], [2, 4, 5, 6, 9]), 10)
+    want = np.empty(10)
+    for f in part.folds:
+        want[f] = 1.0 / (part.k * f.size)
+    assert np.array_equal(part.atom_weights, want)
+    assert not part.atom_weights.flags.writeable
 
 
 def test_knn_mean_lowest_index_ties():
