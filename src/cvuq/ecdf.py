@@ -19,7 +19,7 @@ import numpy as np
 from .errors import EmptyFold, MalformedInput, WeightSumError
 
 # Cumulative weights are accumulated in floating point, so level comparisons
-# tolerate this much slack (also used when rounding a*n to an integer count).
+# tolerate this much slack.
 LEVEL_GUARD = 1e-12
 
 
@@ -112,24 +112,21 @@ def fold_ecdf(per_fold_values) -> StepCdf:
     return weighted_ecdf(np.concatenate(groups), weights)
 
 
-def _weight_below(F: StepCdf, t: float, side: str) -> float:
-    if math.isnan(t):
+def _weight_below(F: StepCdf, t, side: str):
+    t = np.asarray(t, dtype=float)
+    if np.isnan(t).any():
         raise ValueError("t must not be NaN")
-    if t == math.inf:
-        return 1.0
-    if t == -math.inf:
-        return 0.0
-    idx = np.searchsorted(F.jumps, t, side=side)
-    return float(F.cum[idx - 1]) if idx > 0 else 0.0
+    w = np.concatenate(([0.0], F.cum))[np.searchsorted(F.jumps, t, side=side)]
+    return float(w) if w.ndim == 0 else w
 
 
-def eval_cdf(F: StepCdf, t: float) -> float:
-    """F(t): total weight of atoms at or below t."""
+def eval_cdf(F: StepCdf, t):
+    """F(t): total weight of atoms at or below t; an array at an array of t."""
     return _weight_below(F, t, "right")
 
 
-def left_limit(F: StepCdf, t: float) -> float:
-    """F(t-): total weight of atoms strictly below t."""
+def left_limit(F: StepCdf, t):
+    """F(t-): total weight of atoms strictly below t; an array at an array of t."""
     return _weight_below(F, t, "left")
 
 
@@ -161,15 +158,3 @@ class SortedAtoms:
         self.jumps = values[order]
         self.cum = np.cumsum(weights[order])
         self.cum[-1] = 1.0
-
-
-def ceil_guarded(x: float, guard: float = LEVEL_GUARD) -> int:
-    """ceil(x), except values within ``guard`` of an integer round to it.
-
-    Avoids off-by-one jumps at levels like 0.9*n whose floating-point product
-    lands a hair above the intended integer.
-    """
-    nearest = round(x)
-    if abs(x - nearest) <= guard:
-        return int(nearest)
-    return int(math.ceil(x))

@@ -136,9 +136,13 @@ def shortest_interval(
     """Scan the atom-aligned (alpha1, alpha2) pairs with alpha2 - alpha1 equal
     to ``nominal`` and return ``(alpha1, alpha2, interval)`` of minimum length,
     ties broken by the smallest alpha1.  The atoms are sorted once and every
-    candidate pair is read off that one sort."""
+    candidate pair is read off that one sort.  A symmetrized cv or
+    fitted_values interval is centered with a radius set by ``nominal``
+    alone, so its levels are not identified: it is returned at (0, nominal)."""
     if not 0.0 < nominal <= 1.0:
         raise InvalidTolerance("nominal must be in (0, 1]")
+    if method.symmetrized and method.base != "cv_plus":
+        return 0.0, nominal, interval(method, bundle, 0.0, nominal, delta)
     atoms = interval_atoms(method, bundle)
     top = 1.0 - nominal
     # the cumulative weight at the last of each run of equal atoms: a StepCdf's cum

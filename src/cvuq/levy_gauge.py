@@ -40,16 +40,10 @@ class GaugeResult:
         return self.value
 
 
-def _eval_many(F: StepCdf, t: np.ndarray) -> np.ndarray:
-    idx = np.searchsorted(F.jumps, t, side="right")
-    padded = np.concatenate(([0.0], F.cum))
-    return padded[idx]
-
-
 def _one_side(F: StepCdf, G: StepCdf, delta: float):
     # sup_t F(t) - G(t + delta), attained at a jump of F or a shifted jump of G
     candidates = np.union1d(F.jumps, G.jumps - delta)
-    diffs = _eval_many(F, candidates) - _eval_many(G, candidates + delta)
+    diffs = eval_cdf(F, candidates) - eval_cdf(G, candidates + delta)
     best = int(np.argmax(diffs))
     return float(diffs[best]), float(candidates[best])
 
@@ -59,6 +53,8 @@ def gauge(F: StepCdf, G: StepCdf, delta: float) -> GaugeResult:
     in candidate order, preferring the F-over-G side on ties."""
     if not delta >= 0:
         raise InvalidTolerance("delta must be nonnegative")
+    if delta == math.inf:  # F(t) <= 1 = G(t + inf): both sides are 0 everywhere
+        return GaugeResult(0.0, float(F.jumps[-1]), "F_over_G")
     v_fg, t_fg = _one_side(F, G, delta)
     v_gf, t_gf = _one_side(G, F, delta)
     if v_fg >= v_gf:
@@ -119,7 +115,7 @@ def _squared_diff_integral(F: StepCdf, G: StepCdf, lo: float, hi: float) -> floa
     breaks = breaks[(breaks > lo) & (breaks < hi)]
     edges = np.concatenate(([lo], breaks, [hi]))
     lefts = edges[:-1]
-    diffs = _eval_many(F, lefts) - _eval_many(G, lefts)
+    diffs = eval_cdf(F, lefts) - eval_cdf(G, lefts)
     return float(np.sum(diffs**2 * np.diff(edges)))
 
 

@@ -3,18 +3,21 @@ interval length, and gauge convergence at desk scale.
 
 Coverage is evaluated with a fresh-test-point oracle: freeze the training
 set, draw test pairs, and count hits of the per-test-point interval; every
-hit equals that of :func:`cvuq.intervals.interval` exactly.  Both follow one
-quantile rule, :func:`cvuq.ecdf.quantiles`: Q_a is the first sorted atom
-whose cumulative fold weight reaches a.  The cv and fitted_values offsets
-are order statistics of the residuals, sorted once per engine.  The cv_plus
-atoms a_j = yhat^{(-fold(j))}(x) + u_j are counted, never sorted: rounding
+hit equals that of :func:`cvuq.intervals.interval` exactly.  One
+:class:`CoverageEngine` serves one training set and one test set; it and
+``interval`` follow one quantile rule, :func:`cvuq.ecdf.quantiles`: Q_a is
+the first sorted atom whose cumulative fold weight reaches a.  The cv and
+fitted_values offsets are order statistics of the residuals, sorted once
+per engine.  The cv_plus atoms a_j = yhat^{(-fold(j))}(x) + u_j are
+counted, never sorted, one row block of fold predictions at a time: rounding
 keeps x -> fl(x -+ d) nondecreasing, so with Q_a the k(a)-th smallest atom
 
     y >= fl(Q_{a1} - d)  iff  #{j : fl(a_j - d) <= y} >= k(a1),
     y <= fl(Q_{a2} + d)  iff  #{j : fl(a_j + d) <  y} <  k(a2),
 
 the comparison form of the jackknife+ coverage argument (Barber, Candes,
-Ramdas and Tibshirani, Ann. Statist. 49(1), 2021).
+Ramdas and Tibshirani, Ann. Statist. 49(1), 2021).  The rank k(a) is the
+same quantile rule applied to the ranks 1..n.
 
 ``delta`` arguments accept a float, a string ``"iqr:FACTOR"`` (factor times
 the interquartile range of the leave-fold-out residuals), or a callable
@@ -29,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import DgpSpec
-from .ecdf import LEVEL_GUARD, ceil_guarded, uniform_ecdf, weighted_ecdf
+from .ecdf import LEVEL_GUARD, SortedAtoms, quantiles, uniform_ecdf, weighted_ecdf
 from .errors import InvalidTolerance, NumericError
 from .intervals import IntervalMethod, interval, interval_atoms, interval_ends
 from .levy_gauge import gauge
@@ -45,10 +48,6 @@ BLOCK_ATOMS = 1 << 15
 def _row_blocks(m: int, width: int):
     step = max(1, BLOCK_ATOMS // width)
     return (slice(s, s + step) for s in range(0, m, step))
-
-
-def _infinite_end(alpha: float) -> float:
-    return math.inf if alpha > 1.0 else -math.inf
 
 
 def iqr_factor(rule: str) -> float:
@@ -80,109 +79,102 @@ def resolve_delta(delta, residuals) -> float:
 
 
 class CoverageEngine:
-    """Vectorized per-test-point interval coverage for one training set."""
+    """Vectorized per-test-point interval coverage for one training set and
+    one set of test pairs.  Per cv_plus key (d, absolute) one pass over row
+    blocks of fold predictions gives each row the counts
+    #{j : fl(a_j - d) <= y} and #{j : fl(a_j + d) < y}; each counted set is a
+    prefix of the sorted atoms, so one pass serves every level pair.  With
+    unequal folds an atom of fold j weighs 1/(k |K_j|) and the counts are
+    weights, compared with the level.  The first pass also counts, per fold,
+    the test points whose fold prediction is more than ``exceed_delta`` from
+    the full-data one.
+    """
 
-    def __init__(self, fits: FoldFits):
+    def __init__(self, fits: FoldFits, x_test: np.ndarray, y_test: np.ndarray,
+                 exceed_delta: float | None = None):
         self.fits = fits
         self.partition = fits.partition
         self.u = fits.loo_residuals
-        self.equal_weights = bool(np.all(self.partition.atom_weights == self.partition.atom_weights[0]))
-        # the fold-matrix column of each cv_plus atom; None when it is the identity
+        self.x_test = np.ascontiguousarray(x_test, dtype=float)
+        self.y_test = np.asarray(y_test, dtype=float)
+        self.full = np.asarray(fits.full_model.predict(self.x_test), dtype=float)
+        self.exceed_delta = exceed_delta
+        weights = self.partition.atom_weights
+        self.equal_weights = bool(np.all(weights == weights[0]))
+        self.ranks = SortedAtoms(np.arange(1.0, weights.size + 1), weights)
+        # the fold-prediction column of each cv_plus atom; None when it is the identity
         fold_of = self.partition.fold_of
         self.columns = None if np.array_equal(fold_of, np.arange(fold_of.size)) else fold_of
         self._offsets = {}
+        self._counts = {}
+        self._exceed = None
 
-    def prepare(self, x_test: np.ndarray, y_test: np.ndarray) -> "PreparedTests":
-        """Cache the per-test-set work shared across levels and methods."""
-        return PreparedTests(self, np.ascontiguousarray(x_test, dtype=float), np.asarray(y_test, dtype=float))
-
-    def coverage(self, method: IntervalMethod, alpha1: float, alpha2: float, delta, prepared) -> float:
-        """Fraction of the prepared test pairs whose y lies in its interval."""
+    def coverage(self, method: IntervalMethod, alpha1: float, alpha2: float, delta) -> float:
+        """Fraction of the test pairs whose y lies in its interval."""
         d = resolve_delta(delta, self.u)
         if method.base == "cv_plus":
-            return float(np.mean(prepared.cv_plus_hits(alpha1, alpha2, d, method.symmetrized)))
+            if d == -math.inf:  # every lower end is +inf, or NaN at an infinite quantile
+                return 0.0
+            le, lt = self._atom_counts(d, method.symmetrized)
+            return float(np.mean((le >= self._reach(alpha1)) & ~(lt >= self._reach(alpha2))))
         if method not in self._offsets:  # the residual atoms, sorted once: they need no test point
             fitted = self.fits.fitted_values() if method.base == "fitted_values" else None
             bundle = ResidualBundle(self.partition, self.fits.train.y, self.u, fold_predictions_at_xnew=None,
                                     full_prediction=math.nan, fitted_values=fitted)
             self._offsets[method] = interval_atoms(method, bundle)
-        lo, hi = interval_ends(method, prepared.full, self._offsets[method], alpha1, alpha2, d)
-        return float(np.mean((prepared.y_test >= lo) & (prepared.y_test <= hi)))
+        lo, hi = interval_ends(method, self.full, self._offsets[method], alpha1, alpha2, d)
+        return float(np.mean((self.y_test >= lo) & (self.y_test <= hi)))
 
+    def fold_exceedance(self) -> np.ndarray:
+        """Per fold j, the fraction of test points with
+        |yhat(x) - yhat^{(-K_j)}(x)| > exceed_delta."""
+        if self.exceed_delta is None:
+            raise InvalidTolerance("fold_exceedance needs an engine built with exceed_delta")
+        if self._exceed is None:  # no counting pass has run yet
+            for _ in self._fold_blocks():
+                pass
+        return self._exceed
 
-class PreparedTests:
-    """Test pairs of one engine with lazy caches: full-data predictions, the
-    (m, k) fold-prediction matrix, and per (d, absolute) the row counts
-    #{j : fl(a_j - d) <= y} and #{j : fl(a_j + d) < y}.  fl(. -+ d) keeps the
-    atoms' order, so each counted set is a prefix of the sorted atoms and
-    holds the k-th one exactly when that quantile's interval end passes y:
-    one pass serves every level pair.  With unequal folds an atom of fold j
-    weighs 1/(k |K_j|) and the counts are weights, compared with the level.
-    """
-
-    def __init__(self, engine: CoverageEngine, x_test: np.ndarray, y_test: np.ndarray):
-        self.engine = engine
-        self.x_test = x_test
-        self.y_test = y_test
-        self._full = None
-        self._P = None
-        self._counts = {}
-
-    @property
-    def full(self) -> np.ndarray:
-        if self._full is None:
-            self._full = np.asarray(self.engine.fits.full_model.predict(self.x_test), dtype=float)
-        return self._full
-
-    @property
-    def fold_matrix(self) -> np.ndarray:
-        if self._P is None:
-            self._P = self.engine.fits.fold_predictions(self.x_test)
-        return self._P
+    def _fold_blocks(self):
+        """(rows, fold predictions at those rows) per row block; the first
+        pass also takes the per-fold exceedance."""
+        take = self.exceed_delta is not None and self._exceed is None
+        exceed = np.zeros(self.partition.k, dtype=np.intp)
+        for rows in _row_blocks(self.y_test.size, self.u.size):
+            P = self.fits.fold_predictions(self.x_test[rows])
+            if take:
+                exceed += np.count_nonzero(np.abs(self.full[rows, None] - P) > self.exceed_delta, axis=0)
+            yield rows, P
+        if take:
+            self._exceed = exceed / self.y_test.size
 
     def _count(self, hit: np.ndarray) -> np.ndarray:
         """Per row, the number of hit atoms, or their weight with unequal folds."""
-        if self.engine.equal_weights:
+        if self.equal_weights:
             return np.count_nonzero(hit, axis=1)
-        return np.where(hit, self.engine.partition.atom_weights, 0.0).sum(axis=1)
+        return np.where(hit, self.partition.atom_weights, 0.0).sum(axis=1)
 
     def _atom_counts(self, d: float, absolute: bool):
         if (d, absolute) not in self._counts:
-            engine, P, y = self.engine, self.fold_matrix, self.y_test
-            res = np.abs(engine.u) if absolute else engine.u
+            y, res = self.y_test, np.abs(self.u) if absolute else self.u
             le, lt = [], []
-            for rows in _row_blocks(y.size, res.size):
-                atoms = (P[rows] if engine.columns is None else P[rows][:, engine.columns]) + res
+            for rows, P in self._fold_blocks():
+                atoms = (P if self.columns is None else P[:, self.columns]) + res
                 lower, upper = (atoms, atoms) if d == 0 else (atoms - d, atoms + d)
                 le.append(self._count(lower <= y[rows, None]))
                 lt.append(self._count(upper < y[rows, None]))
             self._counts[d, absolute] = (np.concatenate(le), np.concatenate(lt))
         return self._counts[d, absolute]
 
-    def _reaches(self, counts: np.ndarray, alpha: float) -> np.ndarray:
-        """Rows whose counted atoms reach the level alpha in (0, 1]."""
-        engine = self.engine
-        if engine.equal_weights:
-            n = engine.partition.n
-            return counts >= min(max(ceil_guarded(alpha * n), 1), n)
+    def _reach(self, alpha: float) -> float:
+        """The count (weight, with unequal folds) at which a row's counted
+        atoms hold Q_alpha: -inf for alpha <= 0 and +inf for alpha > 1, as
+        the infinite quantile there passes every y or none."""
+        rank = float(quantiles(self.ranks, alpha))
+        if self.equal_weights or math.isinf(rank):
+            return rank
         # any atom reaches a level at or below the lightest atom's weight
-        return counts >= max(alpha - LEVEL_GUARD, float(engine.partition.atom_weights.min()))
-
-    def cv_plus_hits(self, alpha1: float, alpha2: float, d: float, absolute: bool) -> np.ndarray:
-        """Rows with y in [Q_{a1} - d, Q_{a2} + d]; a level outside (0, 1]
-        puts that end at an infinite quantile, as in :func:`cvuq.ecdf.quantiles`."""
-        y, (le, lt) = self.y_test, self._atom_counts(d, absolute)
-        lower = self._reaches(le, alpha1) if 0.0 < alpha1 <= 1.0 else y >= _infinite_end(alpha1) - d
-        upper = ~self._reaches(lt, alpha2) if 0.0 < alpha2 <= 1.0 else y <= _infinite_end(alpha2) + d
-        return lower & upper
-
-    def fold_exceedance(self, d: float) -> np.ndarray:
-        """Per fold j, the fraction of test points with |yhat(x) - yhat^{(-K_j)}(x)| > d."""
-        P, full = self.fold_matrix, self.full
-        exceed = np.zeros(P.shape[1], dtype=np.intp)
-        for rows in _row_blocks(*P.shape):
-            exceed += np.count_nonzero(np.abs(full[rows, None] - P[rows]) > d, axis=0)
-        return exceed / P.shape[0]
+        return max(alpha - LEVEL_GUARD, float(self.partition.atom_weights.min()))
 
 
 def conditional_coverage(
@@ -202,8 +194,7 @@ def conditional_coverage(
         raise InvalidTolerance("mc_test must be at least 1")
     fits = FoldFits(spec, train, resolve_partition(partition_rule, train.n))
     y_test, x_test = dgp.draw(mc_test, stream(seed))
-    engine = CoverageEngine(fits)
-    return engine.coverage(method, alpha1, alpha2, delta, engine.prepare(x_test, y_test))
+    return CoverageEngine(fits, x_test, y_test).coverage(method, alpha1, alpha2, delta)
 
 
 @dataclass(frozen=True)
@@ -239,8 +230,7 @@ def coverage_distribution(
         train = dgp.sample(n, stream(seed, r, 0))
         fits = FoldFits(spec, train, partition)
         y_test, x_test = dgp.draw(mc_test, stream(seed, r, 1))
-        engine = CoverageEngine(fits)
-        return engine.coverage(method, alpha1, alpha2, delta, engine.prepare(x_test, y_test))
+        return CoverageEngine(fits, x_test, y_test).coverage(method, alpha1, alpha2, delta)
 
     cov = np.array(indexed_map(one, train_reps, threads))
     q05, q50, q95 = np.quantile(cov, [0.05, 0.5, 0.95])
@@ -302,21 +292,20 @@ def jk_vs_jkplus_gap(
     def one(r: int):
         train = dgp.sample(n, stream(seed, r, 0))
         fits = FoldFits(spec, train, partition)
-        engine = CoverageEngine(fits)
+        d = resolve_delta(delta, fits.loo_residuals)
+        d_stab = resolve_delta(stability_delta, fits.loo_residuals)
         y_test, x_test = dgp.draw(mc_test, stream(seed, r, 1))
-        prepared = engine.prepare(x_test, y_test)
-        d = resolve_delta(delta, engine.u)
-        d_stab = resolve_delta(stability_delta, engine.u)
-        c_j = engine.coverage(cv, alpha1, alpha2, d, prepared)
-        c_jp = engine.coverage(cvp, alpha1, alpha2, d, prepared)
+        engine = CoverageEngine(fits, x_test, y_test, exceed_delta=d_stab)
+        c_j = engine.coverage(cv, alpha1, alpha2, d)
+        c_jp = engine.coverage(cvp, alpha1, alpha2, d)
         # per-fold exceedance of the stability tolerance across test points
-        exceed = prepared.fold_exceedance(d_stab)
+        exceed = engine.fold_exceedance()
         # equivalence-deficit event: CV at widened levels and inflated
         # distortion falls short of CV+ by eps somewhere on the pair grid
         worst = math.inf
         for b1, b2 in pair_grid:
-            c_infl = engine.coverage(cv, b1 - eps, b2 + eps, d_stab, prepared)
-            c_plus = engine.coverage(cvp, b1, b2, 0.0, prepared)
+            c_infl = engine.coverage(cv, b1 - eps, b2 + eps, d_stab)
+            c_plus = engine.coverage(cvp, b1, b2, 0.0)
             worst = min(worst, c_infl - c_plus)
         return c_j, c_jp, worst <= -eps, exceed, d_stab
 

@@ -15,9 +15,21 @@ import math
 
 import numpy as np
 
-from cvuq.ecdf import LEVEL_GUARD, StepCdf, ceil_guarded, fold_ecdf, quantile, quantiles, uniform_ecdf
+from cvuq.ecdf import LEVEL_GUARD, StepCdf, fold_ecdf, quantile, quantiles, uniform_ecdf
 from cvuq.intervals import PredInterval
 from cvuq.predictors import fit
+
+
+def ceil_guarded(x: float, guard: float = LEVEL_GUARD) -> int:
+    """ceil(x), except values within ``guard`` of an integer round to it.
+
+    Avoids off-by-one jumps at levels like 0.9*n whose floating-point product
+    lands a hair above the intended integer.
+    """
+    nearest = round(x)
+    if abs(x - nearest) <= guard:
+        return int(nearest)
+    return int(math.ceil(x))
 
 
 def eval_many(F: StepCdf, t: np.ndarray) -> np.ndarray:
@@ -197,29 +209,23 @@ def per_point_coverage(fits, method, alpha1, alpha2, delta, x_test, y_test) -> f
 
 def sorted_atom_coverage(fits, alpha1, alpha2, delta, x_test, y_test, absolute=False) -> float:
     """cv_plus coverage by sorting each test point's atom row and reading the
-    quantiles off it: the k-th smallest atom with equal folds, the first
-    atom whose cumulative fold weight reaches the level otherwise."""
+    quantiles off it: the first atom whose cumulative fold weight reaches the
+    level."""
     part = fits.partition
     res = np.abs(fits.loo_residuals) if absolute else fits.loo_residuals
     A = fits.fold_predictions(x_test)[:, part.fold_of] + res[None, :]
-    m, n = A.shape
+    m = A.shape[0]
     sizes = np.array([f.size for f in part.folds])
-    if np.all(sizes == sizes[0]):
-        A.sort(axis=1)
-        cums = None
-    else:
-        order = np.argsort(A, axis=1, kind="stable")
-        cums = np.cumsum((1.0 / (part.k * sizes))[part.fold_of][order], axis=1)
-        cums[:, -1] = 1.0
-        A = np.take_along_axis(A, order, axis=1)
+    order = np.argsort(A, axis=1, kind="stable")
+    cums = np.cumsum((1.0 / (part.k * sizes))[part.fold_of][order], axis=1)
+    cums[:, -1] = 1.0
+    A = np.take_along_axis(A, order, axis=1)
 
     def row_quantile(alpha):
         if alpha <= 0.0:
             return np.full(m, -math.inf)
         if alpha > 1.0:
             return np.full(m, math.inf)
-        if cums is None:
-            return A[:, min(max(ceil_guarded(alpha * n), 1), n) - 1]
         return A[np.arange(m), np.argmax(cums >= alpha - LEVEL_GUARD, axis=1)]
 
     lo = row_quantile(alpha1) - delta

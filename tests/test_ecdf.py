@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from cvuq.ecdf import (
     StepCdf,
-    ceil_guarded,
     eval_cdf,
     fold_ecdf,
     left_limit,
@@ -18,6 +17,7 @@ from cvuq.ecdf import (
     weighted_ecdf,
 )
 from cvuq.errors import EmptyFold, WeightSumError
+from oracles import ceil_guarded, eval_many
 
 
 def test_weighted_ecdf_merges_duplicates():
@@ -41,6 +41,21 @@ def test_right_continuity():
     assert eval_cdf(F, 1.999) == pytest.approx(1 / 3, abs=1e-15)
     assert left_limit(F, 2.0) == pytest.approx(1 / 3, abs=1e-15)
     assert eval_cdf(F, 1e300) == 1.0
+
+
+def test_eval_cdf_and_left_limit_take_arrays():
+    F = weighted_ecdf([-1.0, 0.5, 2.0, 7.0], [0.1, 0.2, 0.3, 0.4])
+    t = np.concatenate((F.jumps, np.nextafter(F.jumps, -np.inf), [-math.inf, math.inf, -1e300, 1e300, 3.0]))
+    np.testing.assert_array_equal(eval_cdf(F, t), eval_many(F, t))
+    np.testing.assert_array_equal(left_limit(F, t), eval_many(F, np.nextafter(t, -np.inf)))
+    for ti, right, left in zip(t, eval_cdf(F, t), left_limit(F, t)):
+        assert type(eval_cdf(F, float(ti))) is float and eval_cdf(F, float(ti)) == right
+        assert type(left_limit(F, float(ti))) is float and left_limit(F, float(ti)) == left
+    for bad in (math.nan, np.array([0.0, math.nan])):
+        with pytest.raises(ValueError):
+            eval_cdf(F, bad)
+        with pytest.raises(ValueError):
+            left_limit(F, bad)
 
 
 def test_weighted_ecdf_rejects_bad_weights():

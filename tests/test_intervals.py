@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 
 from cvuq.data import TrainingSet, sample_gaussian_linear
-from cvuq.ecdf import ceil_guarded
 from cvuq.errors import InvalidTolerance, MissingFittedValues
 from cvuq.intervals import IntervalMethod, coverage_ceiling, interval, shortest_interval
 from cvuq.levy_gauge import gauge_bound_matched_pairs
-from oracles import jackknife_formula, stepcdf_interval
+from oracles import ceil_guarded, jackknife_formula, stepcdf_interval
 from cvuq.predictors import (
     FoldFits,
     FoldPartition,
@@ -179,6 +178,26 @@ def test_shortest_interval_nominal_one_and_single_atom():
     assert piv.lo == piv.hi == 4.0
     with pytest.raises(InvalidTolerance):
         shortest_interval(CV, flat, 0.0)
+
+
+@pytest.mark.parametrize("base", ["cv", "fitted_values"])
+def test_shortest_symmetrized_centered_interval_is_at_zero_and_nominal(base):
+    # the centered interval's length depends on the nominal level only
+    method = IntervalMethod(base, symmetrized=True)
+    rng = np.random.default_rng(37)
+    train = TrainingSet(rng.normal(size=20), rng.normal(size=(20, 2)))
+    bundle = FoldFits(ridge(0.5), train, resolve_partition("jackknife", 20)).bundle_at(
+        rng.normal(size=2), want_fitted=True
+    )
+    for nominal in (0.5, 0.8, 1.0):
+        for d in (0.0, 0.1, -5.0):
+            a1, a2, piv = shortest_interval(method, bundle, nominal, d)
+            assert (a1, a2) == (0.0, nominal)
+            at = interval(method, bundle, 0.0, nominal, d)
+            assert (piv.lo, piv.hi) == (at.lo, at.hi)
+            for g in np.linspace(0.0, 1.0 - nominal, 11):
+                other = interval(method, bundle, g, g + nominal, d)
+                assert piv.length == pytest.approx(other.length, abs=1e-12)
 
 
 def test_coverage_ceiling():

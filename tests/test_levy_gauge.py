@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from cvuq.ecdf import quantile, uniform_ecdf, weighted_ecdf
 from cvuq.errors import InvalidTolerance, UnboundedLoss
 from cvuq.levy_gauge import (
+    GaugeResult,
     MonotoneFn,
     expectation_transfer,
     gauge,
@@ -25,6 +27,15 @@ from oracles import grid_gauge, levy_metric, random_step_cdf, sandwich_inf_eps, 
 
 def dirac(x):
     return weighted_ecdf([x], [1.0])
+
+
+def test_gauge_at_infinite_delta_is_zero_without_warnings():
+    F = weighted_ecdf([0.0, 1.0, 5.0], [0.2, 0.3, 0.5])
+    G = uniform_ecdf([-3.0, 2.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for a, b in ((F, G), (G, F), (F, F)):
+            assert gauge(a, b, math.inf) == GaugeResult(0.0, float(a.jumps[-1]), "F_over_G")
 
 
 def test_dirac_chain_sharpness():

@@ -45,12 +45,11 @@ def test_engine_matches_per_point_intervals_exactly():
     for part_rule in ("jackknife", 3):
         train = GAUSS.sample(10, stream(1, 0))
         fits = FoldFits(ridge(0.5), train, resolve_partition(part_rule, train.n))
-        engine = CoverageEngine(fits)
         y_test, x_test = GAUSS.draw(200, stream(1, 1))
-        prepared = engine.prepare(x_test, y_test)
+        engine = CoverageEngine(fits, x_test, y_test)
         for method in ALL_METHODS:
             for a1, a2, d in ((0.1, 0.9, 0.0), (0.0, 0.8, 0.3), (0.25, 1.0, -0.2), (0.5, 0.5, 0.1)):
-                fast = engine.coverage(method, a1, a2, d, prepared)
+                fast = engine.coverage(method, a1, a2, d)
                 assert fast == per_point_coverage(fits, method, a1, a2, d, x_test, y_test), (method, a1, a2, d)
 
 
@@ -156,15 +155,14 @@ def test_shrunken_inflated_duality_set_algebra():
     # coverages sum to at most one; an empty shrunken interval covers nothing
     train = GAUSS.sample(25, stream(11, 0))
     fits = FoldFits(ridge(0.5), train, FoldPartition.singletons(25))
-    engine = CoverageEngine(fits)
     y_test, x_test = GAUSS.draw(2000, stream(11, 1))
-    prepared = engine.prepare(x_test, y_test)
+    engine = CoverageEngine(fits, x_test, y_test)
     cv = IntervalMethod("cv")
     for d in (0.05, 0.2, 1.0):
         for a1, a2 in ((0.1, 0.9), (0.3, 0.6), (0.45, 0.55)):
-            shr = engine.coverage(cv, a1, a2, -2 * d, prepared)
-            lo_flank = engine.coverage(cv, 0.0, a1, d, prepared)
-            hi_flank = engine.coverage(cv, a2, 1.0, d, prepared)
+            shr = engine.coverage(cv, a1, a2, -2 * d)
+            lo_flank = engine.coverage(cv, 0.0, a1, d)
+            hi_flank = engine.coverage(cv, a2, 1.0, d)
             bundle = fits.bundle_at(x_test[0])
             if interval(cv, bundle, a1, a2, -2 * d).empty:
                 pass  # empty intervals cover nothing by construction
@@ -203,17 +201,22 @@ def test_kernel_matches_sorted_atom_oracle(rule):
     n, m = 200, 5000
     train = GAUSS.sample(n, stream(14, 0))
     fits = FoldFits(ridge(0.5), train, resolve_partition(rule, n))
-    engine = CoverageEngine(fits)
     y_test, x_test = GAUSS.draw(m, stream(14, 1))
-    prepared = engine.prepare(x_test, y_test)
+    engine = CoverageEngine(fits, x_test, y_test)
     for method in CV_PLUS:
         for d in (0.0, 0.05, -0.2):
             for a1, a2 in DEFAULT_PAIR_GRID:
-                fast = engine.coverage(method, a1, a2, d, prepared)
+                fast = engine.coverage(method, a1, a2, d)
                 slow = sorted_atom_coverage(fits, a1, a2, d, x_test, y_test, method.symmetrized)
                 assert fast == slow, (method, d, a1, a2)
+    # the exceedance from its own pass, and from the first counting pass
     for d in (0.0, 0.01, 0.1):
-        np.testing.assert_array_equal(prepared.fold_exceedance(d), dense_fold_exceedance(fits, x_test, d))
+        dense = dense_fold_exceedance(fits, x_test, d)
+        before = CoverageEngine(fits, x_test, y_test, exceed_delta=d)
+        np.testing.assert_array_equal(before.fold_exceedance(), dense)
+        after = CoverageEngine(fits, x_test, y_test, exceed_delta=d)
+        after.coverage(CV_PLUS[0], 0.05, 0.95, 0.0)
+        np.testing.assert_array_equal(after.fold_exceedance(), dense)
 
 
 def _lattice_case(n, rule):
@@ -236,6 +239,7 @@ def _ridge_case(n, rule):
     [
         pytest.param(lambda: _ridge_case(10, 3), id="ridge-k3-n10"),
         pytest.param(lambda: _ridge_case(13, 4), id="ridge-k4-n13"),
+        pytest.param(lambda: _ridge_case(12, "jackknife"), id="ridge-jackknife-n12"),
         pytest.param(lambda: _lattice_case(25, "jackknife"), id="ties-jackknife-n25"),
         pytest.param(lambda: _lattice_case(10, 3), id="ties-k3-n10"),
     ],
@@ -245,31 +249,45 @@ def test_kernel_matches_scalar_intervals_on_adversarial_inputs(case):
     part = fits.partition
     n = part.n
     weights = np.concatenate([np.full(f.size, 1.0 / (part.k * f.size)) for f in part.folds])
-    # every exact multiple of 1/n and cumulative fold weight as either level,
-    # crossed pairs, and levels near and outside the ends of (0, 1]
-    grid = sorted({j / n for j in range(n + 1)} | {float(c) for c in np.cumsum(weights)})
+    # every exact multiple of 1/n, the same a hair above (within LEVEL_GUARD
+    # of j/n but more than LEVEL_GUARD / n above it), and cumulative fold
+    # weight as either level, crossed pairs, and levels near and outside the
+    # ends of (0, 1]
+    grid = {j / n for j in range(n + 1)} | {j / n + 5e-13 for j in range(n + 1)}
+    grid = sorted(grid | {float(c) for c in np.cumsum(weights)})
     pairs = [(a, 1.0) for a in grid] + [(0.0, b) for b in grid] + list(zip(grid, reversed(grid)))
     pairs += [(1e-13, 1.0), (0.0, 1e-13), (-0.1, 0.5), (0.0, 1.5), (1.2, 1.5), (-0.5, 0.0)]
-    engine = CoverageEngine(fits)
-    prepared = engine.prepare(x_test, y_test)
+    engine = CoverageEngine(fits, x_test, y_test)
     for method in CV_PLUS:
         for d in (0.0, 0.25, -0.25, -2.0):
             for a1, a2 in pairs:
-                fast = engine.coverage(method, a1, a2, d, prepared)
+                fast = engine.coverage(method, a1, a2, d)
+                assert fast == per_point_coverage(fits, method, a1, a2, d, x_test, y_test), (method, d, a1, a2)
+
+
+def test_kernel_matches_scalar_intervals_at_infinite_delta():
+    # an infinite quantile's end passes every y, except at delta = -inf,
+    # where it is NaN and, like every other lower end, passes none
+    fits, x_test, y_test = _ridge_case(12, "jackknife")
+    engine = CoverageEngine(fits, x_test, y_test)
+    for method in CV_PLUS:
+        for d in (math.inf, -math.inf):
+            for a1, a2 in ((0.0, 1.5), (-0.1, 1.0), (0.1, 0.9), (1.2, 1.5), (-0.5, 0.0), (0.0, 1.0)):
+                fast = engine.coverage(method, a1, a2, d)
                 assert fast == per_point_coverage(fits, method, a1, a2, d, x_test, y_test), (method, d, a1, a2)
 
 
 def test_cv_plus_kernel_memory_is_blocked():
     n, m = 200, 50_000
     train = GAUSS.sample(n, stream(17, 0))
-    engine = CoverageEngine(FoldFits(ridge(0.5), train, FoldPartition.singletons(n)))
+    fits = FoldFits(ridge(0.5), train, FoldPartition.singletons(n))
     y_test, x_test = GAUSS.draw(m, stream(17, 1))
-    prepared = engine.prepare(x_test, y_test)
-    cvp = IntervalMethod("cv_plus")
-    engine.coverage(cvp, 0.05, 0.95, 0.0, prepared)  # fills the prediction caches
     tracemalloc.start()
     try:
-        engine.coverage(cvp, 0.05, 0.95, 0.1, prepared)
+        # no (m, n) fold-prediction matrix: built, counted and exceeded by row blocks
+        engine = CoverageEngine(fits, x_test, y_test, exceed_delta=0.1)
+        engine.coverage(IntervalMethod("cv_plus"), 0.05, 0.95, 0.1)
+        engine.fold_exceedance()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
