@@ -138,11 +138,10 @@ def shortest_interval(
     ties broken by the smallest alpha1.  The atoms are sorted once and every
     candidate pair is read off that one sort.  A symmetrized cv or
     fitted_values interval is centered with a radius set by ``nominal``
-    alone, so its levels are not identified: it is returned at (0, nominal)."""
+    alone, so its levels are not identified: every candidate ties and the
+    scan returns (0, nominal)."""
     if not 0.0 < nominal <= 1.0:
         raise InvalidTolerance("nominal must be in (0, 1]")
-    if method.symmetrized and method.base != "cv_plus":
-        return 0.0, nominal, interval(method, bundle, 0.0, nominal, delta)
     atoms = interval_atoms(method, bundle)
     top = 1.0 - nominal
     # the cumulative weight at the last of each run of equal atoms: a StepCdf's cum

@@ -82,8 +82,9 @@ class CoverageEngine:
     """Vectorized per-test-point interval coverage for one training set and
     one set of test pairs.  Per cv_plus key (d, absolute) one pass over row
     blocks of fold predictions gives each row the counts
-    #{j : fl(a_j - d) <= y} and #{j : fl(a_j + d) < y}; each counted set is a
-    prefix of the sorted atoms, so one pass serves every level pair.  With
+    #{j : fl(a_j - d) <= y} and #{j : fl(a_j + d) < y}; each counted set is
+    a prefix of the sorted atoms, so one pass serves every level pair, and
+    :meth:`coverages` counts several tolerances in one pass.  With
     unequal folds an atom of fold j weighs 1/(k |K_j|) and the counts are
     weights, compared with the level.  The first pass also counts, per fold,
     the test points whose fold prediction is more than ``exceed_delta`` from
@@ -111,19 +112,29 @@ class CoverageEngine:
 
     def coverage(self, method: IntervalMethod, alpha1: float, alpha2: float, delta) -> float:
         """Fraction of the test pairs whose y lies in its interval."""
-        d = resolve_delta(delta, self.u)
+        return self.coverages(method, [(alpha1, alpha2, delta)])[0]
+
+    def coverages(self, method: IntervalMethod, levels) -> list:
+        """:meth:`coverage` at each (alpha1, alpha2, delta) of ``levels``; for
+        cv_plus, one pass counts every tolerance among them not yet counted."""
+        ds = [resolve_delta(delta, self.u) for _, _, delta in levels]
         if method.base == "cv_plus":
-            if d == -math.inf:  # every lower end is +inf, or NaN at an infinite quantile
-                return 0.0
-            le, lt = self._atom_counts(d, method.symmetrized)
-            return float(np.mean((le >= self._reach(alpha1)) & ~(lt >= self._reach(alpha2))))
-        if method not in self._offsets:  # the residual atoms, sorted once: they need no test point
+            self._count_atoms([d for d in ds if d != -math.inf], method.symmetrized)
+        elif method not in self._offsets:  # the residual atoms, sorted once: they need no test point
             fitted = self.fits.fitted_values() if method.base == "fitted_values" else None
             bundle = ResidualBundle(self.partition, self.fits.train.y, self.u, fold_predictions_at_xnew=None,
                                     full_prediction=math.nan, fitted_values=fitted)
             self._offsets[method] = interval_atoms(method, bundle)
-        lo, hi = interval_ends(method, self.full, self._offsets[method], alpha1, alpha2, d)
-        return float(np.mean((self.y_test >= lo) & (self.y_test <= hi)))
+        return [self._coverage(method, a1, a2, d) for (a1, a2, _), d in zip(levels, ds)]
+
+    def _coverage(self, method: IntervalMethod, alpha1: float, alpha2: float, d: float) -> float:
+        if method.base != "cv_plus":
+            lo, hi = interval_ends(method, self.full, self._offsets[method], alpha1, alpha2, d)
+            return float(np.mean((self.y_test >= lo) & (self.y_test <= hi)))
+        if d == -math.inf:  # every lower end is +inf, or NaN at an infinite quantile
+            return 0.0
+        le, lt = self._counts[d, method.symmetrized]
+        return float(np.mean((le >= self._reach(alpha1)) & ~(lt >= self._reach(alpha2))))
 
     def fold_exceedance(self) -> np.ndarray:
         """Per fold j, the fraction of test points with
@@ -154,17 +165,21 @@ class CoverageEngine:
             return np.count_nonzero(hit, axis=1)
         return np.where(hit, self.partition.atom_weights, 0.0).sum(axis=1)
 
-    def _atom_counts(self, d: float, absolute: bool):
-        if (d, absolute) not in self._counts:
-            y, res = self.y_test, np.abs(self.u) if absolute else self.u
-            le, lt = [], []
-            for rows, P in self._fold_blocks():
-                atoms = (P if self.columns is None else P[:, self.columns]) + res
+    def _count_atoms(self, ds, absolute: bool) -> None:
+        """Count, in one pass, the atoms at every tolerance of ``ds`` not yet counted."""
+        ds = [d for d in dict.fromkeys(ds) if (d, absolute) not in self._counts]
+        if not ds:
+            return
+        y, res = self.y_test, np.abs(self.u) if absolute else self.u
+        le, lt = [[] for _ in ds], [[] for _ in ds]
+        for rows, P in self._fold_blocks():
+            atoms = (P if self.columns is None else P[:, self.columns]) + res
+            for i, d in enumerate(ds):
                 lower, upper = (atoms, atoms) if d == 0 else (atoms - d, atoms + d)
-                le.append(self._count(lower <= y[rows, None]))
-                lt.append(self._count(upper < y[rows, None]))
-            self._counts[d, absolute] = (np.concatenate(le), np.concatenate(lt))
-        return self._counts[d, absolute]
+                le[i].append(self._count(lower <= y[rows, None]))
+                lt[i].append(self._count(upper < y[rows, None]))
+        for i, d in enumerate(ds):
+            self._counts[d, absolute] = (np.concatenate(le[i]), np.concatenate(lt[i]))
 
     def _reach(self, alpha: float) -> float:
         """The count (weight, with unequal folds) at which a row's counted
@@ -297,16 +312,15 @@ def jk_vs_jkplus_gap(
         y_test, x_test = dgp.draw(mc_test, stream(seed, r, 1))
         engine = CoverageEngine(fits, x_test, y_test, exceed_delta=d_stab)
         c_j = engine.coverage(cv, alpha1, alpha2, d)
-        c_jp = engine.coverage(cvp, alpha1, alpha2, d)
+        # CV+ at delta and on the pair grid at 0: one pass of fold predictions
+        c_jp, *c_plus = engine.coverages(cvp, [(alpha1, alpha2, d)] + [(b1, b2, 0.0) for b1, b2 in pair_grid])
         # per-fold exceedance of the stability tolerance across test points
         exceed = engine.fold_exceedance()
         # equivalence-deficit event: CV at widened levels and inflated
         # distortion falls short of CV+ by eps somewhere on the pair grid
         worst = math.inf
-        for b1, b2 in pair_grid:
-            c_infl = engine.coverage(cv, b1 - eps, b2 + eps, d_stab)
-            c_plus = engine.coverage(cvp, b1, b2, 0.0)
-            worst = min(worst, c_infl - c_plus)
+        for (b1, b2), c in zip(pair_grid, c_plus):
+            worst = min(worst, engine.coverage(cv, b1 - eps, b2 + eps, d_stab) - c)
         return c_j, c_jp, worst <= -eps, exceed, d_stab
 
     results = indexed_map(one, train_reps, threads)

@@ -277,6 +277,25 @@ def test_kernel_matches_scalar_intervals_at_infinite_delta():
                 assert fast == per_point_coverage(fits, method, a1, a2, d, x_test, y_test), (method, d, a1, a2)
 
 
+def test_cv_plus_coverages_share_one_pass(monkeypatch):
+    # the equivalence check reads cv+ coverages at its delta and at 0: one
+    # pass of fold predictions per method serves every tolerance of a batch
+    fits, x_test, y_test = _ridge_case(13, 4)
+    rows = []
+    fold_predictions = fits.fold_predictions
+    monkeypatch.setattr(fits, "fold_predictions", lambda x: rows.append(len(x)) or fold_predictions(x))
+    engine = CoverageEngine(fits, x_test, y_test)
+    levels = [(a1, a2, d) for d in (0.25, 0.0, -0.25, -math.inf) for a1, a2 in DEFAULT_PAIR_GRID]
+    fast = {method: engine.coverages(method, levels) for method in CV_PLUS}
+    assert sum(rows) == 2 * y_test.size
+    assert [engine.coverage(CV_PLUS[0], *lv) for lv in levels] == fast[CV_PLUS[0]]
+    assert sum(rows) == 2 * y_test.size  # counted tolerances are not counted again
+    monkeypatch.undo()
+    for method in CV_PLUS:
+        for (a1, a2, d), cov in zip(levels, fast[method]):
+            assert cov == per_point_coverage(fits, method, a1, a2, d, x_test, y_test), (method, d, a1, a2)
+
+
 def test_cv_plus_kernel_memory_is_blocked():
     n, m = 200, 50_000
     train = GAUSS.sample(n, stream(17, 0))
