@@ -15,15 +15,7 @@ from .levy_gauge import (
     kolmogorov_distance,
     quantile_sandwich,
 )
-from .predictors import (
-    FoldFits,
-    FoldPartition,
-    PredictorSpec,
-    ResidualBundle,
-    fit,
-    fit_predict,
-    ridge_coefficients,
-)
+from .predictors import FoldFits, FoldPartition, PredictorSpec, fit, fit_predict, ridge_coefficients
 from .risk import loss_plugin_bounds, misclassification_estimate, mse_estimate
 from .simlab import (
     CoverageReport,

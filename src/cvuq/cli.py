@@ -27,7 +27,7 @@ from .ecdf import StepCdf
 from .errors import DataError, InvalidTolerance, MalformedInput, NumericError
 from .intervals import IntervalMethod, interval, shortest_interval
 from .levy_gauge import gauge
-from .predictors import FoldFits, PredictorSpec
+from .predictors import FoldFits, PredictorSpec, feature_row
 from .stability import resolve_partition
 
 SCHEMA = "1"
@@ -267,13 +267,14 @@ def _cmd_interval(args) -> dict:
     partition = resolve_partition(_fold_rule(args.k), train.n)
     xnew = np.asarray(_floats(args.xnew))
     method = IntervalMethod(args.method, symmetrized=args.symmetrized)
-    bundle = FoldFits(spec, train, partition).bundle_at(xnew, want_fitted=(args.method == "fitted_values"))
-    delta = simlab.resolve_delta(_delta(args.delta), bundle.loo_residuals)
+    fits = FoldFits(spec, train, partition)
+    feature_row(xnew, train.p)  # a wrong --xnew is a data error even when the delta is NaN
+    delta = simlab.resolve_delta(_delta(args.delta), fits.loo_residuals)
     if args.shortest:
-        a1, a2, piv = shortest_interval(method, bundle, args.alpha2 - args.alpha1, delta)
+        a1, a2, piv = shortest_interval(method, fits, xnew, args.alpha2 - args.alpha1, delta)
     else:
         a1, a2 = args.alpha1, args.alpha2
-        piv = interval(method, bundle, a1, a2, delta)
+        piv = interval(method, fits, xnew, a1, a2, delta)
     return {"alpha1": a1, "alpha2": a2, "delta": delta, **piv.as_jsonable()}
 
 

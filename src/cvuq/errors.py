@@ -43,12 +43,8 @@ class FoldLeavesNothing(DataError):
     """A fold covers the whole sample, leaving no rows to train on."""
 
 
-class MissingFittedValues(DataError):
-    """The requested interval needs in-sample fitted values."""
-
-
 class InvalidBundle(DataError):
-    """Residual bundle is inconsistent with the requested method."""
+    """The requested interval method is unknown."""
 
 
 class NonMonotoneLoss(DataError):

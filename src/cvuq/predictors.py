@@ -1,4 +1,4 @@
-"""Prediction algorithms and leave-fold-out residual machinery.
+"""Prediction algorithms and leave-fold-out fits.
 
 Built-in algorithm kinds
 ------------------------
@@ -21,7 +21,9 @@ ad-hoc algorithms.
 Leave-fold-out predictions come from :class:`FoldFits` alone: for ridge, one
 Cholesky factorization per fold size and a batched Woodbury update of every
 fold, guarded by ``WOODBURY_MIN_EIG``; closed forms for constant and the max
-kinds; one refit per fold for knn_mean, dirac_threshold and callables.
+kinds; one refit per fold for knn_mean, dirac_threshold and callables.  A
+FoldFits is the only input of the interval constructions in
+:mod:`cvuq.intervals`, which read from it what their method needs.
 """
 
 from __future__ import annotations
@@ -227,12 +229,19 @@ def fit(spec, train: TrainingSet):
     return FittedConstant(params["value"])
 
 
+def feature_row(xnew, p: int) -> np.ndarray:
+    """The feature vector ``xnew`` as a (1, p) row; DimensionMismatch unless
+    it has p entries."""
+    xnew = np.asarray(xnew, dtype=float)
+    if xnew.shape != (p,):
+        raise DimensionMismatch(f"xnew has shape {xnew.shape}, expected ({p},)")
+    return xnew.reshape(1, -1)
+
+
 def fit_predict(spec, train: TrainingSet, xnew) -> float:
     """One-shot prediction at a single feature vector."""
-    xnew = np.asarray(xnew, dtype=float)
-    if xnew.shape != (train.p,):
-        raise DimensionMismatch(f"xnew has shape {xnew.shape}, expected ({train.p},)")
-    return fit(spec, train).predict_one(xnew)
+    row = feature_row(xnew, train.p)
+    return float(fit(spec, train).predict(row)[0])
 
 
 @dataclass(frozen=True)
@@ -285,27 +294,6 @@ class FoldPartition:
         if not 2 <= k <= n:
             raise EmptyFold(f"cannot split {n} rows into {k} nonempty folds")
         return cls(tuple(np.array_split(np.arange(n), k)), n)
-
-
-@dataclass(frozen=True)
-class ResidualBundle:
-    """Everything the interval constructions consume for one test point.
-
-    ``loo_residuals[i]`` is y_i minus the prediction of the model fitted
-    without observation i's fold, evaluated at x_i.  ``y`` carries the
-    training responses so fitted-value atoms can be formed.
-    """
-
-    partition: FoldPartition
-    y: np.ndarray
-    loo_residuals: np.ndarray
-    fold_predictions_at_xnew: np.ndarray
-    full_prediction: float
-    fitted_values: np.ndarray | None = None
-
-    @property
-    def n(self) -> int:
-        return self.loo_residuals.shape[0]
 
 
 class FoldFits:
@@ -427,17 +415,3 @@ class FoldFits:
 
     def fitted_values(self) -> np.ndarray:
         return self.full_model.predict(self.train.x)
-
-    def bundle_at(self, xnew, want_fitted: bool = False) -> ResidualBundle:
-        xnew = np.asarray(xnew, dtype=float)
-        if xnew.shape != (self.train.p,):
-            raise DimensionMismatch(f"xnew has shape {xnew.shape}, expected ({self.train.p},)")
-        row = xnew.reshape(1, -1)
-        return ResidualBundle(
-            partition=self.partition,
-            y=self.train.y,
-            loo_residuals=self.loo_residuals,
-            fold_predictions_at_xnew=self.fold_predictions(row)[0],
-            full_prediction=float(self.full_model.predict(row)[0]),
-            fitted_values=self.fitted_values() if want_fitted else None,
-        )

@@ -4,13 +4,14 @@ interval length, and gauge convergence at desk scale.
 Coverage is evaluated with a fresh-test-point oracle: freeze the training
 set, draw test pairs, and count hits of the per-test-point interval; every
 hit equals that of :func:`cvuq.intervals.interval` exactly.  One
-:class:`CoverageEngine` serves one training set and one test set; it and
-``interval`` follow one quantile rule, :func:`cvuq.ecdf.quantiles`: Q_a is
-the first sorted atom whose cumulative fold weight reaches a.  The cv and
-fitted_values offsets are order statistics of the residuals, sorted once
-per engine.  The cv_plus atoms a_j = yhat^{(-fold(j))}(x) + u_j are
-counted, never sorted, one row block of fold predictions at a time: rounding
-keeps x -> fl(x -+ d) nondecreasing, so with Q_a the k(a)-th smallest atom
+:class:`CoverageEngine` serves one :class:`cvuq.predictors.FoldFits` and one
+test set; it and ``interval`` follow one quantile rule,
+:func:`cvuq.ecdf.quantiles`: Q_a is the first sorted atom whose cumulative
+fold weight reaches a.  The cv and fitted_values offsets are order
+statistics of the residuals, sorted once per engine.  The cv_plus atoms
+a_j = yhat^{(-fold(j))}(x) + u_j are counted, never sorted, one row block of
+fold predictions at a time: rounding keeps x -> fl(x -+ d) nondecreasing,
+so with Q_a the k(a)-th smallest atom
 
     y >= fl(Q_{a1} - d)  iff  #{j : fl(a_j - d) <= y} >= k(a1),
     y <= fl(Q_{a2} + d)  iff  #{j : fl(a_j + d) <  y} <  k(a2),
@@ -21,7 +22,9 @@ same quantile rule applied to the ranks 1..n.
 
 ``delta`` arguments accept a float, a string ``"iqr:FACTOR"`` (factor times
 the interquartile range of the leave-fold-out residuals), or a callable
-mapping the residual vector to a float.
+mapping the residual vector to a float; the tolerance it resolves to must be
+finite.  The standard errors of the trend probes follow
+:func:`cvuq.stability.se_of_mean`: inf from a single replication.
 """
 
 from __future__ import annotations
@@ -33,12 +36,12 @@ import numpy as np
 
 from .data import DgpSpec
 from .ecdf import LEVEL_GUARD, SortedAtoms, quantiles, uniform_ecdf, weighted_ecdf
-from .errors import InvalidTolerance, NumericError
-from .intervals import IntervalMethod, interval, interval_atoms, interval_ends
+from .errors import InvalidTolerance
+from .intervals import IntervalMethod, checked_delta, interval, interval_atoms, interval_ends
 from .levy_gauge import gauge
-from .predictors import FoldFits, ResidualBundle
+from .predictors import FoldFits
 from .rng import indexed_map, stream
-from .stability import equivalence_bound, resolve_partition
+from .stability import equivalence_bound, resolve_partition, se_of_mean
 
 # Test rows are processed in blocks of about this many cells (256 KiB of
 # float64), which keeps them in cache and bounds the kernel's memory.
@@ -63,8 +66,8 @@ def iqr_factor(rule: str) -> float:
 
 
 def resolve_delta(delta, residuals) -> float:
-    """The tolerance ``delta`` stands for; a NaN tolerance is a NumericError,
-    since every comparison with a NaN interval end is false."""
+    """The tolerance ``delta`` stands for, which must be finite (see
+    :func:`cvuq.intervals.checked_delta`)."""
     if callable(delta):
         d = float(delta(residuals))
     elif isinstance(delta, str):
@@ -73,9 +76,7 @@ def resolve_delta(delta, residuals) -> float:
         d = factor * float(q75 - q25)
     else:
         d = float(delta)
-    if math.isnan(d):
-        raise NumericError(f"delta {delta!r} resolves to NaN")
-    return d
+    return checked_delta(d, delta)
 
 
 class CoverageEngine:
@@ -119,20 +120,15 @@ class CoverageEngine:
         cv_plus, one pass counts every tolerance among them not yet counted."""
         ds = [resolve_delta(delta, self.u) for _, _, delta in levels]
         if method.base == "cv_plus":
-            self._count_atoms([d for d in ds if d != -math.inf], method.symmetrized)
+            self._count_atoms(ds, method.symmetrized)
         elif method not in self._offsets:  # the residual atoms, sorted once: they need no test point
-            fitted = self.fits.fitted_values() if method.base == "fitted_values" else None
-            bundle = ResidualBundle(self.partition, self.fits.train.y, self.u, fold_predictions_at_xnew=None,
-                                    full_prediction=math.nan, fitted_values=fitted)
-            self._offsets[method] = interval_atoms(method, bundle)
+            self._offsets[method] = interval_atoms(method, self.fits)
         return [self._coverage(method, a1, a2, d) for (a1, a2, _), d in zip(levels, ds)]
 
     def _coverage(self, method: IntervalMethod, alpha1: float, alpha2: float, d: float) -> float:
         if method.base != "cv_plus":
             lo, hi = interval_ends(method, self.full, self._offsets[method], alpha1, alpha2, d)
             return float(np.mean((self.y_test >= lo) & (self.y_test <= hi)))
-        if d == -math.inf:  # every lower end is +inf, or NaN at an infinite quantile
-            return 0.0
         le, lt = self._counts[d, method.symmetrized]
         return float(np.mean((le >= self._reach(alpha1)) & ~(lt >= self._reach(alpha2))))
 
@@ -296,10 +292,9 @@ def jk_vs_jkplus_gap(
     partition_rule="jackknife",
     eps: float = 0.05,
     stability_delta="iqr:0.1",
-    pair_grid=DEFAULT_PAIR_GRID,
     threads: int = 1,
 ) -> EquivalenceReport:
-    """Jackknife vs Jackknife+ (general CV vs CV+) on identical bundles."""
+    """Jackknife vs Jackknife+ (general CV vs CV+) on identical fold fits."""
     partition = resolve_partition(partition_rule, n)
     cv = IntervalMethod("cv")
     cvp = IntervalMethod("cv_plus")
@@ -313,13 +308,14 @@ def jk_vs_jkplus_gap(
         engine = CoverageEngine(fits, x_test, y_test, exceed_delta=d_stab)
         c_j = engine.coverage(cv, alpha1, alpha2, d)
         # CV+ at delta and on the pair grid at 0: one pass of fold predictions
-        c_jp, *c_plus = engine.coverages(cvp, [(alpha1, alpha2, d)] + [(b1, b2, 0.0) for b1, b2 in pair_grid])
+        grid = [(b1, b2, 0.0) for b1, b2 in DEFAULT_PAIR_GRID]
+        c_jp, *c_plus = engine.coverages(cvp, [(alpha1, alpha2, d)] + grid)
         # per-fold exceedance of the stability tolerance across test points
         exceed = engine.fold_exceedance()
         # equivalence-deficit event: CV at widened levels and inflated
         # distortion falls short of CV+ by eps somewhere on the pair grid
         worst = math.inf
-        for (b1, b2), c in zip(pair_grid, c_plus):
+        for (b1, b2), c in zip(DEFAULT_PAIR_GRID, c_plus):
             worst = min(worst, engine.coverage(cv, b1 - eps, b2 + eps, d_stab) - c)
         return c_j, c_jp, worst <= -eps, exceed, d_stab
 
@@ -378,8 +374,8 @@ def length_compare(
         _, xs = dgp.draw(1, stream(seed, r, 1))
         out = []
         for spec in specs:
-            bundle = FoldFits(spec, train, partition).bundle_at(xs[0])
-            out.append((interval(cv, bundle, a1, a2).length, interval(cvp, bundle, a1, a2).length))
+            fits = FoldFits(spec, train, partition)
+            out.append((interval(cv, fits, xs[0], a1, a2).length, interval(cvp, fits, xs[0], a1, a2).length))
         return out
 
     results = indexed_map(one, train_reps, threads)
@@ -405,7 +401,7 @@ def _trend(n_grid, train_reps: int, threads: int, rep_at) -> TrendReport:
     return TrendReport(
         n_grid=n_grid,
         mean=per_rep.mean(axis=1),
-        std_err=per_rep.std(axis=1, ddof=1) / math.sqrt(train_reps),
+        std_err=se_of_mean(per_rep, axis=1),
         per_rep=per_rep,
     )
 
@@ -480,21 +476,9 @@ def infinite_length_probe(
         def one(r: int) -> float:
             train = dgp.sample(n, stream(seed, r, 0))
             _, xs = dgp.draw(1, stream(seed, r, 1))
-            bundle = FoldFits(spec, train, partition).bundle_at(xs[0])
-            return interval(method, bundle, 0.0, nominal).length
+            return interval(method, FoldFits(spec, train, partition), xs[0], 0.0, nominal).length
 
         return one
 
     return _trend(n_grid, train_reps, threads, rep_at)
 
-
-def isotonic_trend_ok(values, std_errs, direction: str, sigmas: float = 3.0) -> bool:
-    """Monotone-trend check across a grid, slack of `sigmas` combined errors."""
-    values = np.asarray(values, dtype=float)
-    std_errs = np.asarray(std_errs, dtype=float)
-    sign = 1.0 if direction == "increasing" else -1.0
-    for i in range(values.size - 1):
-        slack = sigmas * math.hypot(std_errs[i], std_errs[i + 1])
-        if sign * (values[i + 1] - values[i]) < -slack:
-            return False
-    return True

@@ -52,16 +52,18 @@ def resolve_partition(rule, n: int) -> FoldPartition:
     raise InvalidTolerance(f"cannot interpret partition rule {rule!r}")
 
 
-def _mean_se(values: np.ndarray) -> McEstimate:
+def se_of_mean(values, axis: int = 0) -> np.ndarray:
+    """Standard error of the mean of ``values`` along ``axis``: the sample
+    standard deviation over sqrt(replications), or inf from fewer than two."""
     values = np.asarray(values, dtype=float)
-    se = float(np.std(values, ddof=1) / math.sqrt(values.size)) if values.size > 1 else math.inf
-    return McEstimate(float(np.mean(values)), se)
+    reps = values.shape[axis]
+    if reps < 2:
+        return np.full(np.delete(values.shape, axis), math.inf)
+    return values.std(axis=axis, ddof=1) / math.sqrt(reps)
 
 
-def _batch_se(per_batch: list[float]) -> float:
-    if len(per_batch) < 2:
-        return math.inf
-    return float(np.std(per_batch, ddof=1) / math.sqrt(len(per_batch)))
+def _mean_se(values) -> McEstimate:
+    return McEstimate(float(np.mean(values)), float(se_of_mean(values)))
 
 
 def _draw_train_and_x(dgp: DgpSpec, n: int, rng) -> tuple[TrainingSet, np.ndarray]:
@@ -90,15 +92,14 @@ def oos_stability_profile(
     def one(r: int):
         rng = stream(seed, r)
         train, xnew = _draw_train_and_x(dgp, n, rng)
-        bundle = FoldFits(spec, train, partition).bundle_at(xnew)
-        d = np.abs(bundle.full_prediction - bundle.fold_predictions_at_xnew)
+        fits = FoldFits(spec, train, partition)
+        d = np.abs(fits.full_model.predict_one(xnew) - fits.fold_predictions(xnew[None])[0])
         return np.mean(d[None, :] >= eps_grid[:, None], axis=1), float(np.mean(d))
 
     results = indexed_map(one, reps, threads)
     exceed = np.stack([r[0] for r in results])  # (reps, n_eps)
     mean_abs = np.array([r[1] for r in results])
-    se = exceed.std(axis=0, ddof=1) / math.sqrt(reps) if reps > 1 else np.full(eps_grid.size, math.inf)
-    return StabilityProfile(eps_grid, exceed.mean(axis=0), se, _mean_se(mean_abs), reps)
+    return StabilityProfile(eps_grid, exceed.mean(axis=0), se_of_mean(exceed), _mean_se(mean_abs), reps)
 
 
 def m_stability(spec, dgp: DgpSpec, n: int, m: int, reps: int, seed: int, threads: int = 1) -> McEstimate:
@@ -197,7 +198,7 @@ def variance_gap(spec, dgp: DgpSpec, n: int, reps: int, seed: int, threads: int 
         return (m2 - m1**2) - (l2 - l1**2)
 
     batches = np.array_split(cols, min(25, max(2, reps // 50)))
-    return McEstimate(gap_of(cols), _batch_se([gap_of(b) for b in batches if b.shape[0] > 1]))
+    return McEstimate(gap_of(cols), float(se_of_mean([gap_of(b) for b in batches if b.shape[0] > 1])))
 
 
 def update_drift(

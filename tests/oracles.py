@@ -177,24 +177,26 @@ def lstsq_refit_leave_fold_out(lam, train, partition, X) -> tuple[np.ndarray, np
     return resid, np.column_stack(cols)
 
 
-def stepcdf_interval(method, bundle, alpha1, alpha2, delta=0.0) -> PredInterval:
+def stepcdf_interval(method, fits, xnew, alpha1, alpha2, delta=0.0) -> PredInterval:
     """:func:`cvuq.intervals.interval` read off a validated :class:`StepCdf`:
     the fold ecdf of per-fold atom lists (the uniform ecdf for fitted values)
     and :func:`cvuq.ecdf.quantile` on its merged jumps."""
-    part = bundle.partition
+    part = fits.partition
+    row = np.asarray(xnew, dtype=float).reshape(1, -1)
+    full = float(fits.full_model.predict(row)[0])
     if method.base == "fitted_values":
-        res, ecdf = bundle.y - bundle.fitted_values, uniform_ecdf
+        res, ecdf = fits.train.y - fits.fitted_values(), uniform_ecdf
     else:
-        res, ecdf = bundle.loo_residuals, lambda values: fold_ecdf([values[f] for f in part.folds])
+        res, ecdf = fits.loo_residuals, lambda values: fold_ecdf([values[f] for f in part.folds])
     if method.symmetrized:
         res = np.abs(res)
     if method.symmetrized and method.base != "cv_plus":
         radius = quantile(ecdf(res), alpha2 - alpha1) + delta
-        return PredInterval(bundle.full_prediction - radius, bundle.full_prediction + radius)
+        return PredInterval(full - radius, full + radius)
     if method.base == "cv_plus":
-        F = ecdf(bundle.fold_predictions_at_xnew[part.fold_of] + res)
+        F = ecdf(fits.fold_predictions(row)[0][part.fold_of] + res)
     else:
-        F = ecdf(bundle.full_prediction + res)
+        F = ecdf(full + res)
     return PredInterval(quantile(F, alpha1) - delta, quantile(F, alpha2) + delta)
 
 
@@ -202,8 +204,7 @@ def per_point_coverage(fits, method, alpha1, alpha2, delta, x_test, y_test) -> f
     """Coverage from one :func:`stepcdf_interval` per test point."""
     hits = 0
     for y, x in zip(y_test, x_test):
-        bundle = fits.bundle_at(x, want_fitted=True)
-        hits += stepcdf_interval(method, bundle, alpha1, alpha2, delta).contains(y)
+        hits += stepcdf_interval(method, fits, x, alpha1, alpha2, delta).contains(y)
     return hits / y_test.size
 
 
@@ -238,3 +239,15 @@ def dense_fold_exceedance(fits, x_test, delta) -> np.ndarray:
     from the whole (m, k) difference matrix."""
     full = fits.full_model.predict(x_test)
     return (np.abs(full[:, None] - fits.fold_predictions(x_test)) > delta).mean(axis=0)
+
+
+def isotonic_trend_ok(values, std_errs, direction: str, sigmas: float = 3.0) -> bool:
+    """Monotone-trend check across a grid, slack of `sigmas` combined errors."""
+    values = np.asarray(values, dtype=float)
+    std_errs = np.asarray(std_errs, dtype=float)
+    sign = 1.0 if direction == "increasing" else -1.0
+    for i in range(values.size - 1):
+        slack = sigmas * math.hypot(std_errs[i], std_errs[i + 1])
+        if sign * (values[i + 1] - values[i]) < -slack:
+            return False
+    return True

@@ -42,7 +42,6 @@ from cvuq.simlab import (
     constant_family,
     coverage_distribution,
     infinite_length_probe,
-    isotonic_trend_ok,
     jk_vs_jkplus_gap,
     length_compare,
     sqrt_n_family,
@@ -51,6 +50,7 @@ from cvuq.stability import m_stability, variance_gap
 from oracles import (
     feasible_levy,
     grid_gauge,
+    isotonic_trend_ok,
     jackknife_formula,
     random_step_cdf,
     sandwich_holds,
@@ -221,11 +221,11 @@ def test_criterion_06_jackknife_is_singleton_cv():
     for _ in range(100):
         n = int(rng.integers(3, 50))
         train = TrainingSet(rng.normal(size=n), rng.normal(size=(n, 2)))
-        bundle = FoldFits(ridge(0.5), train, FoldPartition.singletons(n)).bundle_at(rng.normal(size=2))
+        fits, xnew = FoldFits(ridge(0.5), train, FoldPartition.singletons(n)), rng.normal(size=2)
         a1, a2 = sorted(rng.uniform(0, 1, size=2))
         delta = float(rng.normal(scale=0.3))
-        got = interval(IntervalMethod("cv"), bundle, a1, a2, delta)
-        want = jackknife_formula(bundle.loo_residuals, bundle.full_prediction, a1, a2, delta)
+        got = interval(IntervalMethod("cv"), fits, xnew, a1, a2, delta)
+        want = jackknife_formula(fits.loo_residuals, fits.full_model.predict_one(xnew), a1, a2, delta)
         if got.lo != want.lo or got.hi != want.hi:
             mismatches += 1
     report(6, mismatches == 0, f"singleton-fold CV equals Jackknife formula atom-for-atom, {mismatches}/100 mismatches")
@@ -376,16 +376,16 @@ def test_criterion_13_risk_estimators():
     sigma = 0.8
     dgp = DgpSpec("gaussian_linear", {"beta": beta.tolist(), "sigma": sigma})
     train = dgp.sample(10_000, stream(20260813, 0))
-    bundle = FoldFits(constant(0.0), train, FoldPartition.singletons(train.n)).bundle_at(np.zeros(2))
+    fits = FoldFits(constant(0.0), train, FoldPartition.singletons(train.n))
     target = sigma**2 + float(beta @ beta)
-    got_mse = mse_estimate(bundle.loo_residuals)
+    got_mse = mse_estimate(fits.loo_residuals)
     ok_mse = abs(got_mse - target) <= 0.05 * target
 
     # misclassification of the always-class-1 predictor on two balanced classes
     cls = DgpSpec("classification_grid", {"p": 1, "class_count": 2})
     ctrain = cls.sample(5000, stream(20260813, 1))
-    cbundle = FoldFits(constant(1.0), ctrain, FoldPartition.contiguous(ctrain.n, 10)).bundle_at(np.zeros(1))
-    got_rate = misclassification_estimate(cbundle.loo_residuals)
+    cfits = FoldFits(constant(1.0), ctrain, FoldPartition.contiguous(ctrain.n, 10))
+    got_rate = misclassification_estimate(cfits.loo_residuals)
     ok_cls = abs(got_rate - 0.5) <= 0.05
 
     # plug-in bounds bracket the MC conditional risk in >= 95% of reps

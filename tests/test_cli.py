@@ -264,15 +264,17 @@ def test_counts_below_one_exit_2(capsys, workdir, flags):
     assert strict_json(capsys.readouterr().out)["error"] == "usage"
 
 
-@pytest.mark.parametrize("mode", ["profile", "vargap"])
+@pytest.mark.parametrize("mode", ["profile", "vargap", "gauge", "problen"])
 def test_single_rep_std_err_is_inf_string(capsys, workdir, mode):
-    code = main([
-        "stability", mode, "--dgp", str(workdir / "dgp.json"),
-        "--predictor", str(workdir / "ridge.json"), "--n", "10", "--reps", "1",
-    ])
+    data = ["--dgp", str(workdir / "dgp.json"), "--predictor", str(workdir / "ridge.json")]
+    if mode in ("gauge", "problen"):
+        code = main(["sim", mode, *data, "--n-grid", "5,8", "--train-reps", "1", "--mc-oracle", "20"])
+    else:
+        code = main(["stability", mode, *data, "--n", "10", "--reps", "1"])
     assert code == 0
     payload = strict_json(capsys.readouterr().out)
-    std_err = payload["exceed_std_err"] if mode == "profile" else [payload["std_err"]]
+    std_err = payload["exceed_std_err"] if mode == "profile" else payload["std_err"]
+    std_err = std_err if isinstance(std_err, list) else [std_err]
     assert std_err and all(v == "inf" for v in std_err)
 
 
@@ -283,6 +285,15 @@ def test_nan_result_exits_4(capsys, workdir):
     ])
     assert code == 4
     assert strict_json(capsys.readouterr().out)["error"] == "NumericError"
+
+
+def test_wrong_xnew_length_exits_3_before_a_nan_delta(capsys, workdir):
+    code = main([
+        "interval", "--data", str(workdir / "d.csv"), "--predictor", str(workdir / "ridge.json"),
+        "--alpha1", "0.1", "--alpha2", "0.9", "--xnew", "1.0,2.0", "--delta", "nan",
+    ])
+    assert code == 3
+    assert strict_json(capsys.readouterr().out)["error"] == "DimensionMismatch"
 
 
 @pytest.mark.parametrize(
@@ -297,6 +308,9 @@ def test_nan_result_exits_4(capsys, workdir):
         pytest.param(["sim", "equiv"], ["--delta", "iqr:"], 2, id="sim-equiv-delta-iqr"),
         pytest.param(["sim", "equiv"], ["--stab-delta", "iqr:-inf"], 2, id="sim-equiv-stab-delta-iqr_-inf"),
         pytest.param(["gauge"], ["--delta", "-1"], 3, id="gauge-delta-minus1"),
+        pytest.param(["interval"], ["--alpha1", "0", "--delta=-inf"], 3, id="interval-delta-minus-inf"),
+        pytest.param(["interval"], ["--delta", "inf"], 3, id="interval-delta-inf"),
+        pytest.param(["sim", "coverage"], ["--method", "cv_plus", "--delta=-inf"], 3, id="sim-coverage-delta-minus-inf"),
         pytest.param(["sim", "coverage"], ["--delta", "nan"], 4, id="sim-coverage-delta-nan"),
         pytest.param(["sim", "equiv"], ["--delta", "nan"], 4, id="sim-equiv-delta-nan"),
         pytest.param(["sim", "equiv"], ["--eps", "nan"], 2, id="sim-equiv-eps-nan"),
@@ -415,6 +429,10 @@ def fuzz_files(tmp_path_factory):
                "--train-reps", "2", "--mc-test", "20", "--eps", "nan"])
 @example(argv=["sim", "problen", "--dgp", "{dgp}", "--predictor", "{pred}", "--n-grid", "10",
                "--train-reps", "2", "--nominal", "nan"])
+@example(argv=["sim", "gauge", "--dgp", "{dgp}", "--predictor", "{pred}", "--n-grid", "5,8",
+               "--train-reps", "1", "--mc-oracle", "20"])
+@example(argv=["interval", "--data", "{data}", "--predictor", "{pred}", "--alpha1", "0", "--alpha2", "0.9",
+               "--xnew", "1.0", "--delta=-inf"])
 @given(argv=fuzz_argv())
 def test_fuzzed_argv_exits_with_strict_json(fuzz_files, argv):
     argv = [token.format(**fuzz_files) for token in argv]

@@ -170,32 +170,32 @@ def test_partition_validation():
 def test_constant_bundle():
     train = toy_train([1.0, 5.0, 3.0])
     part = FoldPartition.singletons(3)
-    bundle = FoldFits(constant(2.0), train, part).bundle_at([0.0])
-    np.testing.assert_array_equal(bundle.loo_residuals, train.y - 2.0)
-    np.testing.assert_array_equal(bundle.fold_predictions_at_xnew, np.full(3, 2.0))
-    assert bundle.full_prediction == 2.0
+    fits = FoldFits(constant(2.0), train, part)
+    np.testing.assert_array_equal(fits.loo_residuals, train.y - 2.0)
+    np.testing.assert_array_equal(fits.fold_predictions(np.zeros((1, 1)))[0], np.full(3, 2.0))
+    assert fits.full_model.predict_one([0.0]) == 2.0
 
 
 def test_max_response_loo_residuals_by_hand():
     train = toy_train([1.0, 5.0, 3.0])
     part = FoldPartition.singletons(3)
-    bundle = FoldFits(max_response(), train, part).bundle_at([0.0])
+    fits = FoldFits(max_response(), train, part)
     # leave-one-out maxima: without y1 -> 5, without y2 -> 3, without y3 -> 5
-    np.testing.assert_array_equal(bundle.loo_residuals, [1.0 - 5.0, 5.0 - 3.0, 3.0 - 5.0])
-    assert bundle.full_prediction == 5.0
+    np.testing.assert_array_equal(fits.loo_residuals, [1.0 - 5.0, 5.0 - 3.0, 3.0 - 5.0])
+    assert fits.full_model.predict_one([0.0]) == 5.0
 
 
 def test_loo_residual_definition_holds():
     rng = np.random.default_rng(5)
     train = TrainingSet(rng.normal(size=12), rng.normal(size=(12, 2)))
     part = FoldPartition.contiguous(12, 4)
-    bundle = FoldFits(ridge(0.5), train, part).bundle_at(np.zeros(2))
+    fits = FoldFits(ridge(0.5), train, part)
     keep_all = np.arange(12)
     for j, f in enumerate(part.folds):
         sub = train.subset(np.delete(keep_all, f))
         for i in f:
             pred = fit_predict(ridge(0.5), sub, train.x[i])
-            assert bundle.loo_residuals[i] == pytest.approx(train.y[i] - pred, abs=1e-10)
+            assert fits.loo_residuals[i] == pytest.approx(train.y[i] - pred, abs=1e-10)
 
 
 def test_ridge_fast_path_matches_naive():
@@ -203,11 +203,11 @@ def test_ridge_fast_path_matches_naive():
     train = dgp.sample(50, stream(21))
     part = FoldPartition.contiguous(50, 10)
     xnew = np.zeros(5)
-    fast = FoldFits(ridge(0.3), train, part).bundle_at(xnew)
+    fast = FoldFits(ridge(0.3), train, part)
     resid, preds = refit_leave_fold_out(ridge(0.3), train, part, xnew.reshape(1, -1))
     scale = max(1.0, np.max(np.abs(resid)))
     assert np.max(np.abs(fast.loo_residuals - resid)) <= 1e-8 * scale
-    assert np.max(np.abs(fast.fold_predictions_at_xnew - preds[0])) <= 1e-8
+    assert np.max(np.abs(fast.fold_predictions(xnew.reshape(1, -1))[0] - preds[0])) <= 1e-8
 
 
 def _assert_close(got, want, rtol=1e-8):
@@ -405,8 +405,8 @@ def test_dirac_threshold_counterexample_pattern():
 def test_fitted_values_from_full_fit():
     train = toy_train([1.0, 5.0, 3.0])
     part = FoldPartition.singletons(3)
-    bundle = FoldFits(max_response(), train, part).bundle_at([0.0], want_fitted=True)
-    np.testing.assert_array_equal(bundle.fitted_values, np.full(3, 5.0))
+    fits = FoldFits(max_response(), train, part)
+    np.testing.assert_array_equal(fits.fitted_values(), np.full(3, 5.0))
 
 
 def test_callable_predictor_accepted():
@@ -414,9 +414,9 @@ def test_callable_predictor_accepted():
     mean_fn = lambda x, t: float(np.mean(t.y))
     assert fit_predict(mean_fn, train, [0.0]) == 2.0
     part = FoldPartition.singletons(3)
-    bundle = FoldFits(mean_fn, train, part).bundle_at([0.0])
-    assert bundle.full_prediction == 2.0
-    np.testing.assert_allclose(bundle.loo_residuals, [1 - 2.5, 2 - 2.0, 3 - 1.5])
+    fits = FoldFits(mean_fn, train, part)
+    assert fits.full_model.predict_one([0.0]) == 2.0
+    np.testing.assert_allclose(fits.loo_residuals, [1 - 2.5, 2 - 2.0, 3 - 1.5])
 
 
 def test_spec_json_round_trip():

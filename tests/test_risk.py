@@ -63,9 +63,9 @@ def test_mse_matches_population_for_zero_predictor():
     sigma = 0.8
     train = sample_gaussian_linear(10_000, 2, beta, sigma, seed=3)
     part = FoldPartition.singletons(train.n)
-    bundle = FoldFits(constant(0.0), train, part).bundle_at(np.zeros(2))
+    fits = FoldFits(constant(0.0), train, part)
     target = sigma**2 + float(beta @ beta)
-    assert mse_estimate(bundle.loo_residuals) == pytest.approx(target, rel=0.05)
+    assert mse_estimate(fits.loo_residuals) == pytest.approx(target, rel=0.05)
 
 
 def test_mse_is_plugin_midpoint_limit():
@@ -89,8 +89,7 @@ def test_misclassification_basics():
 def test_constant_classifier_balanced_classes():
     train = sample_classification(5000, 1, 2, seed=9)
     part = FoldPartition.contiguous(train.n, 10)
-    bundle = FoldFits(constant(1.0), train, part).bundle_at(np.zeros(1))
-    rate = misclassification_estimate(bundle.loo_residuals)
+    rate = misclassification_estimate(FoldFits(constant(1.0), train, part).loo_residuals)
     assert rate == pytest.approx(0.5, abs=0.05)
 
 
@@ -106,7 +105,7 @@ def test_mse_estimate_gap_shrinks_with_n():
     from cvuq.data import DgpSpec
     from cvuq.predictors import FoldFits, FoldPartition, ridge
     from cvuq.rng import stream
-    from cvuq.simlab import isotonic_trend_ok
+    from oracles import isotonic_trend_ok
 
     dgp = DgpSpec("gaussian_linear", {"beta": [1.0, -0.5], "sigma": 1.0})
     spec = ridge(0.5)
