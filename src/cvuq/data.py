@@ -12,6 +12,11 @@ Every DGP draws exactly ``p + 1`` standard normals per row, in row order, and
 transforms them deterministically.  Hence the first ``m`` rows drawn from a
 stream equal an ``m``-row draw from a fresh stream with the same key, which
 gives nested common random numbers across sample sizes.
+
+``scipy`` is loaded only on the first ``student_linear``,
+``classification_grid`` or ``custom_table`` draw, the kinds that need the
+normal cdf or the Student-t quantile; ``import cvuq`` and the other kinds
+load no scipy module.
 """
 
 from __future__ import annotations
@@ -25,7 +30,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.special import ndtr, stdtrit
 
 from .errors import DimensionMismatch, MalformedInput, TooFewRows
 from .rng import stream
@@ -158,9 +162,17 @@ def save_dataset(train: TrainingSet, path, format: str = "csv") -> None:
         raise MalformedInput(f"unknown format {format!r}")
 
 
+def _special():
+    """``scipy.special``, imported on first use: the import takes longer than
+    the rest of ``import cvuq`` and only three DGP kinds need it."""
+    import scipy.special
+
+    return scipy.special
+
+
 def _student_t_quantile(q: np.ndarray, dof: float) -> np.ndarray:
     """Student-t quantile function; stdtrit maps q = 0 to +inf, not -inf."""
-    t = stdtrit(dof, q)
+    t = _special().stdtrit(dof, q)
     t[q == 0.0] = -math.inf
     return t
 
@@ -263,14 +275,14 @@ class DgpSpec:
             beta = np.asarray(self.params["beta"], dtype=float)
             sigma = float(self.params.get("sigma", 1.0))
             dof = float(self.params["dof"])
-            y = x @ beta + sigma * _student_t_quantile(ndtr(z), dof)
+            y = x @ beta + sigma * _student_t_quantile(_special().ndtr(z), dof)
         elif self.kind == "classification_grid":
             K = int(self.params["class_count"])
-            y = 1.0 + np.floor(K * ndtr(x[:, 0])) % K
+            y = 1.0 + np.floor(K * _special().ndtr(x[:, 0])) % K
         elif self.kind == "custom_table":
             ty = np.asarray(self.params["table_y"], dtype=float)
             tx = np.asarray(self.params["table_x"], dtype=float)
-            idx = np.minimum((ndtr(z) * ty.size).astype(int), ty.size - 1)
+            idx = np.minimum((_special().ndtr(z) * ty.size).astype(int), ty.size - 1)
             y = ty[idx]
             x = tx[idx]
         else:  # dirac_first_coord

@@ -210,9 +210,13 @@ def conditional_coverage(
 
 @dataclass(frozen=True)
 class CoverageReport:
+    """Conditional coverages over training sets; ``std_err`` is the standard
+    error of their mean (:func:`cvuq.stability.se_of_mean`)."""
+
     nominal: float
     conditional_cov: np.ndarray
     mean: float
+    std_err: float
     q05: float
     q50: float
     q95: float
@@ -249,6 +253,7 @@ def coverage_distribution(
         nominal=alpha2 - alpha1,
         conditional_cov=cov,
         mean=float(cov.mean()),
+        std_err=float(se_of_mean(cov)),
         q05=float(q05),
         q50=float(q50),
         q95=float(q95),
@@ -273,6 +278,11 @@ class EquivalenceReport:
     stability_delta: float
     eps: float
     fold_exceed: np.ndarray
+
+    @property
+    def vacuous(self) -> bool:
+        """True when the bound is at least 1, so it constrains nothing."""
+        return self.bound >= 1.0
 
 
 # (alpha1, alpha2) pairs over which the equivalence event takes its infimum

@@ -296,6 +296,7 @@ def test_criterion_09_equivalence():
         details.append(
             f"p={p}: q95 |cov_J - cov_J+| = {rep.q95_gap:.4f}, "
             f"event freq {rep.event_freq:.3f} <= bound {rep.bound:.3f}"
+            + (" (vacuous)" if rep.vacuous else "")
         )
     report(9, ok, "; ".join(details))
 

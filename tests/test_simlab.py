@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -76,8 +77,7 @@ def test_coverage_matches_exchangeability_oracle_small_n():
     )
     k1, k2 = math.ceil(a1 * n), math.ceil(a2 * n)
     expect = (k2 - k1) / (n + 1)
-    se = rep.conditional_cov.std(ddof=1) / math.sqrt(rep.reps)
-    assert abs(rep.mean - expect) <= 3 * se + 1 / 300
+    assert abs(rep.mean - expect) <= 3 * rep.std_err + 1 / 300
     assert rep.q05 <= rep.q50 <= rep.q95
 
 
@@ -99,6 +99,27 @@ def test_jk_vs_jkplus_event_frequency_below_bound():
     )
     assert rep.event_freq <= rep.bound + 3 * rep.event_std_err + 1e-12
     assert rep.q95_gap <= rep.sup_gap
+
+
+def test_coverage_report_std_err_is_se_of_the_mean():
+    kwargs = dict(alpha1=0.05, alpha2=0.95, delta=0.0, mc_test=200, seed=8)
+    rep = coverage_distribution(ridge(0.5), GAUSS, 15, IntervalMethod("cv"), train_reps=6, **kwargs)
+    assert rep.std_err == rep.conditional_cov.std(ddof=1) / math.sqrt(6)
+    assert 0 < rep.std_err < math.inf
+    single = coverage_distribution(ridge(0.5), GAUSS, 15, IntervalMethod("cv"), train_reps=1, **kwargs)
+    assert single.std_err == math.inf
+    assert single.mean == single.conditional_cov[0]
+
+
+def test_equivalence_report_flags_a_vacuous_bound():
+    kwargs = dict(alpha1=0.05, alpha2=0.95, delta=0.0, train_reps=3, mc_test=100, seed=9)
+    tight = jk_vs_jkplus_gap(constant(1.0), GAUSS, 15, **kwargs)
+    assert tight.bound == 0.0 and not tight.vacuous
+    # every ridge fold prediction moves by more than 0, so the bound is 1 / eps^2
+    loose = jk_vs_jkplus_gap(ridge(0.5), GAUSS, 15, stability_delta=0.0, **kwargs)
+    assert loose.bound > 1.0 and loose.vacuous
+    assert dataclasses.replace(tight, bound=1.0).vacuous
+    assert not dataclasses.replace(tight, bound=math.nextafter(1.0, 0.0)).vacuous
 
 
 def test_length_compare_dominance():
