@@ -11,7 +11,10 @@ Sampling contract
 Every DGP draws exactly ``p + 1`` standard normals per row, in row order, and
 transforms them deterministically.  Hence the first ``m`` rows drawn from a
 stream equal an ``m``-row draw from a fresh stream with the same key, which
-gives nested common random numbers across sample sizes.
+gives nested common random numbers across sample sizes.  A draw's x is a
+view of its (n, p + 1) block of normals (for ``custom_table``, rows of the
+table), not a copy, so a test set costs its size once; :class:`TrainingSet`
+keeps its own contiguous, read-only copy.
 
 ``scipy`` is loaded only on the first ``student_linear``,
 ``classification_grid`` or ``custom_table`` draw, the kinds that need the
@@ -262,10 +265,11 @@ class DgpSpec:
         return int(self.params.get("p", 1))
 
     def draw(self, n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-        """Draw n rows (y, x); consumes (p + 1) normals per row in row order."""
+        """Draw n rows (y, x); consumes (p + 1) normals per row in row order.
+        Except for ``custom_table``, x is a view of the (n, p + 1) block."""
         p = self.p
         block = rng.standard_normal((n, p + 1))
-        x = block[:, :p].copy()
+        x = block[:, :p]  # a strided view: the draw costs one block, not two
         z = block[:, p]
         if self.kind == "gaussian_linear":
             beta = np.asarray(self.params["beta"], dtype=float)

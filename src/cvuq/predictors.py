@@ -20,8 +20,8 @@ ad-hoc algorithms.
 
 Leave-fold-out predictions come from :class:`FoldFits` alone: for ridge, one
 Cholesky factorization per fold size and a batched Woodbury update of every
-fold, guarded by ``WOODBURY_MIN_EIG``; closed forms for constant and the max
-kinds; one refit per fold for knn_mean, dirac_threshold and callables.  A
+fold, guarded by ``WOODBURY_MIN_EIG``; closed forms for constant, the max
+kinds and dirac_threshold; one refit per fold for knn_mean and callables.  A
 FoldFits is the only input of the interval constructions in
 :mod:`cvuq.intervals`, which read from it what their method needs.
 """
@@ -206,6 +206,13 @@ class FittedCallable(_Fitted):
         return np.array([self.fn(row, self.train) for row in X], dtype=float)
 
 
+def _dirac_threshold(params: dict, train_size: int) -> float:
+    """The threshold of a dirac_threshold fit on ``train_size`` rows."""
+    if params.get("threshold_uses_train_size", True):
+        return float(train_size)
+    return float(params.get("threshold", 0.0))
+
+
 def fit(spec, train: TrainingSet):
     """Fit ``spec`` on ``train`` and return a model with ``predict``/``predict_one``."""
     if callable(spec) and not isinstance(spec, PredictorSpec):
@@ -221,11 +228,7 @@ def fit(spec, train: TrainingSet):
     if kind == "neg_max_response":
         return FittedConstant(-train.y.max())
     if kind == "dirac_threshold":
-        if params.get("threshold_uses_train_size", True):
-            threshold = float(train.n)
-        else:
-            threshold = float(params.get("threshold", 0.0))
-        return FittedDirac(params["level"], threshold)
+        return FittedDirac(params["level"], _dirac_threshold(params, train.n))
     return FittedConstant(params["value"])
 
 
@@ -313,7 +316,9 @@ class FoldFits:
       fails the pivot check; a refit raises ``DegenerateFit`` as a direct
       fit would.  ``fallback_folds`` lists them.
     * constant, max_response, neg_max_response: O(n) closed forms.
-    * knn_mean, dirac_threshold and callables: one refit per fold.
+    * dirac_threshold: fold j predicts level * 1{x1 < t_j}, with t_j the
+      size n - |K_j| of its training rows or the fixed threshold.
+    * knn_mean and callables: one refit per fold.
     """
 
     def __init__(self, spec, train: TrainingSet, partition: FoldPartition):
@@ -323,7 +328,7 @@ class FoldFits:
         self.train = train
         self.partition = partition
         kind = spec.kind if isinstance(spec, PredictorSpec) else None
-        self._coef = self._values = None
+        self._coef = self._values = self._thresholds = None
         self._fallback = ()
         if kind == "ridge":
             self.full_model, self._coef, self._fallback = self._ridge_fits()
@@ -333,6 +338,9 @@ class FoldFits:
         if kind in ("constant", "max_response", "neg_max_response"):
             self._values = self._complement_values(kind)
             self.loo_residuals = train.y - self._values[partition.fold_of]
+        elif kind == "dirac_threshold":
+            self._thresholds = np.array([_dirac_threshold(spec.params, train.n - f.size) for f in partition.folds])
+            self.loo_residuals = train.y - self.full_model.level * (train.x[:, 0] < self._thresholds[partition.fold_of])
         else:
             self._models = [self._refit(f) for f in partition.folds]
             self.loo_residuals = np.empty(train.n)
@@ -406,12 +414,17 @@ class FoldFits:
         return values if kind == "max_response" else -values
 
     def fold_predictions(self, X: np.ndarray) -> np.ndarray:
-        """(m, k) matrix of per-fold predictions at the rows of X."""
+        """(m, k) matrix of per-fold predictions at the rows of X, in
+        Fortran order: its transpose is a C-contiguous (k, m) block."""
         if self._coef is not None:
-            return X @ self._coef
-        if self._values is not None:
-            return self._values[None, :].repeat(X.shape[0], axis=0)
-        return np.column_stack([m.predict(X) for m in self._models])
+            P = self._coef.T @ X.T
+        elif self._values is not None:
+            P = self._values[:, None].repeat(X.shape[0], axis=1)
+        elif self._thresholds is not None:
+            P = self.full_model.level * (X[:, 0] < self._thresholds[:, None])
+        else:
+            P = np.stack([m.predict(X) for m in self._models])
+        return P.T
 
     def fitted_values(self) -> np.ndarray:
         return self.full_model.predict(self.train.x)

@@ -2,16 +2,22 @@
 interval length, and gauge convergence at desk scale.
 
 Coverage is evaluated with a fresh-test-point oracle: freeze the training
-set, draw test pairs, and count hits of the per-test-point interval; every
-hit equals that of :func:`cvuq.intervals.interval` exactly.  One
+set, draw test pairs, and count hits of the per-test-point interval.  Given
+the same predictions, every hit equals that of
+:func:`cvuq.intervals.interval` exactly.  The predictions themselves are
+matrix products over a block of test rows, which can round differently in
+the last bits from a product over one row or over a block of another size
+(ridge at n = 200 differs in up to about 1e-14), so a hit can differ from
+``interval``'s when y lies within a few ulps of an interval end.  One
 :class:`CoverageEngine` serves one :class:`cvuq.predictors.FoldFits` and one
 test set; it and ``interval`` follow one quantile rule,
 :func:`cvuq.ecdf.quantiles`: Q_a is the first sorted atom whose cumulative
 fold weight reaches a.  The cv and fitted_values offsets are order
 statistics of the residuals, sorted once per engine.  The cv_plus atoms
-a_j = yhat^{(-fold(j))}(x) + u_j are counted, never sorted, one row block of
-fold predictions at a time: rounding keeps x -> fl(x -+ d) nondecreasing,
-so with Q_a the k(a)-th smallest atom
+a_j = yhat^{(-fold(j))}(x) + u_j are counted, never sorted, one C-contiguous
+(n, rows) block at a time, so every comparison with the test responses runs
+along contiguous memory: rounding keeps x -> fl(x -+ d) nondecreasing, so
+with Q_a the k(a)-th smallest atom
 
     y >= fl(Q_{a1} - d)  iff  #{j : fl(a_j - d) <= y} >= k(a1),
     y <= fl(Q_{a2} + d)  iff  #{j : fl(a_j + d) <  y} <  k(a2),
@@ -43,14 +49,11 @@ from .predictors import FoldFits
 from .rng import indexed_map, stream
 from .stability import equivalence_bound, resolve_partition, se_of_mean
 
-# Test rows are processed in blocks of about this many cells (256 KiB of
-# float64), which keeps them in cache and bounds the kernel's memory.
-BLOCK_ATOMS = 1 << 15
-
-
-def _row_blocks(m: int, width: int):
-    step = max(1, BLOCK_ATOMS // width)
-    return (slice(s, s + step) for s in range(0, m, step))
+# Test rows are processed in blocks of about this many cells, (k or n) x
+# rows: 1 MiB of float64 per scratch block, which bounds a pass's memory.  At
+# n = 200, p = 50 blocks of 64k to 262k cells ran within noise of each other
+# on a 2-core Xeon with 2 MiB of L2 per core; 32k and 400k or more were slower.
+BLOCK_ATOMS = 1 << 17
 
 
 def iqr_factor(rule: str) -> float:
@@ -81,8 +84,10 @@ def resolve_delta(delta, residuals) -> float:
 
 class CoverageEngine:
     """Vectorized per-test-point interval coverage for one training set and
-    one set of test pairs.  Per cv_plus key (d, absolute) one pass over row
-    blocks of fold predictions gives each row the counts
+    one set of test pairs, which it does not copy (a strided view is kept as
+    it is).  Per cv_plus key (d, absolute) one pass over (k, rows) blocks of
+    fold predictions, about ``BLOCK_ATOMS`` cells each, gives each row the
+    counts
     #{j : fl(a_j - d) <= y} and #{j : fl(a_j + d) < y}; each counted set is
     a prefix of the sorted atoms, so one pass serves every level pair, and
     :meth:`coverages` counts several tolerances in one pass.  With
@@ -97,7 +102,7 @@ class CoverageEngine:
         self.fits = fits
         self.partition = fits.partition
         self.u = fits.loo_residuals
-        self.x_test = np.ascontiguousarray(x_test, dtype=float)
+        self.x_test = np.asarray(x_test, dtype=float)
         self.y_test = np.asarray(y_test, dtype=float)
         self.full = np.asarray(fits.full_model.predict(self.x_test), dtype=float)
         self.exceed_delta = exceed_delta
@@ -138,44 +143,51 @@ class CoverageEngine:
         if self.exceed_delta is None:
             raise InvalidTolerance("fold_exceedance needs an engine built with exceed_delta")
         if self._exceed is None:  # no counting pass has run yet
-            for _ in self._fold_blocks():
-                pass
+            self._count_atoms([], False)
         return self._exceed
 
-    def _fold_blocks(self):
-        """(rows, fold predictions at those rows) per row block; the first
-        pass also takes the per-fold exceedance."""
-        take = self.exceed_delta is not None and self._exceed is None
-        exceed = np.zeros(self.partition.k, dtype=np.intp)
-        for rows in _row_blocks(self.y_test.size, self.u.size):
-            P = self.fits.fold_predictions(self.x_test[rows])
-            if take:
-                exceed += np.count_nonzero(np.abs(self.full[rows, None] - P) > self.exceed_delta, axis=0)
-            yield rows, P
-        if take:
-            self._exceed = exceed / self.y_test.size
-
-    def _count(self, hit: np.ndarray) -> np.ndarray:
-        """Per row, the number of hit atoms, or their weight with unequal folds."""
-        if self.equal_weights:
-            return np.count_nonzero(hit, axis=1)
-        return np.where(hit, self.partition.atom_weights, 0.0).sum(axis=1)
-
     def _count_atoms(self, ds, absolute: bool) -> None:
-        """Count, in one pass, the atoms at every tolerance of ``ds`` not yet counted."""
+        """Count, in one pass over row blocks of fold predictions, each a
+        C-contiguous (k, rows) block, the atoms at every tolerance of ``ds``
+        not yet counted: per row, the number of hit atoms, or their weight
+        with unequal folds.  The first pass also takes the per-fold
+        exceedance.  Scratch blocks are allocated once per pass."""
         ds = [d for d in dict.fromkeys(ds) if (d, absolute) not in self._counts]
-        if not ds:
+        take = self.exceed_delta is not None and self._exceed is None
+        if not (ds or take):
             return
-        y, res = self.y_test, np.abs(self.u) if absolute else self.u
-        le, lt = [[] for _ in ds], [[] for _ in ds]
-        for rows, P in self._fold_blocks():
-            atoms = (P if self.columns is None else P[:, self.columns]) + res
-            for i, d in enumerate(ds):
-                lower, upper = (atoms, atoms) if d == 0 else (atoms - d, atoms + d)
-                le[i].append(self._count(lower <= y[rows, None]))
-                lt[i].append(self._count(upper < y[rows, None]))
+        m, n, k = self.y_test.size, self.u.size, self.partition.k
+        width = min(max(1, BLOCK_ATOMS // n), m)
+        buf, hit = np.empty((n, width)), np.empty((n, width), dtype=bool)
+        gather = None if self.columns is None else np.empty((n, width))
+        res = (np.abs(self.u) if absolute else self.u)[:, None]
+        weights = None if self.equal_weights else self.partition.atom_weights
+        counts = np.empty((len(ds), 2, m), dtype=np.intp if weights is None else float)
+        exceed = np.zeros(k, dtype=np.intp)
+        for start in range(0, m, width):
+            rows = slice(start, start + width)
+            block = self.fits.fold_predictions(self.x_test[rows]).T
+            w = block.shape[1]
+            b, h = buf[:, :w], hit[:, :w]
+            if take:
+                np.abs(np.subtract(block, self.full[rows], out=b[:k]), out=b[:k])
+                exceed += np.greater(b[:k], self.exceed_delta, out=h[:k]).sum(axis=1)
+            if ds:
+                # atom j is block[fold(j)] + u_j, in place when fold(j) = j
+                if gather is not None:
+                    block = np.take(block, self.columns, axis=0, out=gather[:, :w])
+                block += res
+                y = self.y_test[rows]
+                for i, d in enumerate(ds):
+                    np.less_equal(block if d == 0 else np.subtract(block, d, out=b), y, out=h)
+                    counts[i, 0, rows] = h.sum(axis=0) if weights is None else weights @ h
+                    np.less(block if d == 0 else np.add(block, d, out=b), y, out=h)
+                    counts[i, 1, rows] = h.sum(axis=0) if weights is None else weights @ h
+            del block  # freed before the next block is computed
+        if take:
+            self._exceed = exceed / m
         for i, d in enumerate(ds):
-            self._counts[d, absolute] = (np.concatenate(le[i]), np.concatenate(lt[i]))
+            self._counts[d, absolute] = counts[i]
 
     def _reach(self, alpha: float) -> float:
         """The count (weight, with unequal folds) at which a row's counted
@@ -211,10 +223,13 @@ def conditional_coverage(
 @dataclass(frozen=True)
 class CoverageReport:
     """Conditional coverages over training sets; ``std_err`` is the standard
-    error of their mean (:func:`cvuq.stability.se_of_mean`)."""
+    error of their mean (:func:`cvuq.stability.se_of_mean`) and
+    ``binomial_se`` the Monte-Carlo standard error of each rep's coverage c
+    from its test points, sqrt(c (1 - c) / mc_test_points)."""
 
     nominal: float
     conditional_cov: np.ndarray
+    binomial_se: np.ndarray
     mean: float
     std_err: float
     q05: float
@@ -252,6 +267,7 @@ def coverage_distribution(
     return CoverageReport(
         nominal=alpha2 - alpha1,
         conditional_cov=cov,
+        binomial_se=np.sqrt(cov * (1.0 - cov) / mc_test),
         mean=float(cov.mean()),
         std_err=float(se_of_mean(cov)),
         q05=float(q05),

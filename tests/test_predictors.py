@@ -427,3 +427,45 @@ def test_spec_json_round_trip():
         PredictorSpec.from_json("[1, 2]")
     with pytest.raises(MalformedInput):
         PredictorSpec("nonsense")
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        pytest.param(dirac_threshold(2.0), id="train-size"),
+        pytest.param(dirac_threshold(-1.5), id="negative-level"),
+        pytest.param(PredictorSpec("dirac_threshold", {"level": 2.0, "threshold_uses_train_size": False,
+                                                       "threshold": 8.0}), id="fixed-threshold"),
+    ],
+)
+def test_dirac_threshold_folds_are_closed_form_and_match_refit_oracle(spec, monkeypatch):
+    # unequal folds of 4, 4 and 3 rows: the refit thresholds are 7 and 8, and
+    # x1 sits exactly on them (and the full fit's 11) at training and test rows
+    n = 11
+    part = FoldPartition.contiguous(n, 3)
+    rng = np.random.default_rng(5)
+    x = np.column_stack([rng.choice([6.0, 7.0, 8.0, 11.0, 12.0], size=n), rng.normal(size=n)])
+    train = TrainingSet(rng.normal(size=n), x)
+    X = np.column_stack([[6.0, 7.0, 7.5, 8.0, 11.0, 12.0], np.zeros(6)])
+    calls = []
+    fit = predictors.fit
+    monkeypatch.setattr(predictors, "fit", lambda *a: calls.append(a) or fit(*a))
+    fits = FoldFits(spec, train, part)
+    monkeypatch.undo()
+    assert len(calls) == 1  # the full-data fit only: no fold is refitted
+    resid, preds = refit_leave_fold_out(spec, train, part, X)
+    assert fits.loo_residuals.tobytes() == resid.tobytes()
+    assert fits.fold_predictions(X).tobytes() == preds.tobytes()
+
+
+def test_fold_predictions_transpose_is_c_contiguous():
+    rng = np.random.default_rng(6)
+    train = TrainingSet(rng.normal(size=9), rng.normal(size=(9, 2)))
+    # a strided view, as a test draw's x is
+    X = rng.normal(size=(5, 3))[:, :2]
+    specs = [ridge(0.5), knn_mean(2), max_response(), neg_max_response(), dirac_threshold(1.0), constant(0.5),
+             lambda x, t: float(t.y.mean() + x[0])]
+    for spec in specs:
+        for part in (FoldPartition.singletons(9), FoldPartition.contiguous(9, 4)):
+            P = FoldFits(spec, train, part).fold_predictions(X)
+            assert P.shape == (5, part.k) and P.T.flags.c_contiguous, spec

@@ -330,3 +330,37 @@ def test_cv_plus_kernel_memory_is_blocked():
     finally:
         tracemalloc.stop()
     assert peak < m * n * 8 / 4
+
+
+def test_test_set_costs_its_size_once():
+    # a test draw's x is a view of its normal block, and the engine keeps it
+    # as it is: neither copies the 20 MB block
+    m, p, n = 50_000, 50, 200
+    dgp = DgpSpec("gaussian_linear", {"beta": [1 / math.sqrt(p)] * p, "sigma": 1.0})
+    fits = FoldFits(ridge(0.5), dgp.sample(n, stream(18, 0)), FoldPartition.singletons(n))
+    block = m * (p + 1) * 8
+    tracemalloc.start()
+    try:
+        y_test, x_test = dgp.draw(m, stream(18, 1))
+        drawn, draw_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        engine = CoverageEngine(fits, x_test, y_test, exceed_delta=0.1)
+        engine.coverage(IntervalMethod("cv_plus"), 0.05, 0.95, 0.1)
+        engine_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert draw_peak <= 1.1 * block
+    assert engine_peak - drawn <= block / 4
+
+
+def test_coverage_report_binomial_se_per_rep():
+    kwargs = dict(train_reps=3, mc_test=200, seed=8)
+    rep = coverage_distribution(ridge(0.5), GAUSS, 15, IntervalMethod("cv"), 0.05, 0.95, 0.0, **kwargs)
+    c = rep.conditional_cov
+    assert np.all((0 < c) & (c < 1))
+    np.testing.assert_array_equal(rep.binomial_se, np.sqrt(c * (1 - c) / 200))
+    # c = 1 on the whole line and c = 0 on an empty interval: no Monte-Carlo error
+    for a1, a2, d, c in ((0.0, 1.0, 100.0, 1.0), (0.9, 0.1, 0.0, 0.0)):
+        rep = coverage_distribution(constant(0.0), GAUSS, 15, IntervalMethod("cv"), a1, a2, d, **kwargs)
+        np.testing.assert_array_equal(rep.conditional_cov, np.full(3, c))
+        np.testing.assert_array_equal(rep.binomial_se, np.zeros(3))
