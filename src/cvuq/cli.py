@@ -1,13 +1,18 @@
 """Single entry point exposing every module as subcommands.
 
-Machine-readable JSON goes to stdout (or ``--out``); optional tidy CSV goes
-to ``--csv``; anything human-facing goes to stderr.  Every output object
-carries ``"schema": "1"``.  Exit codes: 0 success, 2 usage error, 3 data
-error, 4 numeric failure, each with a one-line JSON error object on stdout.
+Machine-readable JSON goes to stdout (or ``--out``); optional tidy CSV, its
+cells plain numbers or labels, goes to ``--csv``; anything human-facing,
+``--help`` included, goes to stderr.  Every output object carries
+``"schema": "1"``.  Exit codes: 0 success, 2 usage error, 3 data error, 4
+numeric failure, each with a one-line JSON error object on stdout.
 
-A JSON config file (``--config``) supplies defaults; explicit flags win.
-Every subcommand accepts ``--seed`` and ``--threads`` and is bit-reproducible
-for a fixed seed regardless of the thread count.
+A JSON config file (``--config``) supplies defaults; explicit flags win.  A
+value parses like the same flag, a switch takes only true or false, and a key
+applies only to the subcommands that have that flag (one that none has exits
+2).  Every subcommand accepts ``--seed`` and ``--threads`` and is
+bit-reproducible for a fixed seed regardless of the thread count.  Each
+subcommand is a handler in ``COMMANDS`` returning its JSON payload and its
+CSV ``(header, rows)``, or ``None``.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ from .errors import DataError, InvalidTolerance, MalformedInput, NumericError
 from .intervals import IntervalMethod, interval, shortest_interval
 from .levy_gauge import gauge
 from .predictors import FoldFits, PredictorSpec, feature_row
+from .rng import stream
 from .stability import resolve_partition
 
 SCHEMA = "1"
@@ -40,6 +46,9 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # route argparse failures through our exit codes
         raise UsageError(message)
+
+    def print_help(self, file=None):  # stdout carries only JSON
+        super().print_help(sys.stderr)
 
 
 def _floats(text: str) -> list[float]:
@@ -56,15 +65,15 @@ def _ints(text: str) -> list[int]:
     return [int(v) for v in values]
 
 
-def _float_flag(text, flag: str) -> float:
+def _float_flag(text: str, flag: str) -> float:
     try:
         return float(text)
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise UsageError(f"{flag} must be a number, got {text!r}") from exc
 
 
 def _delta(text: str):
-    if isinstance(text, str) and text.startswith("iqr:"):
+    if text.startswith("iqr:"):
         try:
             simlab.iqr_factor(text)
         except InvalidTolerance as exc:
@@ -72,12 +81,8 @@ def _delta(text: str):
         return text
     try:
         return float(text)
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise UsageError(f"bad delta {text!r}: use a number or iqr:FACTOR") from exc
-
-
-def _load_predictor(path: str) -> PredictorSpec:
-    return PredictorSpec.from_json(Path(path).read_text())
 
 
 def _load_dgp(path: str) -> DgpSpec:
@@ -87,8 +92,8 @@ def _load_dgp(path: str) -> DgpSpec:
         raise MalformedInput(f"bad dgp file {path}: {exc}") from exc
 
 
-def _fold_rule(text):
-    if text in (None, "n", "jackknife"):
+def _fold_rule(text: str):
+    if text in ("n", "jackknife"):
         return "jackknife"
     try:
         return int(text)
@@ -122,12 +127,10 @@ def _emit(payload: dict, out: str | None) -> None:
         print(text)
 
 
-def _write_csv(path: str | None, header: list[str], rows) -> None:
-    if not path:
-        return
+def _write_csv(path: str, header: list[str], rows) -> None:
     lines = [",".join(header)]
     for row in rows:
-        lines.append(",".join(repr(v) if isinstance(v, float) else str(v) for v in row))
+        lines.append(",".join(repr(float(v)) if isinstance(v, (float, np.floating)) else str(v) for v in row))
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -136,14 +139,15 @@ def _build_parser(defaults: dict) -> _Parser:
     parser.add_argument("--config", help="JSON file with default flag values")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def command(name: str, summary: str) -> _Parser:
+        p = sub.add_parser(name, help=summary)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--threads", type=int, default=1)
         p.add_argument("--out", help="write JSON here instead of stdout")
         p.add_argument("--csv", help="write tidy per-rep/grid CSV here")
+        return p
 
-    p = sub.add_parser("interval", help="prediction interval for one test point")
-    common(p)
+    p = command("interval", "prediction interval for one test point")
     p.add_argument("--data")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--predictor", help="predictor spec JSON file")
@@ -156,14 +160,12 @@ def _build_parser(defaults: dict) -> _Parser:
     p.add_argument("--xnew", help="comma-separated feature vector")
     p.add_argument("--shortest", action="store_true", help="scan pairs at nominal alpha2-alpha1")
 
-    p = sub.add_parser("gauge", help="gauge distance between two step-cdf JSON files")
-    common(p)
+    p = command("gauge", "gauge distance between two step-cdf JSON files")
     p.add_argument("--f")
     p.add_argument("--g")
     p.add_argument("--delta", type=float)
 
-    p = sub.add_parser("risk", help="leave-fold-out risk estimates for a dataset")
-    common(p)
+    p = command("risk", "leave-fold-out risk estimates for a dataset")
     p.add_argument("--data")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--predictor")
@@ -172,15 +174,13 @@ def _build_parser(defaults: dict) -> _Parser:
     p.add_argument("--indicator-at", type=float, help="indicator loss threshold")
     p.add_argument("--eps", type=float, default=0.1)
 
-    p = sub.add_parser("dgp", help="sample a synthetic dataset to a file")
-    common(p)
+    p = command("dgp", "sample a synthetic dataset to a file")
     p.add_argument("--dgp", help="dgp spec JSON file")
     p.add_argument("--n", type=int)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--data-out")
 
-    p = sub.add_parser("stability", help="stability estimators and bounds")
-    common(p)
+    p = command("stability", "stability estimators and bounds")
     p.add_argument("mode", choices=("profile", "mstab", "pacbound", "eqbound", "vargap", "drift"))
     p.add_argument("--predictor")
     p.add_argument("--dgp")
@@ -202,8 +202,7 @@ def _build_parser(defaults: dict) -> _Parser:
     p.add_argument("--exceed", default="", help="comma list: per-fold exceedance probabilities")
     p.add_argument("--kfolds", type=int, help="fold count for pacbound/eqbound arithmetic")
 
-    p = sub.add_parser("sim", help="Monte-Carlo experiments")
-    common(p)
+    p = command("sim", "Monte-Carlo experiments")
     p.add_argument("mode", choices=("coverage", "equiv", "length", "gauge", "problen"))
     p.add_argument("--predictor")
     p.add_argument("--predictors", help="comma list of predictor kinds (length mode)")
@@ -224,13 +223,18 @@ def _build_parser(defaults: dict) -> _Parser:
     p.add_argument("--stab-delta", default="iqr:0.1")
     p.add_argument("--scale", choices=("none", "sqrt_n"), default="sqrt_n")
 
-    if defaults:
-        known = {a.dest for sp in sub.choices.values() for a in sp._actions}
-        unknown = set(defaults) - known
-        if unknown:
-            raise UsageError(f"unknown config keys: {sorted(unknown)}")
-        for sp in sub.choices.values():
-            sp.set_defaults(**{k: v for k, v in defaults.items()})
+    # A config value becomes the default of every flag with its dest, as the string the flag would
+    # read, so argparse's type= and the handlers' parsers treat it as they treat the flag.
+    flags = [a for sp in sub.choices.values() for a in sp._actions if a.option_strings]
+    unknown = set(defaults) - {a.dest for a in flags}
+    if unknown:
+        raise UsageError(f"unknown config keys: {sorted(unknown)}")
+    for action in (a for a in flags if a.dest in defaults):
+        value = defaults[action.dest]
+        switch = isinstance(action, argparse._StoreTrueAction)
+        action.default = value if switch else str(value)
+        if switch and not isinstance(value, bool) or action.choices and action.default not in action.choices:
+            raise UsageError(f"config key {action.dest!r} cannot be {value!r}")
     return parser
 
 
@@ -242,14 +246,14 @@ _COUNT_FLAGS = {"threads": 1, "reps": 1, "train_reps": 1, "mc_test": 1, "mc_orac
 def _check_counts(args) -> None:
     for name, least in _COUNT_FLAGS.items():
         value = getattr(args, name, least)
-        if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        if value < least:
             raise UsageError(f"--{name.replace('_', '-')} must be an integer >= {least}, got {value!r}")
 
 
 def _check_levels(args) -> None:
     for name in ("alpha1", "alpha2", "eps", "nominal"):
         value = getattr(args, name, None)
-        if value is not None and (not isinstance(value, (int, float)) or math.isnan(value)):
+        if value is not None and math.isnan(value):
             raise UsageError(f"--{name} must be a number, got {value!r}")
 
 
@@ -260,10 +264,14 @@ def _require(args, *names) -> None:
         raise UsageError(f"missing required option(s): {flags}")
 
 
-def _cmd_interval(args) -> dict:
+def _fields(report, *names) -> dict:
+    return {name: getattr(report, name) for name in names}
+
+
+def _cmd_interval(args):
     _require(args, "data", "predictor", "alpha1", "alpha2", "xnew")
     train = load_dataset(args.data, args.format)
-    spec = _load_predictor(args.predictor)
+    spec = PredictorSpec.from_json(Path(args.predictor).read_text())
     partition = resolve_partition(_fold_rule(args.k), train.n)
     xnew = np.asarray(_floats(args.xnew))
     method = IntervalMethod(args.method, symmetrized=args.symmetrized)
@@ -275,21 +283,20 @@ def _cmd_interval(args) -> dict:
     else:
         a1, a2 = args.alpha1, args.alpha2
         piv = interval(method, fits, xnew, a1, a2, delta)
-    return {"alpha1": a1, "alpha2": a2, "delta": delta, **piv.as_jsonable()}
+    return {"alpha1": a1, "alpha2": a2, "delta": delta, **piv.as_jsonable()}, None
 
 
-def _cmd_gauge(args) -> dict:
+def _cmd_gauge(args):
     _require(args, "f", "g", "delta")
     F = StepCdf.from_json(Path(args.f).read_text())
     G = StepCdf.from_json(Path(args.g).read_text())
-    res = gauge(F, G, args.delta)
-    return {"value": res.value, "witness_t": res.witness_t, "side": res.side}
+    return _fields(gauge(F, G, args.delta), "value", "witness_t", "side"), None
 
 
-def _cmd_risk(args) -> dict:
+def _cmd_risk(args):
     _require(args, "data", "predictor")
     train = load_dataset(args.data, args.format)
-    spec = _load_predictor(args.predictor)
+    spec = PredictorSpec.from_json(Path(args.predictor).read_text())
     partition = resolve_partition(_fold_rule(args.k), train.n)
     u = FoldFits(spec, train, partition).loo_residuals
     payload: dict = {"mse": risk_mod.mse_estimate(u)}
@@ -307,20 +314,18 @@ def _cmd_risk(args) -> dict:
     if loss is not None:
         lo, hi = risk_mod.loss_plugin_bounds(u, loss, args.eps)
         payload["loss_bounds"] = {"loss": loss.name, "eps": args.eps, "lo": lo, "hi": hi}
-    return payload
+    return payload, None
 
 
-def _cmd_dgp(args) -> dict:
+def _cmd_dgp(args):
     _require(args, "dgp", "n", "data_out")
     dgp = _load_dgp(args.dgp)
-    from .rng import stream
-
     train = dgp.sample(args.n, stream(args.seed))
     save_dataset(train, args.data_out, args.format)
-    return {"written": str(args.data_out), "n": train.n, "p": train.p}
+    return {"written": str(args.data_out), "n": train.n, "p": train.p}, None
 
 
-def _cmd_stability(args) -> dict:
+def _cmd_stability(args):
     mode = args.mode
     if mode == "pacbound":
         k = args.kfolds or len(_floats(args.stab))
@@ -329,141 +334,99 @@ def _cmd_stability(args) -> dict:
             k, _float_flag(args.delta, "--delta"), args.eps, args.mu, args.bound_l,
             args.tail, args.abs_err, _floats(args.stab), trunc,
         )
-        return {"mode": mode, "bound_trunc": bt, "bound_abs": ba}
+        return {"mode": mode, "bound_trunc": bt, "bound_abs": ba}, None
     if mode == "eqbound":
         probs = _floats(args.exceed)
         k = args.kfolds or len(probs)
         value = stability.equivalence_bound(k, args.eps, _float_flag(args.delta, "--delta"), probs)
-        return {"mode": mode, "bound": value}
+        return {"mode": mode, "bound": value}, None
     _require(args, "predictor", "dgp", "n")
-    spec = _load_predictor(args.predictor)
+    spec = PredictorSpec.from_json(Path(args.predictor).read_text())
     dgp = _load_dgp(args.dgp)
+    payload = {"mode": mode}
     if mode == "profile":
         prof = stability.oos_stability_profile(
             spec, dgp, args.n, _fold_rule(args.k), _floats(args.eps_grid),
             args.reps, args.seed, args.threads,
         )
-        return {
-            "mode": mode,
-            "eps_grid": prof.eps_grid,
-            "exceed_prob": prof.exceed_prob,
-            "exceed_std_err": prof.exceed_std_err,
-            "mean_abs": prof.mean_abs.value,
-            "mean_abs_std_err": prof.mean_abs.std_err,
-            "reps": prof.reps,
-        }
+        payload.update(_fields(prof, "eps_grid", "exceed_prob", "exceed_std_err"), mean_abs=prof.mean_abs.value,
+                       mean_abs_std_err=prof.mean_abs.std_err, reps=prof.reps)
+        return payload, (["eps", "exceed_prob", "std_err"],
+                         zip(prof.eps_grid, prof.exceed_prob, prof.exceed_std_err))
     if mode == "mstab":
         est = stability.m_stability(spec, dgp, args.n, args.m, args.reps, args.seed, args.threads)
-        return {"mode": mode, "m": args.m, "value": est.value, "std_err": est.std_err}
-    if mode == "vargap":
+        payload["m"] = args.m
+    elif mode == "vargap":
         est = stability.variance_gap(spec, dgp, args.n, args.reps, args.seed, args.threads)
-        return {"mode": mode, "value": est.value, "std_err": est.std_err}
-    est = stability.update_drift(
-        spec, dgp, args.n, args.outer, args.inner, args.seed, args.threads
-    )
-    return {"mode": mode, "value": est.value, "std_err": est.std_err}
-
-
-def _cmd_sim(args) -> tuple[dict, list[str], list]:
-    _require(args, "dgp")
-    if args.mode in ("coverage", "equiv"):
-        _require(args, "predictor", "n")
-    elif args.mode == "length":
-        _require(args, "n")
     else:
-        _require(args, "predictor")
-    dgp = _load_dgp(args.dgp)
+        est = stability.update_drift(spec, dgp, args.n, args.outer, args.inner, args.seed, args.threads)
+    return {**payload, **_fields(est, "value", "std_err")}, (["value", "std_err"], [(est.value, est.std_err)])
+
+
+# Flags each sim mode needs besides --dgp.
+_SIM_NEEDS = {"coverage": ("predictor", "n"), "equiv": ("predictor", "n"), "length": ("n",),
+              "gauge": ("predictor",), "problen": ("predictor",)}
+
+
+def _cmd_sim(args):
     mode = args.mode
+    _require(args, "dgp")
+    _require(args, *_SIM_NEEDS[mode])
+    dgp = _load_dgp(args.dgp)
+    if mode == "length":
+        kinds = (args.predictors or "max_response,neg_max_response").split(",")
+        rep = simlab.length_compare(
+            [PredictorSpec(kind.strip()) for kind in kinds], dgp, args.n, args.nominal,
+            args.train_reps, args.seed, alpha1=args.alpha1, threads=args.threads,
+        )
+        payload, rows = {"mode": mode, "kinds": rep.kinds}, []
+        for kind in rep.kinds:
+            lj, lp = rep.lengths_cv[kind], rep.lengths_cvp[kind]
+            payload[kind] = {"mean_cv": np.mean(lj), "mean_cvp": np.mean(lp),
+                             "frac_cvp_shorter_or_equal": np.mean(lp <= lj + 1e-12)}
+            rows.extend((kind, i, a, b) for i, (a, b) in enumerate(zip(lj, lp)))
+        return payload, (["kind", "rep", "len_cv", "len_cvp"], rows)
+    spec = PredictorSpec.from_json(Path(args.predictor).read_text())
     if mode == "coverage":
-        spec = _load_predictor(args.predictor)
         rep = simlab.coverage_distribution(
             spec, dgp, args.n, IntervalMethod(args.method, symmetrized=args.symmetrized),
             args.alpha1, args.alpha2, _delta(args.delta),
             args.train_reps, args.mc_test, args.seed,
             partition_rule=_fold_rule(args.k), threads=args.threads,
         )
-        payload = {
-            "mode": mode,
-            "nominal": rep.nominal,
-            "mean": rep.mean,
-            "q05": rep.q05,
-            "q50": rep.q50,
-            "q95": rep.q95,
-            "reps": rep.reps,
-            "mc_test_points": rep.mc_test_points,
-            "conditional_cov": rep.conditional_cov,
-        }
-        rows = [(i, float(c)) for i, c in enumerate(rep.conditional_cov)]
-        return payload, ["rep", "coverage"], rows
-    if mode == "equiv":
-        spec = _load_predictor(args.predictor)
+        fields = _fields(rep, "nominal", "mean", "q05", "q50", "q95", "reps", "mc_test_points", "conditional_cov")
+        csv = ["rep", "coverage"], enumerate(rep.conditional_cov)
+    elif mode == "equiv":
         rep = simlab.jk_vs_jkplus_gap(
             spec, dgp, args.n, args.alpha1, args.alpha2, _delta(args.delta),
             args.train_reps, args.mc_test, args.seed,
             partition_rule=_fold_rule(args.k), eps=args.eps,
             stability_delta=_delta(args.stab_delta), threads=args.threads,
         )
-        payload = {
-            "mode": mode,
-            "sup_gap": rep.sup_gap,
-            "q95_gap": rep.q95_gap,
-            "event_freq": rep.event_freq,
-            "event_std_err": rep.event_std_err,
-            "bound": rep.bound,
-            "stability_delta": rep.stability_delta,
-            "eps": rep.eps,
-            "cov_cv": rep.cov_cv,
-            "cov_cvp": rep.cov_cvp,
-        }
-        rows = [
-            (i, float(a), float(b), float(abs(a - b)))
-            for i, (a, b) in enumerate(zip(rep.cov_cv, rep.cov_cvp))
-        ]
-        return payload, ["rep", "cov_cv", "cov_cvp", "gap"], rows
-    if mode == "length":
-        kinds = (args.predictors or "max_response,neg_max_response").split(",")
-        specs = [PredictorSpec(kind.strip()) for kind in kinds]
-        rep = simlab.length_compare(
-            specs, dgp, args.n, args.nominal, args.train_reps, args.seed,
-            alpha1=args.alpha1, threads=args.threads,
-        )
-        payload = {"mode": mode, "kinds": list(rep.kinds)}
-        rows = []
-        for kind in rep.kinds:
-            lj = rep.lengths_cv[kind]
-            lp = rep.lengths_cvp[kind]
-            payload[kind] = {
-                "mean_cv": float(np.mean(lj)),
-                "mean_cvp": float(np.mean(lp)),
-                "frac_cvp_shorter_or_equal": float(np.mean(lp <= lj + 1e-12)),
-            }
-            rows.extend((kind, i, float(a), float(b)) for i, (a, b) in enumerate(zip(lj, lp)))
-        return payload, ["kind", "rep", "len_cv", "len_cvp"], rows
-    if mode == "gauge":
-        spec = _load_predictor(args.predictor)
-        rep = simlab.gauge_convergence(
-            spec, dgp, _ints(args.n_grid), _float_flag(args.delta, "--delta"),
-            args.train_reps, args.mc_oracle, args.seed, args.threads,
-        )
-    else:  # problen
-        spec = _load_predictor(args.predictor)
-        family = simlab.sqrt_n_family(dgp) if args.scale == "sqrt_n" else simlab.constant_family(dgp)
-        rep = simlab.infinite_length_probe(
-            spec, family, _ints(args.n_grid), args.nominal,
-            args.train_reps, args.seed, args.threads,
-        )
-    payload = {
-        "mode": mode,
-        "n_grid": list(rep.n_grid),
-        "mean": rep.mean,
-        "std_err": rep.std_err,
-    }
-    rows = [
-        (n, r, float(rep.per_rep[i, r]))
-        for i, n in enumerate(rep.n_grid)
-        for r in range(rep.per_rep.shape[1])
-    ]
-    return payload, ["n", "rep", "value"], rows
+        fields = _fields(rep, "sup_gap", "q95_gap", "event_freq", "event_std_err", "bound",
+                         "stability_delta", "eps", "cov_cv", "cov_cvp")
+        gaps = zip(rep.cov_cv, rep.cov_cvp, np.abs(rep.cov_cv - rep.cov_cvp))
+        csv = ["rep", "cov_cv", "cov_cvp", "gap"], ((i, *row) for i, row in enumerate(gaps))
+    else:
+        if mode == "gauge":
+            rep = simlab.gauge_convergence(
+                spec, dgp, _ints(args.n_grid), _float_flag(args.delta, "--delta"),
+                args.train_reps, args.mc_oracle, args.seed, args.threads,
+            )
+        else:  # problen
+            family = simlab.sqrt_n_family(dgp) if args.scale == "sqrt_n" else simlab.constant_family(dgp)
+            rep = simlab.infinite_length_probe(
+                spec, family, _ints(args.n_grid), args.nominal,
+                args.train_reps, args.seed, args.threads,
+            )
+        fields = _fields(rep, "n_grid", "mean", "std_err")
+        rows = zip(rep.n_grid, rep.per_rep)
+        csv = ["n", "rep", "value"], ((n, r, v) for n, values in rows for r, v in enumerate(values))
+    return {"mode": mode, **fields}, csv
+
+
+COMMANDS = {"interval": _cmd_interval, "gauge": _cmd_gauge, "risk": _cmd_risk, "dgp": _cmd_dgp,
+            "stability": _cmd_stability, "sim": _cmd_sim}
 
 
 def main(argv=None) -> int:
@@ -476,49 +439,31 @@ def main(argv=None) -> int:
         if known.config:
             try:
                 defaults = json.loads(Path(known.config).read_text())
-            except (OSError, json.JSONDecodeError) as exc:
+            except (OSError, ValueError) as exc:  # ValueError: invalid JSON or text
                 raise UsageError(f"bad config file: {exc}") from exc
             if not isinstance(defaults, dict):
                 raise UsageError("config must be a JSON object")
         args = _build_parser(defaults).parse_args(argv)
         _check_counts(args)
         _check_levels(args)
-        csv_payload = None
-        if args.command == "interval":
-            payload = _cmd_interval(args)
-        elif args.command == "gauge":
-            payload = _cmd_gauge(args)
-        elif args.command == "risk":
-            payload = _cmd_risk(args)
-        elif args.command == "dgp":
-            payload = _cmd_dgp(args)
-        elif args.command == "stability":
-            payload = _cmd_stability(args)
-            if args.csv:
-                if payload["mode"] == "profile":
-                    rows = list(zip(payload["eps_grid"], payload["exceed_prob"], payload["exceed_std_err"]))
-                    csv_payload = (["eps", "exceed_prob", "std_err"], rows)
-                elif "value" in payload:
-                    csv_payload = (["value", "std_err"], [(payload["value"], payload["std_err"])])
-        else:
-            payload, header, rows = _cmd_sim(args)
-            csv_payload = (header, rows)
-        if csv_payload and args.csv:
-            _write_csv(args.csv, *csv_payload)
+        payload, csv = COMMANDS[args.command](args)
+        if csv and args.csv:
+            _write_csv(args.csv, *csv)
         _emit(payload, args.out)
         return 0
+    except SystemExit:  # argparse exits only after printing --help: error() raises UsageError
+        return 0
     except UsageError as exc:
-        print(json.dumps({"schema": SCHEMA, "error": "usage", "message": str(exc)}))
-        return 2
+        failure = 2, "usage", exc
     except DataError as exc:
-        print(json.dumps({"schema": SCHEMA, "error": type(exc).__name__, "message": str(exc)}))
-        return 3
+        failure = 3, type(exc).__name__, exc
     except (NumericError, FloatingPointError, np.linalg.LinAlgError) as exc:
-        print(json.dumps({"schema": SCHEMA, "error": type(exc).__name__, "message": str(exc)}))
-        return 4
+        failure = 4, type(exc).__name__, exc
     except OSError as exc:
-        print(json.dumps({"schema": SCHEMA, "error": "io", "message": str(exc)}))
-        return 3
+        failure = 3, "io", exc
+    code, error, exc = failure
+    _emit({"error": error, "message": str(exc)}, None)
+    return code
 
 
 if __name__ == "__main__":

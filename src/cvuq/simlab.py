@@ -496,8 +496,8 @@ def infinite_length_probe(
     method = IntervalMethod("cv", symmetrized=True)
 
     def rep_at(n: int):
+        partition = resolve_partition("jackknife", n)  # first: a size below 2 is a data error
         dgp = dgp_family(n)
-        partition = resolve_partition("jackknife", n)
 
         def one(r: int) -> float:
             train = dgp.sample(n, stream(seed, r, 0))

@@ -59,7 +59,8 @@ def se_of_mean(values, axis: int = 0) -> np.ndarray:
     reps = values.shape[axis]
     if reps < 2:
         return np.full(np.delete(values.shape, axis), math.inf)
-    return values.std(axis=axis, ddof=1) / math.sqrt(reps)
+    with np.errstate(invalid="ignore"):  # an infinite value has a NaN deviation: a result, not a fault
+        return values.std(axis=axis, ddof=1) / math.sqrt(reps)
 
 
 def _mean_se(values) -> McEstimate:

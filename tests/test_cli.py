@@ -3,6 +3,7 @@ import io
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -184,6 +185,67 @@ def test_config_defaults_overridden_by_flags(capsys, workdir, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "config, command, flags, code",
+    [
+        pytest.param({"xnew": 1.0}, ["interval"], ["--xnew", "1.0"], 0, id="xnew-number"),
+        pytest.param({"n_grid": 5}, ["sim", "problen"], ["--n-grid", "5"], 0, id="n_grid-number"),
+        pytest.param({"data": 5}, ["risk"], ["--data", "5"], 3, id="data-number"),
+        pytest.param({"n": 2.5}, ["stability", "vargap"], ["--n", "2.5"], 2, id="n-fraction"),
+        pytest.param({"eps_grid": 0.1}, ["stability", "profile"], ["--eps-grid", "0.1"], 0, id="eps_grid-number"),
+        pytest.param({"k": 2.5}, ["interval"], ["--k", "2.5"], 2, id="k-fraction"),
+        pytest.param({"alpha1": [0.1]}, ["interval"], ["--alpha1", "[0.1]"], 2, id="alpha1-list"),
+        pytest.param({"alpha2": 1}, ["interval"], ["--alpha2", "1"], 0, id="alpha2-int"),
+        pytest.param({"symmetrized": "false"}, ["interval"], None, 2, id="symmetrized-string"),
+    ],
+)
+def test_config_value_parses_like_the_flag(capsys, workdir, tmp_path, config, command, flags, code):
+    data, pred = str(workdir / "d.csv"), str(workdir / "ridge.json")
+    base = {
+        "interval": ["--data", data, "--predictor", pred, "--alpha1", "0.1", "--alpha2", "0.9", "--xnew", "0.5"],
+        "risk": ["--predictor", pred],
+        "sim": ["--dgp", str(workdir / "dgp.json"), "--predictor", pred, "--train-reps", "2"],
+        "stability": ["--dgp", str(workdir / "dgp.json"), "--predictor", pred, "--n", "10", "--reps", "3"],
+    }
+    # the config value is the only source of its flag
+    valid = list(base[command[0]])
+    for key in config:
+        flag = "--" + key.replace("_", "-")
+        if flag in valid:
+            del valid[valid.index(flag):valid.index(flag) + 2]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert main(["--config", str(cfg), *command, *valid]) == code
+    from_config = capsys.readouterr().out
+    strict_json(from_config)
+    if flags is not None:
+        assert main([*command, *valid, *flags]) == code
+        assert from_config == capsys.readouterr().out
+    if "alpha2" in config:
+        assert '"alpha2": 1.0,' in from_config
+
+
+def test_config_key_applies_only_where_the_flag_exists(capsys, workdir, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"reps": 0, "method": "cv_plus"}))
+    argv = ["sim", "coverage", "--dgp", str(workdir / "dgp.json"), "--predictor", str(workdir / "ridge.json"),
+            "--n", "10", "--train-reps", "2", "--mc-test", "20"]
+    assert main(["--config", str(cfg), *argv]) == 0  # sim has no --reps
+    from_config = capsys.readouterr().out
+    assert main([*argv, "--method", "cv_plus"]) == 0
+    assert from_config == capsys.readouterr().out
+    assert main(["--config", str(cfg), "stability", "vargap"]) == 2  # stability has --reps
+    assert "--reps" in strict_json(capsys.readouterr().out)["message"]
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["sim", "--help"], ["stability", "profile", "-h"]])
+def test_help_goes_to_stderr_and_returns_0(capsys, argv):
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: cvuq")
+
+
 def test_stability_profile_csv(capsys, workdir, tmp_path):
     csv_path = tmp_path / "profile.csv"
     code, payload = run_cli(
@@ -198,6 +260,33 @@ def test_stability_profile_csv(capsys, workdir, tmp_path):
     lines = csv_path.read_text().strip().splitlines()
     assert lines[0] == "eps,exceed_prob,std_err"
     assert len(lines) == 3
+
+
+def test_csv_cells_are_plain_numbers(capsys, workdir, tmp_path):
+    data = ["--dgp", str(workdir / "dgp.json"), "--predictor", str(workdir / "ridge.json")]
+    runs = {
+        **{f"stability {mode}": ["stability", mode, *data, "--n", "10", "--reps", "3", "--outer", "2",
+                                 "--inner", "2", "--delta", "0.1", "--stab", "0.1,0.2", "--exceed", "0.05,0.05"]
+           for mode in ("profile", "mstab", "pacbound", "eqbound", "vargap", "drift")},
+        **{f"sim {mode}": ["sim", mode, *data, "--n", "10", "--n-grid", "5,8", "--train-reps", "2",
+                           "--mc-test", "20", "--mc-oracle", "20"]
+           for mode in ("coverage", "equiv", "length", "gauge", "problen")},
+    }
+    written = set()
+    for name, argv in runs.items():
+        csv_path = tmp_path / f"{name.replace(' ', '_')}.csv"
+        assert main([*argv, "--csv", str(csv_path)]) == 0, name
+        capsys.readouterr()
+        if not csv_path.exists():
+            continue
+        written.add(name)
+        header, *rows = [line.split(",") for line in csv_path.read_text().splitlines()]
+        assert rows, name
+        for row in rows:
+            for column, cell in zip(header, row, strict=True):
+                if column != "kind":
+                    float(cell)  # raises on a cell such as np.float64(0.5)
+    assert written == set(runs) - {"stability pacbound", "stability eqbound"}
 
 
 def test_entry_point_subprocess(workdir):
@@ -402,6 +491,14 @@ FUZZ_COMMANDS = {
 }
 
 
+# Wrong-typed JSON config values (numbers, strings, lists, objects, booleans,
+# null) for flags and switches; numbers stay at most 2.5, so no count or size
+# they set exceeds the limits above.
+CONFIG_KEYS = st.sampled_from(["xnew", "n_grid", "eps_grid", "k", "n", "data", "symmetrized", "seed", "threads",
+                               "alpha2", "delta", "method", "train_reps", "scale", "no_such_key"])
+CONFIG_VALUES = st.sampled_from([-1, 0, 1, 2, 2.5, "x", "", "1.0", "false", [0.1], [], {}, True, False, None])
+
+
 @st.composite
 def fuzz_argv(draw):
     command, valid, flags, switches = FUZZ_COMMANDS[draw(st.sampled_from(sorted(FUZZ_COMMANDS)))]
@@ -410,7 +507,13 @@ def fuzz_argv(draw):
     fuzzed = [token for flag in chosen for token in (flag, draw(options[flag]))]
     for switch in switches:
         fuzzed += [switch] if draw(st.booleans()) else []
-    return [*command, *valid, *fuzzed]
+    config = draw(st.none() | st.dictionaries(CONFIG_KEYS, CONFIG_VALUES, min_size=1, max_size=3))
+    if config is None:
+        return [*command, *valid, *fuzzed]
+    # a configured flag leaves the valid flags, so the config value is the one parsed
+    pairs = zip(valid[::2], valid[1::2])
+    valid = [token for flag, value in pairs if flag[2:].replace("-", "_") not in config for token in (flag, value)]
+    return ["--config", json.dumps(config), *command, *valid, *fuzzed]
 
 
 @pytest.fixture(scope="module")
@@ -420,7 +523,8 @@ def fuzz_files(tmp_path_factory):
     (root / "ridge.json").write_text('{"kind": "ridge", "lambda": 1.0}')
     (root / "dgp.json").write_text('{"kind": "gaussian_linear", "beta": [1.0], "sigma": 1.0}')
     (root / "f.json").write_text(uniform_ecdf([0.0, 1.0, 2.0]).to_json())
-    paths = {"data": "d.csv", "pred": "ridge.json", "dgp": "dgp.json", "cdf": "f.json", "out": "out.csv"}
+    paths = {"data": "d.csv", "pred": "ridge.json", "dgp": "dgp.json", "cdf": "f.json", "out": "out.csv",
+             "config": "config.json"}
     return {key: str(root / name) for key, name in paths.items()}
 
 
@@ -433,8 +537,14 @@ def fuzz_files(tmp_path_factory):
                "--train-reps", "1", "--mc-oracle", "20"])
 @example(argv=["interval", "--data", "{data}", "--predictor", "{pred}", "--alpha1", "0", "--alpha2", "0.9",
                "--xnew", "1.0", "--delta=-inf"])
+@example(argv=["sim", "problen", "--dgp", "{dgp}", "--predictor", "{pred}", "--n-grid=-1", "--train-reps", "2"])
+@example(argv=["--config", '{"xnew": 1.0, "symmetrized": "false"}', "interval", "--data", "{data}",
+               "--predictor", "{pred}", "--alpha1", "0.1", "--alpha2", "0.9"])
 @given(argv=fuzz_argv())
 def test_fuzzed_argv_exits_with_strict_json(fuzz_files, argv):
+    if argv[0] == "--config":
+        Path(fuzz_files["config"]).write_text(argv[1])
+        argv = ["--config", fuzz_files["config"], *argv[2:]]
     argv = [token.format(**fuzz_files) for token in argv]
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
