@@ -18,8 +18,9 @@ cumulative weight reaches a (within LEVEL_GUARD), -inf for a <= 0 and +inf
 for a > 1, an order statistic of the atoms; no step cdf is built.
 Symmetrized variants replace the atoms by centered absolute residuals: for cv
 and fitted_values the interval is ``center +- (Q_{a2-a1}(|residual|) + delta)``,
-while for cv_plus the atoms ``yhat^{fold(i)} + |u_i|`` keep the asymmetric
-two-quantile form.
+which levels at the same infinity (inf - inf) leave undefined, while for
+cv_plus the atoms ``yhat^{fold(i)} + |u_i|`` keep the asymmetric two-quantile
+form.
 
 Intervals are closed at finite endpoints and empty iff lo > hi.
 """
@@ -118,6 +119,8 @@ def interval_ends(method: IntervalMethod, center, atoms: SortedAtoms, alpha1, al
     x -> fl(center + x) nondecreasing."""
     checked_delta(delta)
     if method.symmetrized and method.base != "cv_plus":  # center +- radius
+        if np.any(np.isinf(alpha1) & (alpha1 == alpha2)):  # alpha2 - alpha1 would be inf - inf
+            raise InvalidTolerance(f"symmetrized levels alpha1 = {alpha1}, alpha2 = {alpha2} have no alpha2 - alpha1")
         radius = quantiles(atoms, alpha2 - alpha1) + delta
         return center - radius, center + radius
     q1, q2 = quantiles(atoms, [alpha1, alpha2])

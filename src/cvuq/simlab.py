@@ -24,7 +24,10 @@ with Q_a the k(a)-th smallest atom
 
 the comparison form of the jackknife+ coverage argument (Barber, Candes,
 Ramdas and Tibshirani, Ann. Statist. 49(1), 2021).  The rank k(a) is the
-same quantile rule applied to the ranks 1..n.
+same quantile rule applied to the ranks 1..n.  No count exceeds n, so the
+hits are summed as bytes into, and stored in, the narrowest unsigned integer
+type that holds n (uint8 up to n = 255): exact, and smaller and faster to
+sum than machine integers.
 
 ``delta`` arguments accept a float, a string ``"iqr:FACTOR"`` (factor times
 the interquartile range of the leave-fold-out residuals), or a callable
@@ -90,11 +93,13 @@ class CoverageEngine:
     counts
     #{j : fl(a_j - d) <= y} and #{j : fl(a_j + d) < y}; each counted set is
     a prefix of the sorted atoms, so one pass serves every level pair, and
-    :meth:`coverages` counts several tolerances in one pass.  With
-    unequal folds an atom of fold j weighs 1/(k |K_j|) and the counts are
-    weights, compared with the level.  The first pass also counts, per fold,
-    the test points whose fold prediction is more than ``exceed_delta`` from
-    the full-data one.
+    :meth:`coverages` counts several tolerances in one pass.  The counts are
+    byte sums stored as ``np.min_scalar_type(n)``.  With unequal folds an
+    atom of fold j weighs 1/(k |K_j|) and a count is the float64 weight of
+    the hit atoms (hits compared into a float scratch block, then summed by
+    a product with the weights), compared with the level.  The first pass
+    also counts, per fold, the test points whose fold prediction is more
+    than ``exceed_delta`` from the full-data one.
     """
 
     def __init__(self, fits: FoldFits, x_test: np.ndarray, y_test: np.ndarray,
@@ -162,7 +167,9 @@ class CoverageEngine:
         gather = None if self.columns is None else np.empty((n, width))
         res = (np.abs(self.u) if absolute else self.u)[:, None]
         weights = None if self.equal_weights else self.partition.atom_weights
-        counts = np.empty((len(ds), 2, m), dtype=np.intp if weights is None else float)
+        # no count exceeds n (per row) or width (per fold and block), so these are exact
+        count_type, fold_type = np.min_scalar_type(n), np.min_scalar_type(width)
+        counts = np.empty((len(ds), 2, m), dtype=count_type if weights is None else float)
         exceed = np.zeros(k, dtype=np.intp)
         for start in range(0, m, width):
             rows = slice(start, start + width)
@@ -171,18 +178,22 @@ class CoverageEngine:
             b, h = buf[:, :w], hit[:, :w]
             if take:
                 np.abs(np.subtract(block, self.full[rows], out=b[:k]), out=b[:k])
-                exceed += np.greater(b[:k], self.exceed_delta, out=h[:k]).sum(axis=1)
+                np.greater(b[:k], self.exceed_delta, out=h[:k])
+                exceed += np.add.reduce(h[:k].view(np.uint8), axis=1, dtype=fold_type)
             if ds:
                 # atom j is block[fold(j)] + u_j, in place when fold(j) = j
-                if gather is not None:
-                    block = np.take(block, self.columns, axis=0, out=gather[:, :w])
+                if gather is not None:  # mode "raise" would buffer the whole output
+                    block = np.take(block, self.columns, axis=0, out=gather[:, :w], mode="clip")
                 block += res
                 y = self.y_test[rows]
+                into = h if weights is None else b  # with unequal folds, hits as floats for the weights to sum
                 for i, d in enumerate(ds):
-                    np.less_equal(block if d == 0 else np.subtract(block, d, out=b), y, out=h)
-                    counts[i, 0, rows] = h.sum(axis=0) if weights is None else weights @ h
-                    np.less(block if d == 0 else np.add(block, d, out=b), y, out=h)
-                    counts[i, 1, rows] = h.sum(axis=0) if weights is None else weights @ h
+                    for side, (compare, shift) in enumerate(((np.less_equal, np.subtract), (np.less, np.add))):
+                        hits = compare(block if d == 0 else shift(block, d, out=b), y, out=into)
+                        if weights is None:
+                            np.add.reduce(hits.view(np.uint8), axis=0, dtype=count_type, out=counts[i, side, rows])
+                        else:
+                            counts[i, side, rows] = weights @ hits
             del block  # freed before the next block is computed
         if take:
             self._exceed = exceed / m

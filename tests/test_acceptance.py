@@ -367,7 +367,7 @@ def test_criterion_12_necessity_probes():
         ok_grow and ok_flat and ok_ridge and ok_max and ok_distinct,
         f"sqrt-n probe grows {grow.mean[0]:.2f}->{grow.mean[-1]:.2f} (control flat={ok_flat}); "
         f"|ridge gap| decays {abs(ridge_gaps[0].value):.1e}->{abs(ridge_gaps[-1].value):.1e} "
-        f"vs heavy-tail max {[round(g.value, 2) for g in max_gaps]} all > 3 sigma, no decay beyond half",
+        f"vs heavy-tail max {[round(float(g.value), 2) for g in max_gaps]} all > 3 sigma, no decay beyond half",
     )
 
 

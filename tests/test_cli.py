@@ -401,6 +401,12 @@ def test_wrong_xnew_length_exits_3_before_a_nan_delta(capsys, workdir):
         pytest.param(["interval"], ["--delta", "inf"], 3, id="interval-delta-inf"),
         pytest.param(["sim", "coverage"], ["--method", "cv_plus", "--delta=-inf"], 3, id="sim-coverage-delta-minus-inf"),
         pytest.param(["sim", "coverage"], ["--delta", "nan"], 4, id="sim-coverage-delta-nan"),
+        pytest.param(["interval"], ["--symmetrized", "--alpha1", "inf", "--alpha2", "inf"], 3,
+                     id="interval-symmetrized-alphas-inf"),
+        pytest.param(["interval"], ["--symmetrized", "--alpha1=-inf", "--alpha2=-inf"], 3,
+                     id="interval-symmetrized-alphas-minus-inf"),
+        pytest.param(["sim", "coverage"], ["--symmetrized", "--alpha1", "inf", "--alpha2", "inf"], 3,
+                     id="sim-coverage-symmetrized-alphas-inf"),
         pytest.param(["sim", "equiv"], ["--delta", "nan"], 4, id="sim-equiv-delta-nan"),
         pytest.param(["sim", "equiv"], ["--eps", "nan"], 2, id="sim-equiv-eps-nan"),
         pytest.param(["sim", "problen"], ["--nominal", "nan"], 2, id="sim-problen-nominal-nan"),

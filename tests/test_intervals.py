@@ -143,6 +143,17 @@ def test_symmetrized_cv_centered():
     assert empty.empty
 
 
+@pytest.mark.parametrize("base", ["cv", "fitted_values"])
+def test_symmetrized_levels_at_one_infinity_are_rejected(base):
+    # the centered radius is read at alpha2 - alpha1, which is inf - inf here
+    fits = singleton_fits(constant(2.0), [1.0, 5.0, 3.0])
+    for a in (math.inf, -math.inf):
+        with pytest.raises(InvalidTolerance):
+            interval(IntervalMethod(base, symmetrized=True), fits, X0, a, a, 0.0)
+    piv = interval(IntervalMethod(base, symmetrized=True), fits, X0, -math.inf, math.inf, 0.0)
+    assert (piv.lo, piv.hi) == (-math.inf, math.inf)
+
+
 def test_symmetrized_cv_plus_atoms():
     fits = singleton_fits(max_response(), [1.0, 5.0, 3.0])
     piv = interval(IntervalMethod("cv_plus", symmetrized=True), fits, X0, 1 / 3, 1.0, 0.0)

@@ -253,6 +253,15 @@ def _ridge_case(n, rule):
     return FoldFits(ridge(0.5), train, resolve_partition(rule, n)), x_test, y_test
 
 
+def _count_width_case(n, rule):
+    # the per-row counts are stored in the narrowest integer type that holds n
+    # (uint8 up to 255): test responses above and below every atom make the
+    # counts reach n and 0
+    fits, x_test, y_test = _ridge_case(n, rule)
+    y_test[0::3], y_test[1::3] = 100.0, -100.0
+    return fits, x_test, y_test
+
+
 @pytest.mark.parametrize(
     "case",
     [
@@ -261,6 +270,10 @@ def _ridge_case(n, rule):
         pytest.param(lambda: _ridge_case(12, "jackknife"), id="ridge-jackknife-n12"),
         pytest.param(lambda: _lattice_case(25, "jackknife"), id="ties-jackknife-n25"),
         pytest.param(lambda: _lattice_case(10, 3), id="ties-k3-n10"),
+        pytest.param(lambda: _count_width_case(255, "jackknife"), id="counts-jackknife-n255"),
+        pytest.param(lambda: _count_width_case(256, "jackknife"), id="counts-jackknife-n256"),
+        pytest.param(lambda: _count_width_case(300, "jackknife"), id="counts-jackknife-n300"),
+        pytest.param(lambda: _count_width_case(256, 7), id="counts-k7-n256"),
     ],
 )
 def test_kernel_matches_scalar_intervals_on_adversarial_inputs(case):
@@ -271,9 +284,12 @@ def test_kernel_matches_scalar_intervals_on_adversarial_inputs(case):
     # every exact multiple of 1/n, the same a hair above (within LEVEL_GUARD
     # of j/n but more than LEVEL_GUARD / n above it), and cumulative fold
     # weight as either level, crossed pairs, and levels near and outside the
-    # ends of (0, 1]
+    # ends of (0, 1]; for large n about ten of these and the top ones, where
+    # the counts reach n
     grid = {j / n for j in range(n + 1)} | {j / n + 5e-13 for j in range(n + 1)}
     grid = sorted(grid | {float(c) for c in np.cumsum(weights)})
+    if n > 100:
+        grid = sorted(set(grid[:: len(grid) // 10] + grid[-4:]))
     pairs = [(a, 1.0) for a in grid] + [(0.0, b) for b in grid] + list(zip(grid, reversed(grid)))
     pairs += [(1e-13, 1.0), (0.0, 1e-13), (-0.1, 0.5), (0.0, 1.5), (1.2, 1.5), (-0.5, 0.0)]
     engine = CoverageEngine(fits, x_test, y_test)
@@ -332,12 +348,12 @@ def test_cv_plus_kernel_memory_is_blocked():
     assert peak < m * n * 8 / 4
 
 
-def test_test_set_costs_its_size_once():
-    # a test draw's x is a view of its normal block, and the engine keeps it
-    # as it is: neither copies the 20 MB block
+def _traced_test_set_and_pass(rule):
+    """Traced peaks, as fractions of the 20 MB test block (50k rows, p = 50),
+    of drawing the test set and of one cv+ pass with exceedance at n = 200."""
     m, p, n = 50_000, 50, 200
     dgp = DgpSpec("gaussian_linear", {"beta": [1 / math.sqrt(p)] * p, "sigma": 1.0})
-    fits = FoldFits(ridge(0.5), dgp.sample(n, stream(18, 0)), FoldPartition.singletons(n))
+    fits = FoldFits(ridge(0.5), dgp.sample(n, stream(18, 0)), resolve_partition(rule, n))
     block = m * (p + 1) * 8
     tracemalloc.start()
     try:
@@ -349,8 +365,23 @@ def test_test_set_costs_its_size_once():
         engine_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert draw_peak <= 1.1 * block
-    assert engine_peak - drawn <= block / 4
+    return draw_peak / block, (engine_peak - drawn) / block
+
+
+def test_test_set_costs_its_size_once():
+    # a test draw's x is a view of its normal block, and the engine keeps it
+    # as it is: neither copies the 20 MB block
+    draw_peak, pass_peak = _traced_test_set_and_pass("jackknife")
+    assert draw_peak <= 1.1
+    assert pass_peak <= 1 / 4
+
+
+def test_unequal_fold_pass_has_no_block_sized_temporaries():
+    # with unequal folds the hits are compared into the float scratch block
+    # the fold weights sum, and the atoms gathered into theirs: no bool block
+    # is cast to float64 and no gather output is buffered.  Each of those
+    # would add 1 MiB, about 0.05 of the test block, to a pass
+    assert _traced_test_set_and_pass(7)[1] <= 0.2
 
 
 def test_coverage_report_binomial_se_per_rep():
