@@ -11,10 +11,20 @@ Sampling contract
 Every DGP draws exactly ``p + 1`` standard normals per row, in row order, and
 transforms them deterministically.  Hence the first ``m`` rows drawn from a
 stream equal an ``m``-row draw from a fresh stream with the same key, which
-gives nested common random numbers across sample sizes.  A draw's x is a
-view of its (n, p + 1) block of normals (for ``custom_table``, rows of the
-table), not a copy, so a test set costs its size once; :class:`TrainingSet`
-keeps its own contiguous, read-only copy.
+gives nested common random numbers across sample sizes, and successive draws
+from one generator continue its stream: :meth:`DgpSpec.draw_chunks` yields
+chunks that concatenate to one ``draw`` of all their rows.  For the linear
+kinds that holds bit for bit because ``x @ beta`` rounds each row alike
+whenever the chunks start at multiples of 4 rows (the row grouping of the
+BLAS matrix-vector kernel) and none but a whole draw has one row (a one-row
+product takes another path); ``draw_chunks`` keeps both rules.  With a
+threaded BLAS a large whole draw's product is split across threads at row
+counts of its own, which can round differently (OpenBLAS 0.3.31 with 2
+threads, p = 50, m = 50,001: one row off by 1.1e-16); the 2,620-row chunks
+of a coverage pass were not split there, and matched the one-thread whole
+draw.  A draw's x is a view of its (n, p + 1) block of normals (for
+``custom_table``, rows of the table), not a copy, so a test set costs its
+size once; :class:`TrainingSet` keeps its own contiguous, read-only copy.
 
 ``scipy`` is loaded only on the first ``student_linear``,
 ``classification_grid`` or ``custom_table`` draw, the kinds that need the
@@ -215,6 +225,18 @@ def _array(params: dict, name: str) -> np.ndarray:
     return values
 
 
+def chunk_slices(m: int, rows: int):
+    """Slices of ``rows`` rows each (a multiple of 4) covering m rows, the
+    last one shorter; a one-row tail joins the slice before it."""
+    start = 0
+    while start < m:
+        stop = min(start + rows, m)
+        if m - stop == 1:
+            stop = m
+        yield slice(start, stop)
+        start = stop
+
+
 DGP_KINDS = ("gaussian_linear", "student_linear", "classification_grid", "custom_table", "dirac_first_coord")
 
 
@@ -293,6 +315,12 @@ class DgpSpec:
             x[:, 0] = float(self.params["point"])
             y = z.copy()
         return y, x
+
+    def draw_chunks(self, m: int, rng: np.random.Generator, rows: int):
+        """Draw m rows as successive draws of the :func:`chunk_slices` sizes:
+        chunks that concatenate to ``draw(m, rng)`` of a fresh ``rng``."""
+        for chunk in chunk_slices(m, rows):
+            yield self.draw(chunk.stop - chunk.start, rng)
 
     def sample(self, n: int, rng: np.random.Generator) -> TrainingSet:
         if n < 2:

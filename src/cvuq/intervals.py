@@ -22,7 +22,9 @@ which levels at the same infinity (inf - inf) leave undefined, while for
 cv_plus the atoms ``yhat^{fold(i)} + |u_i|`` keep the asymmetric two-quantile
 form.
 
-Intervals are closed at finite endpoints and empty iff lo > hi.
+Intervals are closed at finite endpoints and open at infinite ones, so an
+interval is empty iff lo > hi or both ends are open at the same infinity
+(lo = hi = +-inf); an empty interval has length 0.
 """
 
 from __future__ import annotations
@@ -51,14 +53,15 @@ class IntervalMethod:
 
 @dataclass(frozen=True)
 class PredInterval:
-    """Closed extended-real interval; empty iff lo > hi."""
+    """Extended-real interval, closed at finite ends and open at infinite
+    ones; empty iff lo > hi or lo = hi = +-inf, where no real y lies."""
 
     lo: float
     hi: float
 
     @property
     def empty(self) -> bool:
-        return self.lo > self.hi
+        return self.lo > self.hi or (self.lo == self.hi and math.isinf(self.lo))
 
     @property
     def length(self) -> float:

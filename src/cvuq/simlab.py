@@ -29,6 +29,12 @@ hits are summed as bytes into, and stored in, the narrowest unsigned integer
 type that holds n (uint8 up to n = 255): exact, and smaller and faster to
 sum than machine integers.
 
+A pass draws the test set chunk by chunk from the DGP (see
+:meth:`CoverageEngine.drawn`), so its memory is O(block) plus about 20 B
+per test row at n <= 255 and equal folds, whatever p: y and the full-data
+prediction, 8 B each, and the byte counts of two tolerances.  x is never
+held whole.
+
 ``delta`` arguments accept a float, a string ``"iqr:FACTOR"`` (factor times
 the interquartile range of the leave-fold-out residuals), or a callable
 mapping the residual vector to a float; the tolerance it resolves to must be
@@ -43,7 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import DgpSpec
+from .data import DgpSpec, chunk_slices
 from .ecdf import LEVEL_GUARD, SortedAtoms, quantiles, uniform_ecdf, weighted_ecdf
 from .errors import InvalidTolerance
 from .intervals import IntervalMethod, checked_delta, interval, interval_atoms, interval_ends
@@ -57,6 +63,10 @@ from .stability import equivalence_bound, resolve_partition, se_of_mean
 # n = 200, p = 50 blocks of 64k to 262k cells ran within noise of each other
 # on a 2-core Xeon with 2 MiB of L2 per core; 32k and 400k or more were slower.
 BLOCK_ATOMS = 1 << 17
+# A pass takes the test set in chunks of this many row blocks: a multiple of
+# 4 rows, so each chunk's products round as the whole set's do (see
+# cvuq.data.DgpSpec.draw_chunks), and 1.07 MB of x at n = 200, p = 50.
+CHUNK_BLOCKS = 4
 
 
 def iqr_factor(rule: str) -> float:
@@ -87,10 +97,17 @@ def resolve_delta(delta, residuals) -> float:
 
 class CoverageEngine:
     """Vectorized per-test-point interval coverage for one training set and
-    one set of test pairs, which it does not copy (a strided view is kept as
-    it is).  Per cv_plus key (d, absolute) one pass over (k, rows) blocks of
-    fold predictions, about ``BLOCK_ATOMS`` cells each, gives each row the
-    counts
+    m test pairs, which a pass takes from a source chunk by chunk: given
+    arrays, which it does not copy (a strided view is kept as it is), it
+    reads slices; built by :meth:`drawn`, it draws each chunk from the DGP
+    inside the pass, so x is never held whole.  A chunk is
+    ``CHUNK_BLOCKS`` row blocks of about ``BLOCK_ATOMS`` cells, (k or n) x
+    rows, and the blocks start at multiples of their width from row 0,
+    chunk boundaries included, so the rounding of every product matches a
+    pass over the whole test set (see :meth:`cvuq.data.DgpSpec.draw_chunks`).
+    The first pass keeps y and the full-data prediction of each row.  Per
+    cv_plus key (d, absolute) one pass over (k, rows) blocks of fold
+    predictions gives each row the counts
     #{j : fl(a_j - d) <= y} and #{j : fl(a_j + d) < y}; each counted set is
     a prefix of the sorted atoms, so one pass serves every level pair, and
     :meth:`coverages` counts several tolerances in one pass.  The counts are
@@ -98,18 +115,47 @@ class CoverageEngine:
     atom of fold j weighs 1/(k |K_j|) and a count is the float64 weight of
     the hit atoms (hits compared into a float scratch block, then summed by
     a product with the weights), compared with the level.  The first pass
-    also counts, per fold, the test points whose fold prediction is more
-    than ``exceed_delta`` from the full-data one.
+    that computes fold predictions also counts, per fold, the test points
+    whose fold prediction is more than ``exceed_delta`` from the full-data
+    one.
+
+    Memory is O(block) plus about 20 B per test row: a few scratch blocks
+    of 1 MiB and one chunk (2,620 rows at n = 200, 1.07 MB at p = 50),
+    then y and the full-data prediction (8 B each) and the counts (1 B per
+    tolerance and side up to n = 255; 8 B with unequal folds).
+
+    Chunks do not change the rounding, but blocks do: a block's fold
+    predictions are one matrix product, which can differ in the last bits
+    from the one-row product of :func:`cvuq.intervals.interval` (up to about
+    1e-14 for ridge at n = 200, p = 50), so a hit can differ from
+    ``interval``'s when y lies within a few ulps of an interval end.
     """
 
     def __init__(self, fits: FoldFits, x_test: np.ndarray, y_test: np.ndarray,
                  exceed_delta: float | None = None):
+        x_test = np.asarray(x_test, dtype=float)
+        y_test = np.asarray(y_test, dtype=float)
+        self._start(fits, y_test.size, exceed_delta,
+                    lambda rows: ((y_test[s], x_test[s]) for s in chunk_slices(y_test.size, rows)))
+        self.y_test = y_test
+
+    @classmethod
+    def drawn(cls, fits: FoldFits, dgp: DgpSpec, m: int, seed: int, *key,
+              exceed_delta: float | None = None) -> "CoverageEngine":
+        """An engine on m test pairs of ``dgp`` drawn from ``stream(seed,
+        *key)``: the pairs ``dgp.draw(m, stream(seed, *key))`` returns, drawn
+        again from a fresh stream on every pass."""
+        engine = cls.__new__(cls)
+        engine._start(fits, m, exceed_delta, lambda rows: dgp.draw_chunks(m, stream(seed, *key), rows))
+        return engine
+
+    def _start(self, fits: FoldFits, m: int, exceed_delta, chunks) -> None:
         self.fits = fits
         self.partition = fits.partition
         self.u = fits.loo_residuals
-        self.x_test = np.asarray(x_test, dtype=float)
-        self.y_test = np.asarray(y_test, dtype=float)
-        self.full = np.asarray(fits.full_model.predict(self.x_test), dtype=float)
+        self.m = m
+        self._chunks = chunks  # rows -> (y, x) chunks of that many rows
+        self.y_test = self.full = None  # per row, kept by the first pass
         self.exceed_delta = exceed_delta
         weights = self.partition.atom_weights
         self.equal_weights = bool(np.all(weights == weights[0]))
@@ -129,9 +175,9 @@ class CoverageEngine:
         """:meth:`coverage` at each (alpha1, alpha2, delta) of ``levels``; for
         cv_plus, one pass counts every tolerance among them not yet counted."""
         ds = [resolve_delta(delta, self.u) for _, _, delta in levels]
-        if method.base == "cv_plus":
-            self._count_atoms(ds, method.symmetrized)
-        elif method not in self._offsets:  # the residual atoms, sorted once: they need no test point
+        self._count_atoms(ds if method.base == "cv_plus" else [], method.symmetrized)
+        if method.base != "cv_plus" and method not in self._offsets:
+            # the residual atoms, sorted once: they need no test point
             self._offsets[method] = interval_atoms(method, self.fits)
         return [self._coverage(method, a1, a2, d) for (a1, a2, _), d in zip(levels, ds)]
 
@@ -152,49 +198,68 @@ class CoverageEngine:
         return self._exceed
 
     def _count_atoms(self, ds, absolute: bool) -> None:
-        """Count, in one pass over row blocks of fold predictions, each a
-        C-contiguous (k, rows) block, the atoms at every tolerance of ``ds``
-        not yet counted: per row, the number of hit atoms, or their weight
-        with unequal folds.  The first pass also takes the per-fold
-        exceedance.  Scratch blocks are allocated once per pass."""
+        """Count, in one pass over the chunks of the test set and over row
+        blocks of fold predictions in each, each a C-contiguous (k, rows)
+        block, the atoms at every tolerance of ``ds`` not yet counted: per
+        row, the number of hit atoms, or their weight with unequal folds.
+        The first pass keeps y and the full-data predictions; the first one
+        with fold predictions also takes the per-fold exceedance.  Scratch
+        blocks are allocated once per pass."""
         ds = [d for d in dict.fromkeys(ds) if (d, absolute) not in self._counts]
         take = self.exceed_delta is not None and self._exceed is None
-        if not (ds or take):
+        keep = self.full is None
+        if not (ds or take or keep):
             return
-        m, n, k = self.y_test.size, self.u.size, self.partition.k
+        m, n, k = self.m, self.u.size, self.partition.k
         width = min(max(1, BLOCK_ATOMS // n), m)
-        buf, hit = np.empty((n, width)), np.empty((n, width), dtype=bool)
-        gather = None if self.columns is None else np.empty((n, width))
+        if keep:
+            self.full = np.empty(m)
+            keep_y = self.y_test is None
+            if keep_y:
+                self.y_test = np.empty(m)
+        folds = ds or take  # fold predictions are needed
+        if folds:
+            buf, hit = np.empty((n, width)), np.empty((n, width), dtype=bool)
+            gather = None if self.columns is None else np.empty((n, width))
         res = (np.abs(self.u) if absolute else self.u)[:, None]
         weights = None if self.equal_weights else self.partition.atom_weights
         # no count exceeds n (per row) or width (per fold and block), so these are exact
         count_type, fold_type = np.min_scalar_type(n), np.min_scalar_type(width)
         counts = np.empty((len(ds), 2, m), dtype=count_type if weights is None else float)
         exceed = np.zeros(k, dtype=np.intp)
-        for start in range(0, m, width):
-            rows = slice(start, start + width)
-            block = self.fits.fold_predictions(self.x_test[rows]).T
-            w = block.shape[1]
-            b, h = buf[:, :w], hit[:, :w]
-            if take:
-                np.abs(np.subtract(block, self.full[rows], out=b[:k]), out=b[:k])
-                np.greater(b[:k], self.exceed_delta, out=h[:k])
-                exceed += np.add.reduce(h[:k].view(np.uint8), axis=1, dtype=fold_type)
-            if ds:
-                # atom j is block[fold(j)] + u_j, in place when fold(j) = j
-                if gather is not None:  # mode "raise" would buffer the whole output
-                    block = np.take(block, self.columns, axis=0, out=gather[:, :w], mode="clip")
-                block += res
-                y = self.y_test[rows]
-                into = h if weights is None else b  # with unequal folds, hits as floats for the weights to sum
-                for i, d in enumerate(ds):
-                    for side, (compare, shift) in enumerate(((np.less_equal, np.subtract), (np.less, np.add))):
-                        hits = compare(block if d == 0 else shift(block, d, out=b), y, out=into)
-                        if weights is None:
-                            np.add.reduce(hits.view(np.uint8), axis=0, dtype=count_type, out=counts[i, side, rows])
-                        else:
-                            counts[i, side, rows] = weights @ hits
-            del block  # freed before the next block is computed
+        start = 0
+        for y_chunk, x_chunk in self._chunks(CHUNK_BLOCKS * width):
+            chunk = slice(start, start + y_chunk.size)
+            if keep:
+                self.full[chunk] = self.fits.full_model.predict(x_chunk)
+                if keep_y:
+                    self.y_test[chunk] = y_chunk
+            for at in range(0, y_chunk.size, width) if folds else ():
+                rows = slice(start + at, start + at + width)
+                block = self.fits.fold_predictions(x_chunk[at:at + width]).T
+                w = block.shape[1]
+                b, h = buf[:, :w], hit[:, :w]
+                if take:
+                    np.abs(np.subtract(block, self.full[rows], out=b[:k]), out=b[:k])
+                    np.greater(b[:k], self.exceed_delta, out=h[:k])
+                    exceed += np.add.reduce(h[:k].view(np.uint8), axis=1, dtype=fold_type)
+                if ds:
+                    # atom j is block[fold(j)] + u_j, in place when fold(j) = j
+                    if gather is not None:  # mode "raise" would buffer the whole output
+                        block = np.take(block, self.columns, axis=0, out=gather[:, :w], mode="clip")
+                    block += res
+                    y = y_chunk[at:at + width]
+                    into = h if weights is None else b  # with unequal folds, hits as floats for the weights to sum
+                    for i, d in enumerate(ds):
+                        for side, (compare, shift) in enumerate(((np.less_equal, np.subtract), (np.less, np.add))):
+                            hits = compare(block if d == 0 else shift(block, d, out=b), y, out=into)
+                            if weights is None:
+                                np.add.reduce(hits.view(np.uint8), axis=0, dtype=count_type, out=counts[i, side, rows])
+                            else:
+                                counts[i, side, rows] = weights @ hits
+                del block  # freed before the next block is computed
+            start = chunk.stop
+            del x_chunk  # freed before the next chunk is drawn
         if take:
             self._exceed = exceed / m
         for i, d in enumerate(ds):
@@ -227,8 +292,7 @@ def conditional_coverage(
     if mc_test < 1:
         raise InvalidTolerance("mc_test must be at least 1")
     fits = FoldFits(spec, train, resolve_partition(partition_rule, train.n))
-    y_test, x_test = dgp.draw(mc_test, stream(seed))
-    return CoverageEngine(fits, x_test, y_test).coverage(method, alpha1, alpha2, delta)
+    return CoverageEngine.drawn(fits, dgp, mc_test, seed).coverage(method, alpha1, alpha2, delta)
 
 
 @dataclass(frozen=True)
@@ -265,13 +329,14 @@ def coverage_distribution(
     threads: int = 1,
 ) -> CoverageReport:
     """Distribution of the conditional coverage over fresh training sets."""
+    if math.isinf(alpha1) and alpha1 == alpha2:  # the nominal alpha2 - alpha1 would be inf - inf
+        raise InvalidTolerance(f"levels alpha1 = {alpha1}, alpha2 = {alpha2} have no nominal alpha2 - alpha1")
     partition = resolve_partition(partition_rule, n)
 
     def one(r: int) -> float:
         train = dgp.sample(n, stream(seed, r, 0))
         fits = FoldFits(spec, train, partition)
-        y_test, x_test = dgp.draw(mc_test, stream(seed, r, 1))
-        return CoverageEngine(fits, x_test, y_test).coverage(method, alpha1, alpha2, delta)
+        return CoverageEngine.drawn(fits, dgp, mc_test, seed, r, 1).coverage(method, alpha1, alpha2, delta)
 
     cov = np.array(indexed_map(one, train_reps, threads))
     q05, q50, q95 = np.quantile(cov, [0.05, 0.5, 0.95])
@@ -341,12 +406,13 @@ def jk_vs_jkplus_gap(
         fits = FoldFits(spec, train, partition)
         d = resolve_delta(delta, fits.loo_residuals)
         d_stab = resolve_delta(stability_delta, fits.loo_residuals)
-        y_test, x_test = dgp.draw(mc_test, stream(seed, r, 1))
-        engine = CoverageEngine(fits, x_test, y_test, exceed_delta=d_stab)
-        c_j = engine.coverage(cv, alpha1, alpha2, d)
-        # CV+ at delta and on the pair grid at 0: one pass of fold predictions
+        engine = CoverageEngine.drawn(fits, dgp, mc_test, seed, r, 1, exceed_delta=d_stab)
+        # CV+ at delta and on the pair grid at 0 first: one pass, and one
+        # draw of the test set, also keeps y, the full-data predictions and
+        # the fold exceedance for the CV queries below
         grid = [(b1, b2, 0.0) for b1, b2 in DEFAULT_PAIR_GRID]
         c_jp, *c_plus = engine.coverages(cvp, [(alpha1, alpha2, d)] + grid)
+        c_j = engine.coverage(cv, alpha1, alpha2, d)
         # per-fold exceedance of the stability tolerance across test points
         exceed = engine.fold_exceedance()
         # equivalence-deficit event: CV at widened levels and inflated

@@ -407,6 +407,9 @@ def test_wrong_xnew_length_exits_3_before_a_nan_delta(capsys, workdir):
                      id="interval-symmetrized-alphas-minus-inf"),
         pytest.param(["sim", "coverage"], ["--symmetrized", "--alpha1", "inf", "--alpha2", "inf"], 3,
                      id="sim-coverage-symmetrized-alphas-inf"),
+        pytest.param(["sim", "coverage"], ["--alpha1", "inf", "--alpha2", "inf"], 3, id="sim-coverage-alphas-inf"),
+        pytest.param(["sim", "coverage"], ["--method", "cv_plus", "--alpha1=-inf", "--alpha2=-inf"], 3,
+                     id="sim-coverage-cv_plus-alphas-minus-inf"),
         pytest.param(["sim", "equiv"], ["--delta", "nan"], 4, id="sim-equiv-delta-nan"),
         pytest.param(["sim", "equiv"], ["--eps", "nan"], 2, id="sim-equiv-eps-nan"),
         pytest.param(["sim", "problen"], ["--nominal", "nan"], 2, id="sim-problen-nominal-nan"),

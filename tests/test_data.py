@@ -1,3 +1,10 @@
+import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -184,3 +191,52 @@ def test_student_linear_draw_matches_scipy_t_ppf(dof):
     expect = x * 0.5 + 1.5 * student_t.ppf(ndtr(z), dof)
     assert y[0] == -np.inf and y[6] == np.inf
     np.testing.assert_array_equal(y, expect)
+
+
+# one spec of each DGP kind, the linear kinds at p = 2 and p = 50
+CONTRACT_SPECS = {
+    "gaussian_p2": {"kind": "gaussian_linear", "beta": [1.0, -0.5], "sigma": 1.0},
+    "gaussian_p50": {"kind": "gaussian_linear", "beta": [50 ** -0.5] * 50, "sigma": 1.0},
+    "student_p2": {"kind": "student_linear", "beta": [1.0, -0.5], "sigma": 1.0, "dof": 2.5},
+    "student_p50": {"kind": "student_linear", "beta": [50 ** -0.5] * 50, "sigma": 2.0, "dof": 4.0},
+    "classification_grid": {"kind": "classification_grid", "p": 3, "class_count": 4},
+    "custom_table": {"kind": "custom_table", "table_y": [1.0, 2.0, 3.0],
+                     "table_x": [[0.0, 1.0], [1.0, 0.5], [2.0, -1.0]]},
+    "dirac_first_coord": {"kind": "dirac_first_coord", "p": 2, "point": 0.5},
+}
+
+
+def test_draw_chunks_concatenate_to_one_draw():
+    # m = 2,621 ends on a one-row tail of 2,620-row chunks, and m = 50,001 on
+    # one of 20-row chunks; each tail joins the chunk before it.  The whole
+    # draws are taken with a one-thread BLAS, in a fresh interpreter: a
+    # threaded BLAS splits the rows of one large x @ beta at counts of its own
+    script = textwrap.dedent("""
+        import json, sys
+        import numpy as np
+        from cvuq.data import DgpSpec
+        from cvuq.rng import stream
+
+        failures = []
+        for name, spec in json.loads(sys.argv[1]).items():
+            dgp = DgpSpec.from_dict(spec)
+            for m in (1, 2, 2621, 50001):
+                y, x = dgp.draw(m, stream(31, m))
+                for rows in (2620, 20):
+                    chunks = list(dgp.draw_chunks(m, stream(31, m), rows))
+                    sizes = [len(c[0]) for c in chunks]
+                    full, tail = sizes[:-1] == [rows] * (len(sizes) - 1), sizes[-1]
+                    if not (full and 0 < tail <= rows + 1 and (tail > 1 or m == 1)):
+                        failures.append([name, m, rows, "sizes", sizes[-3:]])
+                    if not (np.array_equal(np.concatenate([c[0] for c in chunks]), y)
+                            and np.array_equal(np.concatenate([c[1] for c in chunks]), x)):
+                        failures.append([name, m, rows, "values"])
+        print(json.dumps(failures))
+    """)
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps(CONTRACT_SPECS)],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == []

@@ -65,6 +65,20 @@ def test_interval_empty_when_alphas_cross():
     assert piv.length == 0.0
 
 
+@pytest.mark.parametrize("level", [math.inf, -math.inf])
+def test_interval_open_at_one_infinity_is_empty(level):
+    # both levels outside (0, 1] on one side put both ends at the same
+    # infinity, where the interval is open: no real y lies in it
+    fits = singleton_fits(constant(0.0), [1.0, 5.0, 3.0])
+    for method in (CV, CVP):
+        piv = interval(method, fits, X0, level, level, 0.0)
+        assert piv.lo == piv.hi == level
+        assert piv.empty
+        assert piv.length == 0.0
+        assert piv.as_jsonable()["empty"] is True
+    assert not interval(CV, fits, X0, -math.inf, math.inf, 0.0).empty
+
+
 def test_jackknife_equals_cv_with_singletons():
     rng = np.random.default_rng(101)
     for _ in range(25):

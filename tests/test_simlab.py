@@ -384,6 +384,56 @@ def test_unequal_fold_pass_has_no_block_sized_temporaries():
     assert _traced_test_set_and_pass(7)[1] <= 0.2
 
 
+def test_drawn_engine_equals_array_engine():
+    # one test set of 2 * 2,620 + 1 rows, chunks of 2,620 at n = 200 with a
+    # one-row tail, seen whole and drawn chunk by chunk inside each pass;
+    # each cv+ tolerance below is counted by a pass of its own, which draws
+    # the test set again
+    n, m = 200, 2 * 2620 + 1
+    for rule in ("jackknife", 7):
+        fits = FoldFits(ridge(0.5), GAUSS.sample(n, stream(19, 0)), resolve_partition(rule, n))
+        y_test, x_test = GAUSS.draw(m, stream(19, 1))
+        whole = CoverageEngine(fits, x_test, y_test, exceed_delta=0.05)
+        drawn = CoverageEngine.drawn(fits, GAUSS, m, 19, 1, exceed_delta=0.05)
+        np.testing.assert_array_equal(drawn.fold_exceedance(), whole.fold_exceedance())
+        for method in ALL_METHODS:
+            for a1, a2, d in ((0.05, 0.95, 0.0), (0.1, 0.9, 0.2), (0.0, 0.8, -0.1)):
+                assert drawn.coverage(method, a1, a2, d) == whole.coverage(method, a1, a2, d), (rule, method, d)
+
+
+def test_equivalence_draws_each_test_set_once(monkeypatch):
+    # the cv+ batch comes first, so one pass keeps y, the full-data
+    # predictions and the exceedance that the cv queries read
+    n, reps, mc_test = 20, 3, 3000
+    rows = []
+    draw = DgpSpec.draw
+    monkeypatch.setattr(DgpSpec, "draw", lambda self, m, rng: rows.append(m) or draw(self, m, rng))
+    jk_vs_jkplus_gap(ridge(0.5), GAUSS, n, 0.05, 0.95, 0.1, train_reps=reps, mc_test=mc_test, seed=4)
+    assert sum(rows) == reps * (n + mc_test)
+
+
+@pytest.mark.parametrize("rule", ["jackknife", 7])
+def test_drawn_pass_holds_no_test_block(rule):
+    # a drawn engine holds one chunk of x at a time, never the 20 MB block:
+    # draw, y and full-data predictions, cv+ counts at two tolerances and
+    # the exceedance in one pass.  Byte counts are 4 B per row here; with
+    # unequal folds (k = 7) they are float64, 28 B per row more
+    m, p, n = 50_000, 50, 200
+    dgp = DgpSpec("gaussian_linear", {"beta": [1 / math.sqrt(p)] * p, "sigma": 1.0})
+    fits = FoldFits(ridge(0.5), dgp.sample(n, stream(18, 0)), resolve_partition(rule, n))
+    block = m * (p + 1) * 8
+    tracemalloc.start()
+    try:
+        engine = CoverageEngine.drawn(fits, dgp, m, 18, 1, exceed_delta=0.1)
+        engine.coverages(IntervalMethod("cv_plus"), [(0.05, 0.95, 0.1), (0.1, 0.9, 0.0)])
+        engine.fold_exceedance()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    wider_counts = 0 if engine.equal_weights else 2 * 2 * 7 * m
+    assert peak <= block / 4 + wider_counts
+
+
 def test_coverage_report_binomial_se_per_rep():
     kwargs = dict(train_reps=3, mc_test=200, seed=8)
     rep = coverage_distribution(ridge(0.5), GAUSS, 15, IntervalMethod("cv"), 0.05, 0.95, 0.0, **kwargs)
