@@ -19,8 +19,9 @@ Predictor arguments throughout the library accept either a
 ad-hoc algorithms.
 
 Leave-fold-out predictions come from :class:`FoldFits` alone: for ridge, one
-Cholesky factorization per fold size and a batched Woodbury update of every
-fold, guarded by ``WOODBURY_MIN_EIG``; closed forms for constant, the max
+thin SVD of X (never X'X, so accuracy follows the condition number of X, not
+its square) and a batched Woodbury update of every fold, guarded by
+``WOODBURY_MIN_EIG`` and ``PIVOT_RTOL``; closed forms for constant, the max
 kinds and dirac_threshold; one refit per fold for knn_mean and callables.  A
 FoldFits is the only input of the interval constructions in
 :mod:`cvuq.intervals`, which read from it what their method needs.
@@ -41,14 +42,15 @@ from .errors import DegenerateFit, DimensionMismatch, EmptyFold, FoldLeavesNothi
 
 PREDICTOR_KINDS = ("ridge", "knn_mean", "max_response", "neg_max_response", "dirac_threshold", "constant")
 
-# Relative pivot threshold below which a Gram factorization counts as singular.
+# X'X + cI counts as singular when (d_min^2 + c)/(d_max^2 + c) < PIVOT_RTOL^2,
+# d_min = 0 if rank X < p: [X; sqrt(c) I] has condition number > 1/PIVOT_RTOL.
 PIVOT_RTOL = 1e-12
 
 # Smallest eigenvalue of a ridge fold's Woodbury capacitance matrix
-# I - Z_f'Z_f (equivalently I - Z_f Z_f') at which the fold is updated from
-# the shared factorization.  Rounding error is amplified by at most its
-# inverse, so an updated fold loses at most ~4 more digits than a direct
-# solve of its rows; below it the fold is refitted from its own rows.
+# I - Z_f'Z_f (equivalently I - Z_f Z_f'), relative to its largest when p >= n,
+# at which the fold is updated from the shared SVD.  Rounding error is
+# amplified by at most its inverse, so an updated fold loses at most ~4 more
+# digits than a direct solve of its rows; below it the fold is refitted.
 WOODBURY_MIN_EIG = 1e-4
 
 
@@ -124,31 +126,39 @@ def _canonical_order(train: TrainingSet) -> np.ndarray:
     return np.lexsort(keys)
 
 
-def _solve_spd(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Solve A x = b by Cholesky; returns x and the factor L of A = L L'."""
-    try:
-        L = np.linalg.cholesky(A)
-    except np.linalg.LinAlgError as exc:
-        raise DegenerateFit("Gram matrix is not positive definite") from exc
-    if L.shape[0] and np.diag(L).min() ** 2 < PIVOT_RTOL * max(np.diag(A).max(), 1e-300):
-        raise DegenerateFit("Gram matrix pivot below relative threshold")
-    z = np.linalg.solve(L, b)
-    return np.linalg.solve(L.T, z), L
-
-
-def _normal_equations(train: TrainingSet) -> tuple[np.ndarray, np.ndarray]:
-    """X'X and X'Y on canonically ordered rows."""
+def _ridge_svd(train: TrainingSet) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """U (rows in training order), d, V' and U'Y of the thin SVD U diag(d) V'
+    of the canonically ordered X: any row order gives the same bits."""
     order = _canonical_order(train)
-    X = train.x[order]
-    return X.T @ X, X.T @ train.y[order]
+    u, d, vt = np.linalg.svd(train.x[order], full_matrices=False)
+    # np.linalg.matrix_rank's rule: singular values at the SVD's rounding are 0
+    d[d <= d[0] * max(train.n, train.p) * np.finfo(float).eps] = 0.0
+    U = np.empty_like(u)
+    U[order] = u
+    return U, d, vt, u.T @ train.y[order]
+
+
+def _spectrum(d: np.ndarray, p: int, c: float) -> tuple[float, float]:
+    """The extreme eigenvalues d_min^2 + c and d_max^2 + c of X'X + cI;
+    DegenerateFit when they fail the ``PIVOT_RTOL`` rule."""
+    lo, hi = (d[-1] ** 2 if d.size == p else 0.0) + c, d[0] ** 2 + c
+    if not (lo > 0 and lo >= PIVOT_RTOL**2 * hi):
+        raise DegenerateFit("[X; sqrt(shift) I] has condition number above 1/PIVOT_RTOL")
+    return lo, hi
+
+
+def _ridge_solve(d: np.ndarray, vt: np.ndarray, uty: np.ndarray, c: float) -> np.ndarray:
+    """beta = V (d / (d^2 + c) * U'Y), the solution of (X'X + cI) beta = X'Y."""
+    _spectrum(d, vt.shape[1], c)
+    return vt.T @ (d / (d * d + c) * uty)
 
 
 def ridge_coefficients(train: TrainingSet, lam: float) -> np.ndarray:
-    """Solve (X'X + lambda*n*I) beta = X'Y on canonically ordered rows."""
+    """Solve (X'X + lambda*n*I) beta = X'Y through the SVD of X."""
     if lam < 0:
         raise MalformedInput("lambda must be nonnegative")
-    gram, b = _normal_equations(train)
-    return _solve_spd(gram + lam * train.n * np.eye(train.p), b)[0]
+    _, d, vt, uty = _ridge_svd(train)
+    return _ridge_solve(d, vt, uty, lam * train.n)
 
 
 class _Fitted:
@@ -303,18 +313,18 @@ class FoldFits:
     """Cached full-data and leave-fold-out fits for one training set, computed
     once and reused across test points.  Each predictor kind takes one path:
 
-    * ridge: X'X, X'Y once; for each fold size s, factor S_s = X'X +
-      lambda*(n - s)*I = L L' once, whiten Z = L^{-1} X'.  A fold f has the
-      Woodbury update beta_f = beta_s - L^{-T} Z_f (I - Z_f'Z_f)^{-1} r_f with
-      r_f = y_f - X_f beta_s, solved for all folds in one stacked call, in the
-      p x p form (I - Z_f Z_f')^{-1} Z_f r_f when s > p.  A fold whose
-      capacitance matrix has an eigenvalue below ``WOODBURY_MIN_EIG`` is
-      refitted from its own rows, and so is a fold whose own Gram matrix may
-      fail the pivot check (its smallest eigenvalue, bounded below by the
-      capacitance eigenvalue times lambda_min(S_s), under ``PIVOT_RTOL``
-      times its largest diagonal entry) and every fold of a size whose S_s
-      fails the pivot check; a refit raises ``DegenerateFit`` as a direct
-      fit would.  ``fallback_folds`` lists them.
+    * ridge: one thin SVD X = U diag(d) V' (r = min(n, p) singular values).
+      For fold size s and c = lambda*(n - s), X'X + cI has spectrum d^2 + c;
+      with h = 1/sqrt(d^2 + c), beta_s = V(d h^2 U'Y) and Z_f = U_f diag(d h),
+      a fold f has the Woodbury update beta_f = beta_s - V diag(h) Z_f'
+      (I - Z_f Z_f')^{-1} r_f, r_f = y_f - X_f beta_s, solved for all folds in
+      one stacked call (the r x r form when s > r).  When p >= n, U_f U_f' =
+      I, so I - Z_f Z_f' = U_f diag(c h^2) U_f' has no cancellation.  A fold
+      is refitted from its own rows when its capacitance matrix fails
+      ``WOODBURY_MIN_EIG``, when its own X'X + cI may count as singular (by
+      the bound eig * (d_min^2 + c) on its smallest eigenvalue), or when its
+      size's X'X + cI does; a refit raises ``DegenerateFit`` as a direct fit
+      would.  ``fallback_folds`` lists them.
     * constant, max_response, neg_max_response: O(n) closed forms.
     * dirac_threshold: fold j predicts level * 1{x1 < t_j}, with t_j the
       size n - |K_j| of its training rows or the fixed threshold.
@@ -358,41 +368,44 @@ class FoldFits:
 
     def _ridge_fits(self) -> tuple[FittedRidge, np.ndarray, tuple]:
         """The full-data fit, the (p, k) leave-fold-out coefficients and the
-        folds refitted from their own rows, from one X'X and X'Y."""
+        folds refitted from their own rows, from one thin SVD of X."""
         lam = float(self.spec.params.get("lambda", 0.0))
         train, folds = self.train, self.partition.folds
-        gram, b = _normal_equations(train)
-        eye = np.eye(train.p)
+        U, d, vt, uty = _ridge_svd(train)
         # ridge_coefficients' expression, so a full-data DegenerateFit comes first
-        full = FittedRidge(_solve_spd(gram + lam * train.n * eye, b)[0])
+        full = FittedRidge(_ridge_solve(d, vt, uty, lam * train.n))
         coef = np.empty((train.p, len(folds)))
         sizes = np.array([f.size for f in folds])
+        square = d.size == train.n  # p >= n: U is orthogonal, so U_f U_f' = I
         fallback = []
         for s in np.unique(sizes):
             members = np.flatnonzero(sizes == s)
-            S = gram + lam * (train.n - s) * eye
+            c = lam * (train.n - s)
             try:
-                beta, L = _solve_spd(S, b)
+                lo, hi = _spectrum(d, train.p, c)
             except DegenerateFit:
                 fallback.extend(members)
                 continue
+            h2 = 1.0 / (d * d + c)
+            h = np.sqrt(h2)
             rows = np.concatenate([folds[j] for j in members]).reshape(-1, s)  # (folds, s)
-            Z = np.linalg.solve(L, train.x.T)[:, rows].transpose(1, 0, 2)  # (folds, p, s)
-            Xf = train.x[rows]  # (folds, s, p)
-            r = train.y[rows] - Xf @ beta
-            small = s <= train.p  # s x s capacitance matrices, else p x p by push-through
-            M = np.eye(s) - Z.transpose(0, 2, 1) @ Z if small else eye - Z @ Z.transpose(0, 2, 1)
-            eig = np.linalg.eigvalsh(M).min(axis=-1, initial=np.inf)
-            # A_f = L (I - Z_f Z_f') L', so eig * lambda_min(S_s) bounds the
-            # smallest eigenvalue, hence every Cholesky pivot, of the fold's
-            # own Gram matrix: a fold that might fail its pivot check is refitted
-            diag = np.diag(S) - np.einsum("fsj,fsj->fj", Xf, Xf)
-            pivot_floor = PIVOT_RTOL * np.maximum(diag.max(axis=1, initial=0.0), 1e-300)
-            lam_min = np.linalg.eigvalsh(S).min(initial=np.inf)
-            ok = (eig >= WOODBURY_MIN_EIG) & (eig * lam_min >= pivot_floor)
-            Z, M, r = Z[ok], M[ok], r[ok, :, None]
-            v = Z @ np.linalg.solve(M, r) if small else np.linalg.solve(M, Z @ r)
-            coef[:, members[ok]] = beta[:, None] - np.linalg.solve(L.T, v[..., 0].T)
+            Uf = U[rows]  # (folds, s, r)
+            Z = Uf * (d * h)
+            Zt = Z.transpose(0, 2, 1)
+            small = s <= d.size  # s x s capacitance matrices, else r x r by push-through
+            if square:  # I - Z_f Z_f' and r_f without cancellation, to relative precision
+                M, r = (Uf * (c * h2)) @ Uf.transpose(0, 2, 1), Uf @ (c * h2 * uty)
+            else:
+                M = np.eye(s) - Z @ Zt if small else np.eye(d.size) - Zt @ Z
+                r = train.y[rows] - Uf @ (d * d * h2 * uty)
+            eig = np.linalg.eigvalsh(M)
+            # rounding error in M is relative to its largest eigenvalue, at most 1
+            # for I - Z_f Z_f'; the fold's own X'X + cI has eigenvalues in [eig lo, hi]
+            ok = (eig[:, 0] >= WOODBURY_MIN_EIG * (eig[:, -1] if square else 1.0)) & (
+                eig[:, 0] * lo >= PIVOT_RTOL**2 * hi)
+            Z, Zt, M, r = Z[ok], Zt[ok], M[ok], r[ok, :, None]
+            v = Zt @ np.linalg.solve(M, r) if small else np.linalg.solve(M, Zt @ r)
+            coef[:, members[ok]] = vt.T @ ((d * h2 * uty)[:, None] - h[:, None] * v[..., 0].T)
             fallback.extend(members[~ok])
         fallback = tuple(sorted(int(j) for j in fallback))
         for j in fallback:

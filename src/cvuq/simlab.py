@@ -523,18 +523,21 @@ def gauge_convergence(
     of fresh prediction errors, per training size.
 
     Replications share streams across n (nested samples), so trend
-    comparisons use common random numbers.
+    comparisons use common random numbers.  The oracle rows are drawn and
+    predicted in the chunks of a coverage pass, so the errors do not depend
+    on the BLAS thread count (see :meth:`cvuq.data.DgpSpec.draw_chunks`).
     """
 
     def rep_at(n: int):
         partition = resolve_partition("jackknife", n)
+        rows = CHUNK_BLOCKS * max(1, BLOCK_ATOMS // n)
 
         def one(r: int) -> float:
             train = dgp.sample(n, stream(seed, r, 0))
             fits = FoldFits(spec, train, partition)
             F_hat = weighted_ecdf(fits.loo_residuals, partition.atom_weights)
-            y_o, x_o = dgp.draw(mc_oracle, stream(seed, r, 1))
-            errors = y_o - fits.full_model.predict(x_o)
+            chunks = dgp.draw_chunks(mc_oracle, stream(seed, r, 1), rows)
+            errors = np.concatenate([y - fits.full_model.predict(x) for y, x in chunks])
             return gauge(F_hat, uniform_ecdf(errors), delta).value
 
         return one

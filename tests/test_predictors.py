@@ -71,9 +71,9 @@ def test_ridge_degenerate_gram():
         ridge_coefficients(train, 0.0)
 
 
-def test_ridge_fold_fits_form_normal_equations_once(monkeypatch):
-    # the full fit reuses the fold path's X'X and X'Y: ridge_coefficients'
-    # result bit for bit, and a degenerate full-data Gram matrix still raises
+def test_ridge_fold_fits_take_one_svd(monkeypatch):
+    # the full fit reuses the fold path's SVD of X: ridge_coefficients'
+    # result bit for bit, and a degenerate full-data X'X still raises
     calls = []
     order = predictors._canonical_order
     monkeypatch.setattr(predictors, "_canonical_order", lambda train: calls.append(1) or order(train))
@@ -248,9 +248,9 @@ def test_fold_fits_match_refit_oracle():
 def test_ridge_high_leverage_row_matches_refit_oracle():
     # One row scaled by 1e5 or 1e6 makes the downdate cancel catastrophically
     # for the fold holding it.  Fold predictions are compared at the training
-    # rows: the folds that keep the big row have normal equations with
-    # condition ~1e12, so at fresh rows the refit oracle itself is only good
-    # to ~1e-7 (checked against a QR least-squares solve).
+    # rows; fresh rows are compared with the least-squares oracle in
+    # LSTSQ_CASES, which, unlike this refit oracle, shares no code with the
+    # library.
     for scale in (1e5, 1e6):
         rng = np.random.default_rng(7)
         x = rng.normal(size=(60, 20))
@@ -285,14 +285,20 @@ LSTSQ_CASES = {
     "k3-n10-unequal": (1e-8, _gaussian_train(10, 2, 2), FoldPartition.contiguous(10, 3), 1e-12, 1e-12),
     "k4-n40": (0.5, _gaussian_train(40, 5, 3), FoldPartition.contiguous(40, 4), 1e-12, 1e-12),
     "p>n-lambda0.1": (0.1, _gaussian_train(40, 80, 4), FoldPartition.contiguous(40, 4), 1e-12, 1e-12),
-    # the shared fit nearly interpolates every row (smallest capacitance
-    # eigenvalue ~3e-7), so every fold is refitted
-    "p>n-lambda1e-6": (1e-6, _gaussian_train(40, 80, 4), FoldPartition.contiguous(40, 4), 1e-8, 1e-8),
+    # the shared fit nearly interpolates every row: I - Z_f Z_f' has smallest
+    # eigenvalue ~3e-7, so it is formed as U_f diag(c h^2) U_f' (measured
+    # errors 1.8e-13 on residuals and 2.3e-13 on predictions)
+    "p>n-lambda1e-6": (1e-6, _gaussian_train(40, 80, 4), FoldPartition.contiguous(40, 4), 1e-10, 1e-10),
+    # the same at n = 100, p = 120 (measured 1.9e-12 and 3.6e-12)
+    "p>n-n100-p120-lambda1e-8": (1e-8, _gaussian_train(100, 120, 6), FoldPartition.singletons(100), 1e-10, 1e-10),
     # folds of 6 rows with p = 2: the p x p form of the update
     "k2-n12-p2": (0.3, _gaussian_train(12, 2, 5), FoldPartition.contiguous(12, 2), 1e-12, 1e-12),
-    # the folds that keep the x1e5 row have normal equations with condition
-    # ~1e12, so at fresh rows any Gram-based solve is good to ~1e-7 only
-    "high-leverage-1e5": (1e-8, _high_leverage_train(1e5), FoldPartition.singletons(60), 1e-9, 1e-6),
+    # the folds that keep the big row have X of condition ~1e5 (x1e5) and
+    # ~1e7 (x1e7), so at fresh rows a solve through the SVD of X is good to
+    # about that times the unit roundoff (measured 3.7e-12 and 1.5e-10;
+    # residuals 1.6e-15 and 1.4e-15), where the normal equations square it
+    "high-leverage-1e5": (1e-8, _high_leverage_train(1e5), FoldPartition.singletons(60), 1e-12, 1e-10),
+    "high-leverage-1e7": (1e-8, _high_leverage_train(1e7), FoldPartition.singletons(60), 1e-12, 1e-8),
 }
 
 
@@ -312,17 +318,28 @@ def test_ridge_fallback_folds_hold_the_high_leverage_row():
     assert FoldFits(ridge(1e-8), train, FoldPartition.contiguous(60, 4)).fallback_folds == (0,)
 
 
+@pytest.mark.parametrize("case", ["p>n-lambda1e-6", "p>n-n100-p120-lambda1e-8"])
+def test_ridge_p_ge_n_folds_are_updated_not_refitted(case):
+    # with p >= n, U is orthogonal and the capacitance matrix U_f diag(c h^2)
+    # U_f' has no cancellation, so a tiny lambda no longer forces refits
+    lam, train, part, _, _ = LSTSQ_CASES[case]
+    assert FoldFits(ridge(lam), train, part).fallback_folds == ()
+
+
 def test_ridge_fold_size_failing_pivot_check_is_refitted():
-    # two equal columns: the pivot ratio of X'X + shift*I is about 2*shift/|c|^2.
-    # The full fit's shift lambda*n gives 1.5e-12, above PIVOT_RTOL; the fold
-    # size's lambda*(n - 5) gives 0.75e-12, below it; each fold's own rows
-    # (|c_keep|^2 < 0.6) give more than 1.2e-12 again.
+    # two equal unit columns: X'X has eigenvalues 2 and 0 (the SVD's rounding
+    # level counts as 0), so X'X + shift*I has eigenvalue ratio
+    # shift/(2 + shift), against PIVOT_RTOL^2 = 1e-24.  The full fit's shift
+    # lambda*n = 3e-24 gives 1.5e-24, above it; the fold size's
+    # lambda*(n - 5) = 1.5e-24 gives 0.75e-24, below it, so every fold is
+    # refitted; each fold's own rows (|c_keep|^2 = a < 0.6) give
+    # 1.5e-24/(2a + 1.5e-24) > 1.25e-24, above it again, so the refits succeed.
     rng = np.random.default_rng(3)
     c = rng.normal(size=10)
     c /= np.linalg.norm(c)
     train = TrainingSet(rng.normal(size=10), np.column_stack([c, c]))
     part = FoldPartition.contiguous(10, 2)
-    spec = ridge(1.5e-12 / 20)
+    spec = ridge(3e-24 / 10)
     fits = FoldFits(spec, train, part)
     assert fits.fallback_folds == (0, 1)
     resid, preds = refit_leave_fold_out(spec, train, part, train.x)
@@ -332,10 +349,17 @@ def test_ridge_fold_size_failing_pivot_check_is_refitted():
 
 @pytest.mark.parametrize("k", [2, 10], ids=["p-by-p-form", "jackknife"])
 def test_ridge_nearly_collinear_fold_raises_like_refit(k):
-    # X = [c, c + eps*e] with e nonzero only on fold 0's rows: the fold
-    # sizes' S_s pass the pivot check (ratio ~3e-11), but without fold 0 the
-    # columns are equal and that fold's own pivot ratio (~4e-14) fails it,
-    # although its capacitance eigenvalue (5e-4 to 1e-3) passes WOODBURY_MIN_EIG
+    # X = [c, c + eps*e], c and e unit, e nonzero only on fold 0's rows, so X
+    # has d_max^2 ~ 2 and d_min^2 ~ eps^2 (1 - (c'e)^2)/2 ~ 1.7e-21 at
+    # eps = 6e-11.  With c = lambda*(n - s) of 5e-25 (k = 2, the r x r form)
+    # or 9e-25 (k = 10):
+    # * the fold sizes' X'X + cI pass the spectral rule (ratio ~8.5e-22);
+    # * fold 0's capacitance eigenvalue, ~c/(d_min^2 + c), is 2.8e-4 or
+    #   5e-4 and passes WOODBURY_MIN_EIG;
+    # * its bound eig*(d_min^2 + c)/(d_max^2 + c), 2.5e-25 or 4.1e-25, is
+    #   below PIVOT_RTOL^2 = 1e-24, so the fold is refitted;
+    # * without fold 0 the columns are equal, so the fold's own ratio
+    #   c/(2|c_keep|^2 + c) ~ 4.9e-25 fails the rule and the refit raises.
     rng = np.random.default_rng(5)
     c = rng.normal(size=10)
     c /= np.linalg.norm(c)
@@ -343,8 +367,8 @@ def test_ridge_nearly_collinear_fold_raises_like_refit(k):
     e = np.zeros(10)
     e[part.folds[0]] = 1.0
     e /= np.linalg.norm(e)
-    train = TrainingSet(rng.normal(size=10), np.column_stack([c, c + 6e-6 * e]))
-    spec = ridge(2e-15)
+    train = TrainingSet(rng.normal(size=10), np.column_stack([c, c + 6e-11 * e]))
+    spec = ridge(1e-25)
     with pytest.raises(DegenerateFit):
         refit_leave_fold_out(spec, train, part, train.x)
     with pytest.raises(DegenerateFit):

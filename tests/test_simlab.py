@@ -1,6 +1,12 @@
 import dataclasses
+import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -142,6 +148,35 @@ def test_gauge_convergence_decreasing_for_stable():
     )
     assert isotonic_trend_ok(rep.mean, rep.std_err, "decreasing")
     assert rep.mean[-1] < rep.mean[0]
+
+
+def test_gauge_convergence_oracle_errors_do_not_depend_on_blas_threads():
+    # a whole draw of 10,485 rows at p = 50 rounds x @ beta differently under
+    # a 2-thread OpenBLAS; the oracle errors are drawn and predicted in the
+    # chunks of a coverage pass, so they are the same bits at 1 and 2 threads
+    script = textwrap.dedent("""
+        import hashlib, json
+        import numpy as np
+        from cvuq import simlab
+        from cvuq.data import DgpSpec
+        from cvuq.predictors import ridge
+
+        errors = []
+        build = simlab.uniform_ecdf
+        simlab.uniform_ecdf = lambda e: errors.append(hashlib.sha256(e.tobytes()).hexdigest()) or build(e)
+        dgp = DgpSpec("gaussian_linear", {"beta": [50 ** -0.5] * 50, "sigma": 1.0})
+        rep = simlab.gauge_convergence(ridge(1.0), dgp, [60], 0.1, 2, 10485, 0)
+        print(json.dumps([errors, rep.per_rep.tolist()]))
+    """)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(json.loads(proc.stdout))
+    assert outputs[0] == outputs[1]
 
 
 def test_gauge_monotone_in_delta_per_rep():
