@@ -208,20 +208,23 @@ def _number(params: dict, name: str, default=None) -> float:
     raise MalformedInput(f"dgp parameter {name!r} must be a number, got {value!r}")
 
 
-def _integer(params: dict, name: str, default=None) -> int:
+def _integer(params: dict, name: str, default=None, least: int = 1) -> int:
     value = _number(params, name, default)
     if not value.is_integer():
         raise MalformedInput(f"dgp parameter {name!r} must be an integer, got {value!r}")
+    if value < least:
+        raise MalformedInput(f"{name} must be at least {least}")
     return int(value)
 
 
 def _array(params: dict, name: str) -> np.ndarray:
     try:
-        values = np.asarray(_param(params, name), dtype=float)
+        values = np.array(_param(params, name), dtype=float)
     except (TypeError, ValueError, OverflowError) as exc:
         raise MalformedInput(f"dgp parameter {name!r} must hold numbers: {exc}") from exc
     if not np.all(np.isfinite(values)):
         raise MalformedInput(f"dgp parameter {name!r} must be finite")
+    values.setflags(write=False)
     return values
 
 
@@ -245,11 +248,15 @@ class DgpSpec:
     """Synthetic data-generating process.
 
     kinds and params:
-      gaussian_linear:    beta (len p), sigma > 0; y = beta'x + sigma*z
+      gaussian_linear:    beta (len p), sigma > 0 (default 1); y = beta'x + sigma*z
       student_linear:     beta, sigma > 0, dof > 0; heavy-tailed t noise
-      classification_grid: p, class_count K >= 2; y = 1 + (floor(K*Phi(x1)) mod K)
+      classification_grid: p (default 1), class_count K >= 2; y = 1 + (floor(K*Phi(x1)) mod K)
       custom_table:       table_y, table_x; rows resampled uniformly
       dirac_first_coord:  p, point; x1 pinned to `point`, y standard normal
+
+    The constructor alone reads ``params``: it parses ``p`` and each param
+    above once into a read-only attribute (None where the kind has none), for
+    :meth:`draw`.  Equality and :meth:`to_dict` use ``params``.
     """
 
     kind: str
@@ -258,61 +265,50 @@ class DgpSpec:
     def __post_init__(self):
         if self.kind not in DGP_KINDS:
             raise MalformedInput(f"unknown dgp kind {self.kind!r}")
-        p = self.params
+        params = self.params
+        beta = sigma = dof = class_count = point = table_y = table_x = None
         if self.kind in ("gaussian_linear", "student_linear"):
-            if _array(p, "beta").ndim != 1:
+            beta = _array(params, "beta")
+            if beta.ndim != 1:
                 raise DimensionMismatch("beta must be a vector")
-            if not _number(p, "sigma", 1.0) > 0:
+            sigma = _number(params, "sigma", 1.0)
+            if not sigma > 0:
                 raise MalformedInput("sigma must be positive")
-            if self.kind == "student_linear" and not _number(p, "dof") > 0:
-                raise MalformedInput("dof must be positive")
+            if self.kind == "student_linear":
+                dof = _number(params, "dof")
+                if not dof > 0:
+                    raise MalformedInput("dof must be positive")
+            p = beta.size
         elif self.kind == "custom_table":
-            ty, tx = _array(p, "table_y"), _array(p, "table_x")
-            if ty.ndim != 1 or ty.size == 0 or tx.ndim != 2 or tx.shape[0] != ty.size:
+            table_y, table_x = _array(params, "table_y"), _array(params, "table_x")
+            if table_y.ndim != 1 or table_y.size == 0 or table_x.ndim != 2 or table_x.shape[0] != table_y.size:
                 raise MalformedInput("table_y must be a nonempty vector and table_x a matrix with one row per entry")
+            p = table_x.shape[1]
         else:
-            if _integer(p, "p", 1) < 1:
-                raise MalformedInput("p must be at least 1")
-            if self.kind == "classification_grid" and _integer(p, "class_count") < 2:
-                raise MalformedInput("class_count must be at least 2")
+            p = _integer(params, "p", 1)
+            if self.kind == "classification_grid":
+                class_count = _integer(params, "class_count", least=2)
             if self.kind == "dirac_first_coord":
-                _number(p, "point")
-
-    @property
-    def p(self) -> int:
-        if self.kind in ("gaussian_linear", "student_linear"):
-            return len(self.params["beta"])
-        if self.kind == "custom_table":
-            return int(np.asarray(self.params["table_x"]).shape[1])
-        return int(self.params.get("p", 1))
+                point = _number(params, "point")
+        vars(self).update(p=p, beta=beta, sigma=sigma, dof=dof, class_count=class_count, point=point,
+                          table_y=table_y, table_x=table_x)  # frozen: set past __setattr__
 
     def draw(self, n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
         """Draw n rows (y, x); consumes (p + 1) normals per row in row order.
         Except for ``custom_table``, x is a view of the (n, p + 1) block."""
-        p = self.p
-        block = rng.standard_normal((n, p + 1))
-        x = block[:, :p]  # a strided view: the draw costs one block, not two
-        z = block[:, p]
+        block = rng.standard_normal((n, self.p + 1))
+        x, z = block[:, :self.p], block[:, self.p]  # strided views: the draw costs one block, not two
         if self.kind == "gaussian_linear":
-            beta = np.asarray(self.params["beta"], dtype=float)
-            sigma = float(self.params.get("sigma", 1.0))
-            y = x @ beta + sigma * z
+            y = x @ self.beta + self.sigma * z
         elif self.kind == "student_linear":
-            beta = np.asarray(self.params["beta"], dtype=float)
-            sigma = float(self.params.get("sigma", 1.0))
-            dof = float(self.params["dof"])
-            y = x @ beta + sigma * _student_t_quantile(_special().ndtr(z), dof)
+            y = x @ self.beta + self.sigma * _student_t_quantile(_special().ndtr(z), self.dof)
         elif self.kind == "classification_grid":
-            K = int(self.params["class_count"])
-            y = 1.0 + np.floor(K * _special().ndtr(x[:, 0])) % K
+            y = 1.0 + np.floor(self.class_count * _special().ndtr(x[:, 0])) % self.class_count
         elif self.kind == "custom_table":
-            ty = np.asarray(self.params["table_y"], dtype=float)
-            tx = np.asarray(self.params["table_x"], dtype=float)
-            idx = np.minimum((_special().ndtr(z) * ty.size).astype(int), ty.size - 1)
-            y = ty[idx]
-            x = tx[idx]
+            idx = np.minimum((_special().ndtr(z) * self.table_y.size).astype(int), self.table_y.size - 1)
+            y, x = self.table_y[idx], self.table_x[idx]
         else:  # dirac_first_coord
-            x[:, 0] = float(self.params["point"])
+            x[:, 0] = self.point
             y = z.copy()
         return y, x
 
@@ -325,8 +321,7 @@ class DgpSpec:
     def sample(self, n: int, rng: np.random.Generator) -> TrainingSet:
         if n < 2:
             raise TooFewRows("a sampled training set needs n >= 2")
-        y, x = self.draw(n, rng)
-        return TrainingSet(y, x)
+        return TrainingSet(*self.draw(n, rng))
 
     def to_dict(self) -> dict:
         params = {
@@ -343,13 +338,9 @@ class DgpSpec:
 
 def sample_gaussian_linear(n: int, p: int, beta, sigma: float, seed: int) -> TrainingSet:
     """i.i.d. rows with x ~ N(0, I_p) and y = beta'x + N(0, sigma^2)."""
-    beta = np.asarray(beta, dtype=float)
-    if beta.shape != (p,):
-        raise DimensionMismatch(f"beta has length {beta.size}, expected {p}")
-    if not sigma > 0:
-        raise MalformedInput("sigma must be positive")
-    dgp = DgpSpec("gaussian_linear", {"beta": beta, "sigma": float(sigma)})
-    return dgp.sample(n, stream(seed))
+    if np.shape(beta) != (p,):
+        raise DimensionMismatch(f"beta has length {np.size(beta)}, expected {p}")
+    return DgpSpec("gaussian_linear", {"beta": beta, "sigma": float(sigma)}).sample(n, stream(seed))
 
 
 def sample_classification(n: int, p: int, class_count: int, seed: int) -> TrainingSet:

@@ -5,7 +5,8 @@ right-continuous step function: ``F(t) = cum[j]`` for ``jumps[j] <= t <
 jumps[j+1]``, ``0`` before the first jump and ``1`` from the last jump on.
 Quantiles follow the extended definition ``Q_a(F) = inf{x: F(x) >= a}`` with
 ``-inf`` for ``a <= 0`` and ``+inf`` for ``a > 1``, one rule in :func:`quantiles`,
-which also reads order statistics off unmerged weighted atoms (:class:`SortedAtoms`).
+which also reads order statistics off unmerged weighted atoms (:class:`SortedAtoms`),
+whose run ends (:meth:`SortedAtoms.run_ends`) are a step cdf: one sort-and-merge rule.
 """
 
 from __future__ import annotations
@@ -83,11 +84,9 @@ def weighted_ecdf(values, weights) -> StepCdf:
     total = float(np.sum(weights))
     if abs(total - 1.0) > LEVEL_GUARD:
         raise WeightSumError(f"weights sum to {total!r}, expected 1 within {LEVEL_GUARD}")
-    jumps, inverse = np.unique(values, return_inverse=True)
-    merged = np.bincount(inverse, weights=weights, minlength=jumps.size)
-    cum = np.cumsum(merged)
-    cum[-1] = 1.0
-    return StepCdf(jumps, cum)
+    atoms = SortedAtoms(values, weights)
+    ends = atoms.run_ends()
+    return StepCdf(atoms.jumps[ends], atoms.cum[ends])
 
 
 def uniform_ecdf(values) -> StepCdf:
@@ -149,12 +148,16 @@ def quantiles(F, alphas) -> np.ndarray:
 
 
 class SortedAtoms:
-    """Weighted atoms sorted, repeats kept, with unvalidated cumulative weights.
-    With distinct atoms these are :func:`weighted_ecdf`'s bit for bit; ties
-    only reorder additions, which ``LEVEL_GUARD`` absorbs."""
+    """Weighted atoms sorted, repeats kept, with unvalidated cumulative weights
+    (the last set to 1).  At :meth:`run_ends` they are :func:`weighted_ecdf`'s
+    jumps and cumulative weights."""
 
     def __init__(self, values: np.ndarray, weights: np.ndarray):
         order = np.argsort(values, kind="stable")
         self.jumps = values[order]
         self.cum = np.cumsum(weights[order])
         self.cum[-1] = 1.0
+
+    def run_ends(self) -> np.ndarray:
+        """Mask of the last atom of each run of equal values, whose cum holds the run."""
+        return np.append(self.jumps[1:] != self.jumps[:-1], True)

@@ -173,8 +173,7 @@ def shortest_interval(
         raise InvalidTolerance("nominal must be in (0, 1]")
     atoms, center = _at_point(method, fits, xnew)
     top = 1.0 - nominal
-    # the cumulative weight at the last of each run of equal atoms: a StepCdf's cum
-    cum = atoms.cum[np.append(atoms.jumps[1:] != atoms.jumps[:-1], True)]
+    cum = atoms.cum[atoms.run_ends()]  # a StepCdf's cum
     cand = np.concatenate(([0.0, top], cum[cum <= top], cum[cum >= nominal] - nominal))
     a1 = np.unique(np.clip(cand, 0.0, top))
     lo, hi = interval_ends(method, center, atoms, a1, a1 + nominal, delta)

@@ -56,11 +56,12 @@ WOODBURY_MIN_EIG = 1e-4
 
 @dataclass(frozen=True)
 class PredictorSpec:
-    """Algorithm kind plus its hyperparameters.
-
-    hyperparams by kind: ridge ``lambda >= 0``; knn_mean ``neighbors >= 1``;
-    constant ``value``; dirac_threshold ``level`` (and optionally
-    ``threshold_uses_train_size=False`` with a fixed ``threshold``).
+    """Algorithm kind plus its hyperparameters, which the constructor alone
+    reads from ``params``, parsing them once into the read-only attributes
+    fitting uses: ridge ``lam`` (``lambda >= 0``); knn_mean ``neighbors >= 1``;
+    constant ``value``; dirac_threshold ``level`` and ``threshold``, None for
+    the training-set size unless ``threshold_uses_train_size=False`` fixes it.
+    An absent number is 0.  Equality and :meth:`to_json` use ``params``.
     """
 
     kind: str
@@ -69,18 +70,22 @@ class PredictorSpec:
     def __post_init__(self):
         if self.kind not in PREDICTOR_KINDS:
             raise MalformedInput(f"unknown predictor kind {self.kind!r}")
-        for name in ("lambda", "neighbors", "value", "level", "threshold"):
-            value = self.params.get(name, 0.0)
+        values = {name: self.params.get(name, 0.0) for name in ("lambda", "neighbors", "value", "level", "threshold")}
+        for name, value in values.items():
             if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
                 raise MalformedInput(f"{self.kind} {name} must be a finite number, got {value!r}")
-        if self.kind == "ridge" and not self.params.get("lambda", 0.0) >= 0:
+        lam, neighbors = float(values["lambda"]), int(values["neighbors"])
+        if self.kind == "ridge" and not lam >= 0:
             raise MalformedInput("ridge lambda must be nonnegative")
-        if self.kind == "knn_mean" and int(self.params.get("neighbors", 0)) < 1:
+        if self.kind == "knn_mean" and neighbors < 1:
             raise MalformedInput("knn_mean needs neighbors >= 1")
         if self.kind == "dirac_threshold" and "level" not in self.params:
             raise MalformedInput("dirac_threshold needs a level")
         if self.kind == "constant" and "value" not in self.params:
             raise MalformedInput("constant needs a value")
+        fixed = not self.params.get("threshold_uses_train_size", True)
+        vars(self).update(lam=lam, neighbors=neighbors, value=float(values["value"]), level=float(values["level"]),
+                          threshold=float(values["threshold"]) if fixed else None)  # frozen: set past __setattr__
 
     def to_json(self) -> str:
         return json.dumps({"kind": self.kind, **self.params})
@@ -140,8 +145,11 @@ def _ridge_svd(train: TrainingSet) -> tuple[np.ndarray, np.ndarray, np.ndarray, 
 
 def _spectrum(d: np.ndarray, p: int, c: float) -> tuple[float, float]:
     """The extreme eigenvalues d_min^2 + c and d_max^2 + c of X'X + cI;
-    DegenerateFit when they fail the ``PIVOT_RTOL`` rule."""
-    lo, hi = (d[-1] ** 2 if d.size == p else 0.0) + c, d[0] ** 2 + c
+    DegenerateFit when d_max^2 overflows or they fail the ``PIVOT_RTOL`` rule."""
+    top = float(d[0]) * float(d[0])  # Python floats overflow to inf without a warning
+    if top == math.inf:  # inf >= inf would pass the rule below
+        raise DegenerateFit("X'X is not finite: a singular value of X squares to inf")
+    lo, hi = (d[-1] ** 2 if d.size == p else 0.0) + c, top + c
     if not (lo > 0 and lo >= PIVOT_RTOL**2 * hi):
         raise DegenerateFit("[X; sqrt(shift) I] has condition number above 1/PIVOT_RTOL")
     return lo, hi
@@ -216,30 +224,27 @@ class FittedCallable(_Fitted):
         return np.array([self.fn(row, self.train) for row in X], dtype=float)
 
 
-def _dirac_threshold(params: dict, train_size: int) -> float:
+def _dirac_threshold(spec: PredictorSpec, train_size: int) -> float:
     """The threshold of a dirac_threshold fit on ``train_size`` rows."""
-    if params.get("threshold_uses_train_size", True):
-        return float(train_size)
-    return float(params.get("threshold", 0.0))
+    return float(train_size) if spec.threshold is None else spec.threshold
 
 
 def fit(spec, train: TrainingSet):
     """Fit ``spec`` on ``train`` and return a model with ``predict``/``predict_one``."""
     if callable(spec) and not isinstance(spec, PredictorSpec):
         return FittedCallable(spec, train)
-    kind, params = spec.kind, spec.params
-    if kind == "ridge":
-        return FittedRidge(ridge_coefficients(train, float(params.get("lambda", 0.0))))
-    if kind == "knn_mean":
+    if spec.kind == "ridge":
+        return FittedRidge(ridge_coefficients(train, spec.lam))
+    if spec.kind == "knn_mean":
         order = _canonical_order(train)
-        return FittedKnn(train.x[order], train.y[order], params["neighbors"])
-    if kind == "max_response":
+        return FittedKnn(train.x[order], train.y[order], spec.neighbors)
+    if spec.kind == "max_response":
         return FittedConstant(train.y.max())
-    if kind == "neg_max_response":
+    if spec.kind == "neg_max_response":
         return FittedConstant(-train.y.max())
-    if kind == "dirac_threshold":
-        return FittedDirac(params["level"], _dirac_threshold(params, train.n))
-    return FittedConstant(params["value"])
+    if spec.kind == "dirac_threshold":
+        return FittedDirac(spec.level, _dirac_threshold(spec, train.n))
+    return FittedConstant(spec.value)
 
 
 def feature_row(xnew, p: int) -> np.ndarray:
@@ -349,7 +354,7 @@ class FoldFits:
             self._values = self._complement_values(kind)
             self.loo_residuals = train.y - self._values[partition.fold_of]
         elif kind == "dirac_threshold":
-            self._thresholds = np.array([_dirac_threshold(spec.params, train.n - f.size) for f in partition.folds])
+            self._thresholds = np.array([_dirac_threshold(spec, train.n - f.size) for f in partition.folds])
             self.loo_residuals = train.y - self.full_model.level * (train.x[:, 0] < self._thresholds[partition.fold_of])
         else:
             self._models = [self._refit(f) for f in partition.folds]
@@ -369,7 +374,7 @@ class FoldFits:
     def _ridge_fits(self) -> tuple[FittedRidge, np.ndarray, tuple]:
         """The full-data fit, the (p, k) leave-fold-out coefficients and the
         folds refitted from their own rows, from one thin SVD of X."""
-        lam = float(self.spec.params.get("lambda", 0.0))
+        lam = self.spec.lam
         train, folds = self.train, self.partition.folds
         U, d, vt, uty = _ridge_svd(train)
         # ridge_coefficients' expression, so a full-data DegenerateFit comes first
@@ -415,7 +420,7 @@ class FoldFits:
     def _complement_values(self, kind: str) -> np.ndarray:
         """Per-fold value of a fit on the rows outside the fold."""
         if kind == "constant":
-            return np.full(self.partition.k, float(self.spec.params["value"]))
+            return np.full(self.partition.k, self.spec.value)
         # only the fold holding the first argmax can lose the maximum
         y = self.train.y
         i = y.argmax()

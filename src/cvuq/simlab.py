@@ -45,6 +45,7 @@ finite.  The standard errors of the trend probes follow
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,6 +68,11 @@ BLOCK_ATOMS = 1 << 17
 # 4 rows, so each chunk's products round as the whole set's do (see
 # cvuq.data.DgpSpec.draw_chunks), and 1.07 MB of x at n = 200, p = 50.
 CHUNK_BLOCKS = 4
+
+
+def chunk_rows(n: int) -> int:
+    """Rows of a pass's test-set chunk: ``CHUNK_BLOCKS`` blocks at n atoms per row."""
+    return CHUNK_BLOCKS * max(1, BLOCK_ATOMS // n)
 
 
 def iqr_factor(rule: str) -> float:
@@ -211,7 +217,7 @@ class CoverageEngine:
         if not (ds or take or keep):
             return
         m, n, k = self.m, self.u.size, self.partition.k
-        width = min(max(1, BLOCK_ATOMS // n), m)
+        width = min(chunk_rows(n) // CHUNK_BLOCKS, m)
         if keep:
             self.full = np.empty(m)
             keep_y = self.y_test is None
@@ -228,7 +234,7 @@ class CoverageEngine:
         counts = np.empty((len(ds), 2, m), dtype=count_type if weights is None else float)
         exceed = np.zeros(k, dtype=np.intp)
         start = 0
-        for y_chunk, x_chunk in self._chunks(CHUNK_BLOCKS * width):
+        for y_chunk, x_chunk in self._chunks(chunk_rows(n)):
             chunk = slice(start, start + y_chunk.size)
             if keep:
                 self.full[chunk] = self.fits.full_model.predict(x_chunk)
@@ -397,6 +403,8 @@ def jk_vs_jkplus_gap(
     threads: int = 1,
 ) -> EquivalenceReport:
     """Jackknife vs Jackknife+ (general CV vs CV+) on identical fold fits."""
+    # the bound's checks of eps and a numeric stability tolerance, before any rep (a rule resolves per rep)
+    equivalence_bound(1, eps, stability_delta if isinstance(stability_delta, numbers.Real) else 0.0, [0.0])
     partition = resolve_partition(partition_rule, n)
     cv = IntervalMethod("cv")
     cvp = IntervalMethod("cv_plus")
@@ -530,13 +538,12 @@ def gauge_convergence(
 
     def rep_at(n: int):
         partition = resolve_partition("jackknife", n)
-        rows = CHUNK_BLOCKS * max(1, BLOCK_ATOMS // n)
 
         def one(r: int) -> float:
             train = dgp.sample(n, stream(seed, r, 0))
             fits = FoldFits(spec, train, partition)
             F_hat = weighted_ecdf(fits.loo_residuals, partition.atom_weights)
-            chunks = dgp.draw_chunks(mc_oracle, stream(seed, r, 1), rows)
+            chunks = dgp.draw_chunks(mc_oracle, stream(seed, r, 1), chunk_rows(n))
             errors = np.concatenate([y - fits.full_model.predict(x) for y, x in chunks])
             return gauge(F_hat, uniform_ecdf(errors), delta).value
 
@@ -547,15 +554,9 @@ def gauge_convergence(
 
 def sqrt_n_family(base: DgpSpec):
     """DGP family n -> base with its noise scale multiplied by sqrt(n)."""
-    if base.kind not in ("gaussian_linear", "student_linear"):
+    if base.sigma is None:
         raise InvalidTolerance("sqrt_n scaling needs a linear-noise dgp")
-
-    def family(n: int) -> DgpSpec:
-        params = dict(base.params)
-        params["sigma"] = float(params.get("sigma", 1.0)) * math.sqrt(n)
-        return DgpSpec(base.kind, params)
-
-    return family
+    return lambda n: DgpSpec.from_dict({**base.to_dict(), "sigma": base.sigma * math.sqrt(n)})
 
 
 def constant_family(base: DgpSpec):

@@ -165,7 +165,7 @@ def pac_bound_cv(
 
 def equivalence_bound(k: int, eps: float, delta: float, exceed_probs) -> float:
     """CV vs CV+ finite-sample bound (1/(k*eps^2)) * sum_j P(|yhat - yhat^{fold j}| > delta)."""
-    if eps <= 0:
+    if not eps > 0:
         raise InvalidTolerance("eps must be positive")
     if delta < 0:
         raise InvalidTolerance("delta must be nonnegative")

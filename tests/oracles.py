@@ -6,7 +6,9 @@ infimum, the sandwich oracle bisects the quantile characterization, the
 leave-fold-out oracles refit the predictor once per fold (ridge also by
 orthogonal least squares, without normal equations), and the coverage
 oracles build every test point's interval, from a validated step cdf or by
-sorting each row of cv_plus atoms.
+sorting each row of cv_plus atoms.  ``merged_ecdf`` builds a step cdf by
+merging equal atoms before it sums their weights, and ``ReadCountingDict``
+counts the reads of a spec's parameters.
 """
 
 from __future__ import annotations
@@ -18,6 +20,35 @@ import numpy as np
 from cvuq.ecdf import LEVEL_GUARD, StepCdf, fold_ecdf, quantile, quantiles, uniform_ecdf
 from cvuq.intervals import PredInterval
 from cvuq.predictors import fit
+
+
+class ReadCountingDict(dict):
+    """A parameter dict that counts the reads of its entries."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.reads = 0
+
+    def __getitem__(self, key):
+        self.reads += 1
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.reads += 1
+        return super().get(key, default)
+
+    def __contains__(self, key):
+        self.reads += 1
+        return super().__contains__(key)
+
+
+def merged_ecdf(values, weights) -> StepCdf:
+    """The weighted ecdf with equal atoms merged by ``np.unique`` and
+    ``np.bincount`` before the cumulative sum."""
+    jumps, inverse = np.unique(np.asarray(values, dtype=float), return_inverse=True)
+    cum = np.cumsum(np.bincount(inverse, weights=weights, minlength=jumps.size))
+    cum[-1] = 1.0
+    return StepCdf(jumps, cum)
 
 
 def ceil_guarded(x: float, guard: float = LEVEL_GUARD) -> int:

@@ -5,11 +5,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cvuq.cli import main
+from cvuq.data import DgpSpec
 from cvuq.ecdf import uniform_ecdf
 
 
@@ -560,3 +562,28 @@ def test_fuzzed_argv_exits_with_strict_json(fuzz_files, argv):
         code = main(argv)
     assert code in (0, 2, 3, 4), argv
     strict_json(out.getvalue())
+
+
+def test_equiv_rejects_zero_eps_before_drawing(capsys, workdir, monkeypatch):
+    calls = []
+    sample = DgpSpec.sample
+    monkeypatch.setattr(DgpSpec, "sample", lambda self, n, rng: calls.append(n) or sample(self, n, rng))
+    code = main(["sim", "equiv", "--dgp", str(workdir / "dgp.json"), "--predictor", str(workdir / "ridge.json"),
+                 "--n", "20", "--train-reps", "3", "--mc-test", "500", "--eps", "0"])
+    out = capsys.readouterr().out
+    assert code == 3 and calls == []
+    assert out.count("\n") == 1
+    assert json.loads(out) == {"schema": "1", "error": "InvalidTolerance", "message": "eps must be positive"}
+
+
+def test_overflowing_features_exit_4(capsys, workdir):
+    # X'X of features near 1e200 overflows: a numeric failure, not beta = 0
+    rng = np.random.default_rng(0)
+    table = np.column_stack([rng.normal(size=20), rng.normal(size=(20, 2)) * 1e200])
+    rows = [",".join(repr(float(v)) for v in row) for row in table]
+    (workdir / "huge.csv").write_text("y,x1,x2\n" + "\n".join(rows) + "\n")
+    code = main(["interval", "--data", str(workdir / "huge.csv"), "--predictor", str(workdir / "ridge.json"),
+                 "--alpha1", "0.1", "--alpha2", "0.9", "--xnew", "1e200,1e200"])
+    out = capsys.readouterr().out
+    assert code == 4 and out.count("\n") == 1
+    assert json.loads(out)["error"] == "DegenerateFit"

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -18,6 +19,7 @@ from cvuq.data import (
 )
 from cvuq.errors import DimensionMismatch, MalformedInput, TooFewRows
 from cvuq.rng import stream
+from oracles import ReadCountingDict
 
 
 def test_csv_parse(tmp_path):
@@ -240,3 +242,43 @@ def test_draw_chunks_concatenate_to_one_draw():
                           capture_output=True, text=True, env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == []
+
+
+DGP_CASES = {
+    "gaussian_linear": {"beta": [1.0, -0.5], "sigma": 2.0},
+    "student_linear": {"beta": [0.5], "sigma": 1.5, "dof": 3.0},
+    "classification_grid": {"p": 2, "class_count": 3},
+    "custom_table": {"table_y": [1.0, 2.0, 3.0], "table_x": [[0.0, 1.0], [1.0, 0.0], [2.0, 2.0]]},
+    "dirac_first_coord": {"p": 3, "point": 1.5},
+}
+
+
+@pytest.mark.parametrize("kind", DGP_CASES)
+def test_dgp_params_are_parsed_once(kind):
+    # only the constructor reads params; p, draw, draw_chunks and sample use
+    # what it parsed, and equality stays on (kind, params)
+    counted = ReadCountingDict(DGP_CASES[kind])
+    dgp = DgpSpec(kind, counted)
+    counted.reads = 0
+    y, x = dgp.draw(9, stream(3))
+    chunks = list(dgp.draw_chunks(9, stream(3), 4))
+    train = dgp.sample(5, stream(4))
+    assert counted.reads == 0
+    assert x.shape == (9, dgp.p) and train.p == dgp.p
+    assert np.array_equal(np.concatenate([c[0] for c in chunks]), y)
+    assert dgp == DgpSpec(kind, dict(DGP_CASES[kind]))
+
+
+def test_dgp_parsed_arrays_are_read_only_copies():
+    beta = np.array([1.0, 2.0])
+    dgp = DgpSpec("gaussian_linear", {"beta": beta})
+    y, _ = dgp.draw(6, stream(5))
+    beta[:] = 0.0  # the caller's array stays its own and writable
+    assert np.array_equal(dgp.draw(6, stream(5))[0], y)
+    assert dgp.beta.tolist() == [1.0, 2.0] and dgp.sigma == 1.0 and dgp.dof is None
+    with pytest.raises(ValueError):
+        dgp.beta[0] = 5.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        dgp.sigma = 3.0
+    table = DgpSpec("custom_table", DGP_CASES["custom_table"])
+    assert not (table.table_y.flags.writeable or table.table_x.flags.writeable)

@@ -7,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cvuq.ecdf import (
+    LEVEL_GUARD,
+    SortedAtoms,
     StepCdf,
     eval_cdf,
     fold_ecdf,
@@ -17,7 +19,7 @@ from cvuq.ecdf import (
     weighted_ecdf,
 )
 from cvuq.errors import EmptyFold, WeightSumError
-from oracles import ceil_guarded, eval_many
+from oracles import ceil_guarded, eval_many, merged_ecdf
 
 
 def test_weighted_ecdf_merges_duplicates():
@@ -172,3 +174,24 @@ def test_quantile_sandwich_property(F, alpha):
 def test_quantile_monotone_in_alpha(F, a, b):
     lo, hi = min(a, b), max(a, b)
     assert quantile(F, lo) <= quantile(F, hi)
+
+
+def test_weighted_ecdf_is_sorted_atoms_at_run_ends():
+    # one sort-and-merge rule: a step cdf is the sorted atoms at the last atom
+    # of each run of equal values; distinct atoms give the merged cdf bit for
+    # bit, ties only reorder the additions inside a run
+    rng = np.random.default_rng(9)
+    for values in (rng.normal(size=40), rng.integers(0, 6, size=40).astype(float), np.zeros(5)):
+        weights = rng.uniform(0.5, 1.5, size=values.size)
+        weights /= weights.sum()
+        F = weighted_ecdf(values, weights)
+        atoms = SortedAtoms(values, weights)
+        ends = atoms.run_ends()
+        assert F.jumps.tobytes() == atoms.jumps[ends].tobytes()
+        assert F.cum.tobytes() == atoms.cum[ends].tobytes()
+        merged = merged_ecdf(values, weights)
+        assert np.array_equal(F.jumps, merged.jumps)
+        if np.unique(values).size == values.size:
+            assert F.cum.tobytes() == merged.cum.tobytes()
+        else:
+            np.testing.assert_allclose(F.cum, merged.cum, rtol=0, atol=LEVEL_GUARD)

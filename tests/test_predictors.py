@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -22,7 +23,7 @@ from cvuq.predictors import (
 )
 from cvuq.rng import stream
 from cvuq.stability import resolve_partition
-from oracles import lstsq_refit_leave_fold_out, refit_leave_fold_out
+from oracles import ReadCountingDict, lstsq_refit_leave_fold_out, refit_leave_fold_out
 
 
 def toy_train(y, x=None):
@@ -493,3 +494,59 @@ def test_fold_predictions_transpose_is_c_contiguous():
         for part in (FoldPartition.singletons(9), FoldPartition.contiguous(9, 4)):
             P = FoldFits(spec, train, part).fold_predictions(X)
             assert P.shape == (5, part.k) and P.T.flags.c_contiguous, spec
+
+
+@pytest.mark.parametrize(
+    "kind,params",
+    [
+        ("ridge", {"lambda": 0.5}),
+        ("ridge", {}),
+        ("knn_mean", {"neighbors": 2}),
+        ("dirac_threshold", {"level": 2.0}),
+        ("dirac_threshold", {"level": -1.0, "threshold_uses_train_size": False, "threshold": 0.2}),
+        ("constant", {"value": 1.5}),
+    ],
+)
+def test_predictor_params_are_parsed_once(kind, params):
+    # only the constructor reads params; fit and FoldFits use what it parsed
+    counted = ReadCountingDict(params)
+    spec = PredictorSpec(kind, counted)
+    counted.reads = 0
+    rng = np.random.default_rng(8)
+    train = TrainingSet(rng.normal(size=12), rng.normal(size=(12, 2)))
+    X = rng.normal(size=(4, 2))
+    part = FoldPartition.contiguous(12, 3)
+    fits = FoldFits(spec, train, part)
+    full = predictors.fit(spec, train).predict(X)
+    assert counted.reads == 0
+    resid, preds = refit_leave_fold_out(PredictorSpec(kind, dict(params)), train, part, X)
+    np.testing.assert_allclose(fits.loo_residuals, resid, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(fits.fold_predictions(X), preds, rtol=0, atol=1e-12)
+    assert full.tobytes() == fits.full_model.predict(X).tobytes()
+    assert spec == PredictorSpec(kind, dict(params))
+
+
+def test_predictor_spec_keeps_parsed_values():
+    assert ridge(0.25).lam == 0.25 and PredictorSpec("ridge").lam == 0.0
+    assert knn_mean(3).neighbors == 3 and constant(-2.0).value == -2.0
+    assert dirac_threshold(1.5).level == 1.5 and dirac_threshold(1.5).threshold is None
+    fixed = PredictorSpec("dirac_threshold", {"level": 1.0, "threshold_uses_train_size": False})
+    assert fixed.threshold == 0.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        fixed.level = 2.0
+
+
+@pytest.mark.parametrize("lam", [0.0, 1.0])
+def test_ridge_on_overflowing_features_raises(lam):
+    # at features near 1e200, d_max^2 overflows to inf and the spectral rule
+    # would compare inf with inf, then return beta = 0
+    rng = np.random.default_rng(0)
+    y, x = rng.normal(size=20), rng.normal(size=(20, 3))
+    huge = TrainingSet(y, x * 1e200)
+    with pytest.raises(DegenerateFit):
+        ridge_coefficients(huge, lam)
+    with pytest.raises(DegenerateFit):
+        FoldFits(ridge(lam), huge, FoldPartition.singletons(20))
+    # at 1e150, X'X is finite and beta scales back exactly as it should
+    beta = ridge_coefficients(TrainingSet(y, x * 1e150), 0.0) * 1e150
+    np.testing.assert_allclose(beta, ridge_coefficients(TrainingSet(y, x), 0.0), rtol=1e-12)

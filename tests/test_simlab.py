@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from cvuq import simlab
 from cvuq.data import DgpSpec, TrainingSet
 from cvuq.errors import InvalidTolerance, NumericError
 from cvuq.intervals import IntervalMethod, interval
@@ -480,3 +481,36 @@ def test_coverage_report_binomial_se_per_rep():
         rep = coverage_distribution(constant(0.0), GAUSS, 15, IntervalMethod("cv"), a1, a2, d, **kwargs)
         np.testing.assert_array_equal(rep.conditional_cov, np.full(3, c))
         np.testing.assert_array_equal(rep.binomial_se, np.zeros(3))
+
+
+@pytest.mark.parametrize(
+    "eps,stability_delta,message",
+    [
+        (0.0, "iqr:0.1", "eps must be positive"),
+        (-0.1, 0.1, "eps must be positive"),
+        (math.nan, 0.1, "eps must be positive"),
+        (0.05, -0.1, "delta must be nonnegative"),
+    ],
+)
+def test_equivalence_rejects_bad_tolerances_before_any_rep(eps, stability_delta, message, monkeypatch):
+    calls = []
+    sample = DgpSpec.sample
+    monkeypatch.setattr(DgpSpec, "sample", lambda self, n, rng: calls.append(n) or sample(self, n, rng))
+    with pytest.raises(InvalidTolerance, match=message):
+        jk_vs_jkplus_gap(ridge(0.5), GAUSS, 20, 0.05, 0.95, 0.1, train_reps=3, mc_test=500, seed=1,
+                         eps=eps, stability_delta=stability_delta)
+    assert calls == []
+
+
+def test_coverage_pass_and_gauge_oracle_take_one_chunk_rule(monkeypatch):
+    # 4 blocks of 655 rows at n = 200; a pass and the gauge oracle both draw
+    # their test rows in chunks of simlab.chunk_rows(n)
+    assert simlab.chunk_rows(200) == 2620
+    rows = []
+    draw_chunks = DgpSpec.draw_chunks
+    monkeypatch.setattr(DgpSpec, "draw_chunks", lambda self, m, rng, r: rows.append(r) or draw_chunks(self, m, rng, r))
+    monkeypatch.setattr(simlab, "chunk_rows", lambda n: 8 * n)
+    coverage_distribution(ridge(0.5), GAUSS, 12, IntervalMethod("cv_plus"), 0.05, 0.95, 0.0,
+                          train_reps=1, mc_test=300, seed=2)
+    gauge_convergence(ridge(0.5), GAUSS, [10, 20], 0.1, train_reps=1, mc_oracle=300, seed=2)
+    assert rows == [96, 80, 160]
