@@ -41,9 +41,9 @@ class StepCdf:
         if np.any(np.diff(jumps) <= 0):
             raise WeightSumError("jump locations must be strictly increasing")
         weights = np.diff(cum, prepend=0.0)
-        if np.any(weights <= 0):
+        if not np.all(weights > 0):  # NaN fails both comparisons, so test the good case
             raise WeightSumError("every atom must carry positive weight")
-        if abs(cum[-1] - 1.0) > LEVEL_GUARD:
+        if not abs(cum[-1] - 1.0) <= LEVEL_GUARD:
             raise WeightSumError(f"cumulative weights end at {cum[-1]!r}, expected 1")
         cum = cum.copy()
         cum[-1] = 1.0
@@ -79,10 +79,10 @@ def weighted_ecdf(values, weights) -> StepCdf:
         raise WeightSumError("values and weights must be matching nonempty 1-d arrays")
     if not np.all(np.isfinite(values)):
         raise WeightSumError("atom values must be finite")
-    if np.any(weights <= 0):
+    if not np.all(weights > 0):  # NaN fails both comparisons, so test the good case
         raise WeightSumError("weights must be positive")
     total = float(np.sum(weights))
-    if abs(total - 1.0) > LEVEL_GUARD:
+    if not abs(total - 1.0) <= LEVEL_GUARD:
         raise WeightSumError(f"weights sum to {total!r}, expected 1 within {LEVEL_GUARD}")
     atoms = SortedAtoms(values, weights)
     ends = atoms.run_ends()

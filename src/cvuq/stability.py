@@ -167,7 +167,7 @@ def equivalence_bound(k: int, eps: float, delta: float, exceed_probs) -> float:
     """CV vs CV+ finite-sample bound (1/(k*eps^2)) * sum_j P(|yhat - yhat^{fold j}| > delta)."""
     if not eps > 0:
         raise InvalidTolerance("eps must be positive")
-    if delta < 0:
+    if not delta >= 0:
         raise InvalidTolerance("delta must be nonnegative")
     probs = np.asarray(exceed_probs, dtype=float)
     if k < 1 or probs.size != k or np.any(probs < 0) or np.any(probs > 1):

@@ -420,11 +420,20 @@ def test_wrong_xnew_length_exits_3_before_a_nan_delta(capsys, workdir):
         pytest.param(["sim", "coverage"], ["--seed", "-1"], 2, id="sim-coverage-seed-negative"),
         pytest.param(["stability", "pacbound"], ["--stab", ""], 3, id="stability-pacbound-no-folds"),
         pytest.param(["stability", "eqbound"], ["--exceed", ""], 3, id="stability-eqbound-no-folds"),
+        pytest.param(["stability", "eqbound"], ["--delta", "nan"], 3, id="stability-eqbound-delta-nan"),
+        pytest.param(["sim", "equiv"], ["--stab-delta", "nan"], 3, id="sim-equiv-stab-delta-nan"),
+        pytest.param(["gauge"], ["--g", "nan_last.json"], (3, "WeightSumError"), id="gauge-cum-nan-last"),
+        pytest.param(["gauge"], ["--g", "nan_first.json"], (3, "WeightSumError"), id="gauge-cum-nan-first"),
     ],
 )
 def test_bad_level_or_tolerance_exits_with_json_error(capsys, workdir, command, flags, code):
+    names = {2: "usage", 3: "InvalidTolerance", 4: "NumericError"}
+    code, error = code if isinstance(code, tuple) else (code, names[code])
     cdf = workdir / "f.json"
     cdf.write_text(uniform_ecdf([0.0, 1.0]).to_json())
+    (workdir / "nan_last.json").write_text('{"jumps": [0.0, 1.0], "cum": [0.5, NaN]}')
+    (workdir / "nan_first.json").write_text('{"jumps": [0.0, 1.0], "cum": [NaN, 1.0]}')
+    flags = [str(workdir / f) if f.endswith(".json") else f for f in flags]
     data, pred = str(workdir / "d.csv"), str(workdir / "ridge.json")
     valid = {
         "interval": ["--data", data, "--predictor", pred, "--alpha1", "0.1", "--alpha2", "0.9", "--xnew", "1.0"],
@@ -436,7 +445,7 @@ def test_bad_level_or_tolerance_exits_with_json_error(capsys, workdir, command, 
     # the bad flag comes last, so it overrides the valid one
     assert main([*command, *valid[command[0]], *flags]) == code
     payload = strict_json(capsys.readouterr().out)
-    assert payload["error"] == {2: "usage", 3: "InvalidTolerance", 4: "NumericError"}[code]
+    assert payload["error"] == error
 
 
 @pytest.mark.parametrize(

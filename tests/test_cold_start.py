@@ -1,6 +1,7 @@
 """Cold start: ``scipy`` is loaded on the first draw that needs it, not by
-``import cvuq``.  Each check runs in a fresh interpreter, so the state of
-``sys.modules`` reflects only what the script itself did."""
+``import cvuq``, and ``concurrent.futures`` is not loaded at all.  Each check
+runs in a fresh interpreter, so the state of ``sys.modules`` reflects only
+what the script itself did."""
 
 import json
 import os
@@ -57,7 +58,7 @@ def test_scipy_is_loaded_only_by_draws_that_need_it(tmp_path):
     write_specs(tmp_path)
     result = run_fresh("""
         import cvuq, cvuq.cli
-        after_import = scipy_modules()
+        after_import = scipy_modules() + sorted(m for m in sys.modules if m.startswith("concurrent"))
         code, out = cli(["sim", "coverage", "--dgp", str(workdir / "gauss.json"),
                          "--predictor", str(workdir / "ridge.json"), "--n", "20",
                          "--train-reps", "3", "--mc-test", "200", "--seed", "1",
@@ -87,7 +88,8 @@ def test_first_scipy_use_in_worker_threads_keeps_stdout(tmp_path):
     }
     for label, argv in commands.items():
         argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
-        # 2 threads first, so scipy.special is first imported inside the pool
+        # 2 threads first: the calling thread and a worker start their first
+        # replications together, so scipy.special is first imported by both at once
         result = run_fresh(f"""
             argv = {argv!r}
             cold = "scipy.special" not in sys.modules

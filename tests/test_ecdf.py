@@ -69,6 +69,13 @@ def test_weighted_ecdf_rejects_bad_weights():
         weighted_ecdf([], [])
     with pytest.raises(WeightSumError):
         weighted_ecdf([0.0, np.nan], [0.5, 0.5])
+    with pytest.raises(WeightSumError):
+        weighted_ecdf([0.0, 1.0], [np.nan, np.nan])
+    with pytest.raises(WeightSumError):
+        weighted_ecdf([0.0, 1.0], [0.5, np.nan])
+    for cum in ([0.5, np.nan], [np.nan, 1.0]):
+        with pytest.raises(WeightSumError):
+            StepCdf(np.array([0.0, 1.0]), np.array(cum))
 
 
 def test_fold_ecdf_equal_sizes_matches_uniform():

@@ -116,6 +116,8 @@ def test_equivalence_bound_arithmetic():
         equivalence_bound(10, 0.0, 0.1, np.zeros(10))
     with pytest.raises(InvalidTolerance):
         equivalence_bound(10, 0.5, 0.1, np.full(10, 1.5))
+    with pytest.raises(InvalidTolerance):
+        equivalence_bound(10, 0.5, np.nan, np.zeros(10))
 
 
 def test_variance_gap_constant_zero():
