@@ -4,7 +4,8 @@ Machine-readable JSON goes to stdout (or ``--out``); optional tidy CSV, its
 cells plain numbers or labels, goes to ``--csv``; anything human-facing,
 ``--help`` included, goes to stderr.  Every output object carries
 ``"schema": "1"``.  Exit codes: 0 success, 2 usage error, 3 data error, 4
-numeric failure, each with a one-line JSON error object on stdout.
+numeric failure, each with a one-line JSON error object on stdout; 1 when
+stdout is closed before the JSON is written, with nothing on stderr.
 
 A JSON config file (``--config``) supplies defaults; explicit flags win.  A
 value parses like the same flag, a switch takes only true or false, and a key
@@ -20,6 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -115,16 +117,25 @@ def _jsonable(obj):
     return obj
 
 
-def _emit(payload: dict, out: str | None) -> None:
-    """Write strict JSON: infinities become "inf"/"-inf", a NaN is a numeric failure."""
+def _emit(payload: dict, out: str | None, code: int = 0) -> int:
+    """Write strict JSON: infinities become "inf"/"-inf", a NaN is a numeric
+    failure.  Returns the exit code, 1 if stdout is closed."""
     try:
         text = json.dumps(_jsonable({"schema": SCHEMA, **payload}), allow_nan=False)
     except ValueError as exc:
         raise NumericError(f"result is not a number: {exc}") from exc
     if out:
         Path(out).write_text(text + "\n")
-    else:
-        print(text)
+        return code
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        # the interpreter's last flush of stdout would fail again, with a traceback
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
+    return code
 
 
 def _write_csv(path: str, header: list[str], rows) -> None:
@@ -193,14 +204,12 @@ def _build_parser(defaults: dict) -> _Parser:
     p.add_argument("--inner", type=int, default=10)
     p.add_argument("--delta", default="0.1")
     p.add_argument("--eps", type=float, default=0.1)
-    p.add_argument("--mu", type=float, default=0.0)
     p.add_argument("--bound-l", dest="bound_l", type=float, default=0.0)
     p.add_argument("--tail", type=float, default=0.0)
     p.add_argument("--abs-err", type=float, default=0.0)
     p.add_argument("--stab", default="", help="comma list: per-fold E|yhat - yhat_fold|")
     p.add_argument("--stab-trunc", default=None, help="comma list: per-fold truncated terms")
     p.add_argument("--exceed", default="", help="comma list: per-fold exceedance probabilities")
-    p.add_argument("--kfolds", type=int, help="fold count for pacbound/eqbound arithmetic")
 
     p = command("sim", "Monte-Carlo experiments")
     p.add_argument("mode", choices=("coverage", "equiv", "length", "gauge", "problen"))
@@ -328,17 +337,14 @@ def _cmd_dgp(args):
 def _cmd_stability(args):
     mode = args.mode
     if mode == "pacbound":
-        k = args.kfolds or len(_floats(args.stab))
         trunc = _floats(args.stab_trunc) if args.stab_trunc else None
         bt, ba = stability.pac_bound_cv(
-            k, _float_flag(args.delta, "--delta"), args.eps, args.mu, args.bound_l,
+            _float_flag(args.delta, "--delta"), args.eps, args.bound_l,
             args.tail, args.abs_err, _floats(args.stab), trunc,
         )
         return {"mode": mode, "bound_trunc": bt, "bound_abs": ba}, None
     if mode == "eqbound":
-        probs = _floats(args.exceed)
-        k = args.kfolds or len(probs)
-        value = stability.equivalence_bound(k, args.eps, _float_flag(args.delta, "--delta"), probs)
+        value = stability.equivalence_bound(args.eps, _float_flag(args.delta, "--delta"), _floats(args.exceed))
         return {"mode": mode, "bound": value}, None
     _require(args, "predictor", "dgp", "n")
     spec = PredictorSpec.from_json(Path(args.predictor).read_text())
@@ -449,8 +455,7 @@ def main(argv=None) -> int:
         payload, csv = COMMANDS[args.command](args)
         if csv and args.csv:
             _write_csv(args.csv, *csv)
-        _emit(payload, args.out)
-        return 0
+        return _emit(payload, args.out)
     except SystemExit:  # argparse exits only after printing --help: error() raises UsageError
         return 0
     except UsageError as exc:
@@ -462,8 +467,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         failure = 3, "io", exc
     code, error, exc = failure
-    _emit({"error": error, "message": str(exc)}, None)
-    return code
+    return _emit({"error": error, "message": str(exc)}, None, code)
 
 
 if __name__ == "__main__":

@@ -10,10 +10,10 @@ the last bits from a product over one row or over a block of another size
 (ridge at n = 200 differs in up to about 1e-14), so a hit can differ from
 ``interval``'s when y lies within a few ulps of an interval end.  One
 :class:`CoverageEngine` serves one :class:`cvuq.predictors.FoldFits` and one
-test set; it and ``interval`` follow one quantile rule,
-:func:`cvuq.ecdf.quantiles`: Q_a is the first sorted atom whose cumulative
-fold weight reaches a.  The cv and fitted_values offsets are order
-statistics of the residuals, sorted once per engine.  The cv_plus atoms
+test set, from one pass over it; it and ``interval`` follow one quantile
+rule, :func:`cvuq.ecdf.quantiles`: Q_a is the first sorted atom whose
+cumulative fold weight reaches a.  The cv and fitted_values offsets are
+order statistics of the residuals, sorted per query.  The cv_plus atoms
 a_j = yhat^{(-fold(j))}(x) + u_j are counted, never sorted, one C-contiguous
 (n, rows) block at a time, so every comparison with the test responses runs
 along contiguous memory: rounding keeps x -> fl(x -+ d) nondecreasing, so
@@ -29,11 +29,12 @@ hits are summed as bytes into, and stored in, the narrowest unsigned integer
 type that holds n (uint8 up to n = 255): exact, and smaller and faster to
 sum than machine integers.
 
-A pass draws the test set chunk by chunk from the DGP (see
-:meth:`CoverageEngine.drawn`), so its memory is O(block) plus about 20 B
-per test row at n <= 255 and equal folds, whatever p: y and the full-data
-prediction, 8 B each, and the byte counts of two tolerances.  x is never
-held whole.
+The pass draws the test set chunk by chunk from the DGP (see
+:meth:`CoverageEngine.drawn`) and counts the cv_plus atoms at the
+tolerances the engine was built with, so its memory is O(block) plus about
+20 B per test row at n <= 255 and equal folds, whatever p: y and the
+full-data prediction, 8 B each, and the byte counts of two tolerances.  x is
+never held whole.
 
 ``delta`` arguments accept a float, a string ``"iqr:FACTOR"`` (factor times
 the interquartile range of the leave-fold-out residuals), or a callable
@@ -103,65 +104,68 @@ def resolve_delta(delta, residuals) -> float:
 
 class CoverageEngine:
     """Vectorized per-test-point interval coverage for one training set and
-    m test pairs, which a pass takes from a source chunk by chunk: given
-    arrays, which it does not copy (a strided view is kept as it is), it
-    reads slices; built by :meth:`drawn`, it draws each chunk from the DGP
-    inside the pass, so x is never held whole.  A chunk is
+    m test pairs, from one pass that takes the pairs from a source chunk by
+    chunk: given arrays, which it does not copy (a strided view is kept as
+    it is), it reads slices; built by :meth:`drawn`, it draws each chunk
+    from the DGP inside the pass, so x is never held whole.  A chunk is
     ``CHUNK_BLOCKS`` row blocks of about ``BLOCK_ATOMS`` cells, (k or n) x
-    rows, and the blocks start at multiples of their width from row 0,
-    chunk boundaries included, so the rounding of every product matches a
-    pass over the whole test set (see :meth:`cvuq.data.DgpSpec.draw_chunks`).
-    The first pass keeps y and the full-data prediction of each row.  Per
-    cv_plus key (d, absolute) one pass over (k, rows) blocks of fold
-    predictions gives each row the counts
+    rows, and the blocks start at multiples of their width from row 0, chunk
+    boundaries included, so the rounding of every product matches a pass
+    over the whole test set (see :meth:`cvuq.data.DgpSpec.draw_chunks`).
+
+    The first :meth:`coverage` or :meth:`fold_exceedance` call runs the
+    pass, which keeps y and the full-data prediction of each row: all that
+    cv and fitted_values need.  cv_plus is counted at the tolerances
+    ``cv_plus`` declares (numbers, ``"iqr:FACTOR"`` rules or callables,
+    resolved once), on the residuals or, if ``symmetrized``, their absolute
+    values; a cv_plus query at another tolerance or flag raises
+    :class:`cvuq.errors.InvalidTolerance`.  Per tolerance d, the (k, rows)
+    blocks of fold predictions give each row the counts
     #{j : fl(a_j - d) <= y} and #{j : fl(a_j + d) < y}; each counted set is
-    a prefix of the sorted atoms, so one pass serves every level pair, and
-    :meth:`coverages` counts several tolerances in one pass.  The counts are
-    byte sums stored as ``np.min_scalar_type(n)``.  With unequal folds an
-    atom of fold j weighs 1/(k |K_j|) and a count is the float64 weight of
-    the hit atoms (hits compared into a float scratch block, then summed by
-    a product with the weights), compared with the level.  The first pass
-    that computes fold predictions also counts, per fold, the test points
+    a prefix of the sorted atoms, so the counts serve every level pair.
+    They are byte sums stored as ``np.min_scalar_type(n)``.  With unequal
+    folds an atom of fold j weighs 1/(k |K_j|) and a count is the float64
+    weight of the hit atoms (hits compared into a float scratch block, then
+    summed by a product with the weights), compared with the level.  With
+    ``exceed_delta`` set, the pass also counts, per fold, the test points
     whose fold prediction is more than ``exceed_delta`` from the full-data
     one.
 
     Memory is O(block) plus about 20 B per test row: a few scratch blocks
     of 1 MiB and one chunk (2,620 rows at n = 200, 1.07 MB at p = 50),
     then y and the full-data prediction (8 B each) and the counts (1 B per
-    tolerance and side up to n = 255; 8 B with unequal folds).
-
-    Chunks do not change the rounding, but blocks do: a block's fold
-    predictions are one matrix product, which can differ in the last bits
-    from the one-row product of :func:`cvuq.intervals.interval` (up to about
-    1e-14 for ridge at n = 200, p = 50), so a hit can differ from
-    ``interval``'s when y lies within a few ulps of an interval end.
+    tolerance and side up to n = 255; 8 B with unequal folds).  Chunks do
+    not change the rounding, but blocks do (see the module docstring).
     """
 
-    def __init__(self, fits: FoldFits, x_test: np.ndarray, y_test: np.ndarray,
-                 exceed_delta: float | None = None):
+    def __init__(self, fits: FoldFits, x_test: np.ndarray, y_test: np.ndarray, cv_plus=(),
+                 symmetrized: bool = False, exceed_delta: float | None = None):
         x_test = np.asarray(x_test, dtype=float)
         y_test = np.asarray(y_test, dtype=float)
-        self._start(fits, y_test.size, exceed_delta,
+        self._start(fits, y_test.size, cv_plus, symmetrized, exceed_delta,
                     lambda rows: ((y_test[s], x_test[s]) for s in chunk_slices(y_test.size, rows)))
         self.y_test = y_test
 
     @classmethod
-    def drawn(cls, fits: FoldFits, dgp: DgpSpec, m: int, seed: int, *key,
-              exceed_delta: float | None = None) -> "CoverageEngine":
+    def drawn(cls, fits: FoldFits, dgp: DgpSpec, m: int, seed: int, *key, cv_plus=(),
+              symmetrized: bool = False, exceed_delta: float | None = None) -> "CoverageEngine":
         """An engine on m test pairs of ``dgp`` drawn from ``stream(seed,
-        *key)``: the pairs ``dgp.draw(m, stream(seed, *key))`` returns, drawn
-        again from a fresh stream on every pass."""
+        *key)``: the pairs ``dgp.draw(m, stream(seed, *key))`` returns."""
         engine = cls.__new__(cls)
-        engine._start(fits, m, exceed_delta, lambda rows: dgp.draw_chunks(m, stream(seed, *key), rows))
+        engine._start(fits, m, cv_plus, symmetrized, exceed_delta,
+                      lambda rows: dgp.draw_chunks(m, stream(seed, *key), rows))
         return engine
 
-    def _start(self, fits: FoldFits, m: int, exceed_delta, chunks) -> None:
+    def _start(self, fits: FoldFits, m: int, cv_plus, symmetrized: bool, exceed_delta, chunks) -> None:
         self.fits = fits
         self.partition = fits.partition
         self.u = fits.loo_residuals
         self.m = m
         self._chunks = chunks  # rows -> (y, x) chunks of that many rows
-        self.y_test = self.full = None  # per row, kept by the first pass
+        self.y_test = self.full = None  # per row, kept by the pass
+        # each declared cv_plus tolerance and its index in the counts
+        self.cv_plus = {d: i for i, d in enumerate(dict.fromkeys(resolve_delta(d, self.u) for d in cv_plus))}
+        self.symmetrized = symmetrized
         self.exceed_delta = exceed_delta
         weights = self.partition.atom_weights
         self.equal_weights = bool(np.all(weights == weights[0]))
@@ -169,29 +173,19 @@ class CoverageEngine:
         # the fold-prediction column of each cv_plus atom; None when it is the identity
         fold_of = self.partition.fold_of
         self.columns = None if np.array_equal(fold_of, np.arange(fold_of.size)) else fold_of
-        self._offsets = {}
-        self._counts = {}
-        self._exceed = None
+        self._counts = self._exceed = None
 
     def coverage(self, method: IntervalMethod, alpha1: float, alpha2: float, delta) -> float:
         """Fraction of the test pairs whose y lies in its interval."""
-        return self.coverages(method, [(alpha1, alpha2, delta)])[0]
-
-    def coverages(self, method: IntervalMethod, levels) -> list:
-        """:meth:`coverage` at each (alpha1, alpha2, delta) of ``levels``; for
-        cv_plus, one pass counts every tolerance among them not yet counted."""
-        ds = [resolve_delta(delta, self.u) for _, _, delta in levels]
-        self._count_atoms(ds if method.base == "cv_plus" else [], method.symmetrized)
-        if method.base != "cv_plus" and method not in self._offsets:
-            # the residual atoms, sorted once: they need no test point
-            self._offsets[method] = interval_atoms(method, self.fits)
-        return [self._coverage(method, a1, a2, d) for (a1, a2, _), d in zip(levels, ds)]
-
-    def _coverage(self, method: IntervalMethod, alpha1: float, alpha2: float, d: float) -> float:
-        if method.base != "cv_plus":
-            lo, hi = interval_ends(method, self.full, self._offsets[method], alpha1, alpha2, d)
+        d = resolve_delta(delta, self.u)
+        cv_plus = method.base == "cv_plus"
+        if cv_plus and (d not in self.cv_plus or method.symmetrized != self.symmetrized):
+            raise InvalidTolerance(f"cv_plus at delta {d}, symmetrized={method.symmetrized}, was not declared to this engine")
+        self._pass()
+        if not cv_plus:
+            lo, hi = interval_ends(method, self.full, interval_atoms(method, self.fits), alpha1, alpha2, d)
             return float(np.mean((self.y_test >= lo) & (self.y_test <= hi)))
-        le, lt = self._counts[d, method.symmetrized]
+        le, lt = self._counts[self.cv_plus[d]]
         return float(np.mean((le >= self._reach(alpha1)) & ~(lt >= self._reach(alpha2))))
 
     def fold_exceedance(self) -> np.ndarray:
@@ -199,35 +193,30 @@ class CoverageEngine:
         |yhat(x) - yhat^{(-K_j)}(x)| > exceed_delta."""
         if self.exceed_delta is None:
             raise InvalidTolerance("fold_exceedance needs an engine built with exceed_delta")
-        if self._exceed is None:  # no counting pass has run yet
-            self._count_atoms([], False)
+        self._pass()
         return self._exceed
 
-    def _count_atoms(self, ds, absolute: bool) -> None:
-        """Count, in one pass over the chunks of the test set and over row
+    def _pass(self) -> None:
+        """The engine's one pass over the chunks of the test set and over row
         blocks of fold predictions in each, each a C-contiguous (k, rows)
-        block, the atoms at every tolerance of ``ds`` not yet counted: per
-        row, the number of hit atoms, or their weight with unequal folds.
-        The first pass keeps y and the full-data predictions; the first one
-        with fold predictions also takes the per-fold exceedance.  Scratch
-        blocks are allocated once per pass."""
-        ds = [d for d in dict.fromkeys(ds) if (d, absolute) not in self._counts]
-        take = self.exceed_delta is not None and self._exceed is None
-        keep = self.full is None
-        if not (ds or take or keep):
+        block: it keeps y and the full-data predictions, counts the atoms at
+        every declared cv_plus tolerance (per row, the number of hit atoms,
+        or their weight with unequal folds) and takes the per-fold
+        exceedance.  Scratch blocks are allocated once."""
+        if self.full is not None:  # the pass has run
             return
         m, n, k = self.m, self.u.size, self.partition.k
+        ds, take = list(self.cv_plus), self.exceed_delta is not None
         width = min(chunk_rows(n) // CHUNK_BLOCKS, m)
-        if keep:
-            self.full = np.empty(m)
-            keep_y = self.y_test is None
-            if keep_y:
-                self.y_test = np.empty(m)
+        self.full = np.empty(m)
+        keep_y = self.y_test is None
+        if keep_y:
+            self.y_test = np.empty(m)
         folds = ds or take  # fold predictions are needed
         if folds:
             buf, hit = np.empty((n, width)), np.empty((n, width), dtype=bool)
             gather = None if self.columns is None else np.empty((n, width))
-        res = (np.abs(self.u) if absolute else self.u)[:, None]
+        res = (np.abs(self.u) if self.symmetrized else self.u)[:, None]
         weights = None if self.equal_weights else self.partition.atom_weights
         # no count exceeds n (per row) or width (per fold and block), so these are exact
         count_type, fold_type = np.min_scalar_type(n), np.min_scalar_type(width)
@@ -236,10 +225,9 @@ class CoverageEngine:
         start = 0
         for y_chunk, x_chunk in self._chunks(chunk_rows(n)):
             chunk = slice(start, start + y_chunk.size)
-            if keep:
-                self.full[chunk] = self.fits.full_model.predict(x_chunk)
-                if keep_y:
-                    self.y_test[chunk] = y_chunk
+            self.full[chunk] = self.fits.full_model.predict(x_chunk)
+            if keep_y:
+                self.y_test[chunk] = y_chunk
             for at in range(0, y_chunk.size, width) if folds else ():
                 rows = slice(start + at, start + at + width)
                 block = self.fits.fold_predictions(x_chunk[at:at + width]).T
@@ -266,10 +254,9 @@ class CoverageEngine:
                 del block  # freed before the next block is computed
             start = chunk.stop
             del x_chunk  # freed before the next chunk is drawn
+        self._counts = counts
         if take:
             self._exceed = exceed / m
-        for i, d in enumerate(ds):
-            self._counts[d, absolute] = counts[i]
 
     def _reach(self, alpha: float) -> float:
         """The count (weight, with unequal folds) at which a row's counted
@@ -280,6 +267,11 @@ class CoverageEngine:
             return rank
         # any atom reaches a level at or below the lightest atom's weight
         return max(alpha - LEVEL_GUARD, float(self.partition.atom_weights.min()))
+
+
+def _declared(method: IntervalMethod, delta) -> dict:
+    """The engine arguments that declare one coverage query of ``method``."""
+    return {"cv_plus": [delta] if method.base == "cv_plus" else [], "symmetrized": method.symmetrized}
 
 
 def conditional_coverage(
@@ -298,7 +290,8 @@ def conditional_coverage(
     if mc_test < 1:
         raise InvalidTolerance("mc_test must be at least 1")
     fits = FoldFits(spec, train, resolve_partition(partition_rule, train.n))
-    return CoverageEngine.drawn(fits, dgp, mc_test, seed).coverage(method, alpha1, alpha2, delta)
+    engine = CoverageEngine.drawn(fits, dgp, mc_test, seed, **_declared(method, delta))
+    return engine.coverage(method, alpha1, alpha2, delta)
 
 
 @dataclass(frozen=True)
@@ -342,7 +335,8 @@ def coverage_distribution(
     def one(r: int) -> float:
         train = dgp.sample(n, stream(seed, r, 0))
         fits = FoldFits(spec, train, partition)
-        return CoverageEngine.drawn(fits, dgp, mc_test, seed, r, 1).coverage(method, alpha1, alpha2, delta)
+        engine = CoverageEngine.drawn(fits, dgp, mc_test, seed, r, 1, **_declared(method, delta))
+        return engine.coverage(method, alpha1, alpha2, delta)
 
     cov = np.array(indexed_map(one, train_reps, threads))
     q05, q50, q95 = np.quantile(cov, [0.05, 0.5, 0.95])
@@ -404,7 +398,7 @@ def jk_vs_jkplus_gap(
 ) -> EquivalenceReport:
     """Jackknife vs Jackknife+ (general CV vs CV+) on identical fold fits."""
     # the bound's checks of eps and a numeric stability tolerance, before any rep (a rule resolves per rep)
-    equivalence_bound(1, eps, stability_delta if isinstance(stability_delta, numbers.Real) else 0.0, [0.0])
+    equivalence_bound(eps, stability_delta if isinstance(stability_delta, numbers.Real) else 0.0, [0.0])
     partition = resolve_partition(partition_rule, n)
     cv = IntervalMethod("cv")
     cvp = IntervalMethod("cv_plus")
@@ -414,20 +408,16 @@ def jk_vs_jkplus_gap(
         fits = FoldFits(spec, train, partition)
         d = resolve_delta(delta, fits.loo_residuals)
         d_stab = resolve_delta(stability_delta, fits.loo_residuals)
-        engine = CoverageEngine.drawn(fits, dgp, mc_test, seed, r, 1, exceed_delta=d_stab)
-        # CV+ at delta and on the pair grid at 0 first: one pass, and one
-        # draw of the test set, also keeps y, the full-data predictions and
-        # the fold exceedance for the CV queries below
-        grid = [(b1, b2, 0.0) for b1, b2 in DEFAULT_PAIR_GRID]
-        c_jp, *c_plus = engine.coverages(cvp, [(alpha1, alpha2, d)] + grid)
+        # CV+ at delta and, on the pair grid, at 0
+        engine = CoverageEngine.drawn(fits, dgp, mc_test, seed, r, 1, cv_plus=[d, 0.0], exceed_delta=d_stab)
         c_j = engine.coverage(cv, alpha1, alpha2, d)
+        c_jp = engine.coverage(cvp, alpha1, alpha2, d)
         # per-fold exceedance of the stability tolerance across test points
         exceed = engine.fold_exceedance()
         # equivalence-deficit event: CV at widened levels and inflated
         # distortion falls short of CV+ by eps somewhere on the pair grid
-        worst = math.inf
-        for (b1, b2), c in zip(DEFAULT_PAIR_GRID, c_plus):
-            worst = min(worst, engine.coverage(cv, b1 - eps, b2 + eps, d_stab) - c)
+        worst = min(engine.coverage(cv, b1 - eps, b2 + eps, d_stab) - engine.coverage(cvp, b1, b2, 0.0)
+                    for b1, b2 in DEFAULT_PAIR_GRID)
         return c_j, c_jp, worst <= -eps, exceed, d_stab
 
     results = indexed_map(one, train_reps, threads)
@@ -439,7 +429,7 @@ def jk_vs_jkplus_gap(
     gaps = np.abs(cov_cv - cov_cvp)
     freq = float(events.mean())
     se = float(math.sqrt(max(freq * (1 - freq), 1e-12) / train_reps))
-    bound = equivalence_bound(partition.k, eps, d_stab, fold_exceed)
+    bound = equivalence_bound(eps, d_stab, fold_exceed)
     return EquivalenceReport(
         cov_cv=cov_cv,
         cov_cvp=cov_cvp,

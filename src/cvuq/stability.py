@@ -121,10 +121,8 @@ def m_stability(spec, dgp: DgpSpec, n: int, m: int, reps: int, seed: int, thread
 
 
 def pac_bound_cv(
-    k: int,
     delta: float,
     eps: float,
-    mu: float,
     L: float,
     est_pred_err_tail: float,
     est_pred_err_abs: float,
@@ -135,20 +133,25 @@ def pac_bound_cv(
     coverage stays within 2*eps of nominal, from externally estimated inputs.
 
     ``est_pred_err_tail`` estimates P(|y - yhat - mu| >= L) and
-    ``est_pred_err_abs`` estimates E|y - yhat - mu|; ``est_stability_terms``
-    holds the per-fold E|yhat - yhat^{fold}|.  The truncated bound wants
-    per-fold E min(2L + 3*delta, |.|); when ``est_stability_trunc`` is omitted
-    the plain absolute terms are used, which can only loosen the bound.
-    Returns ``(bound_trunc, bound_abs)``, both clamped to at most 1.
+    ``est_pred_err_abs`` estimates E|y - yhat - mu|, for a centering mu that
+    enters the bounds only through them; ``est_stability_terms`` holds the
+    per-fold E|yhat - yhat^{fold}|, so its length is the fold count k.  The
+    truncated bound wants per-fold E min(2L + 3*delta, |.|); when
+    ``est_stability_trunc`` is omitted the plain absolute terms are used,
+    which can only loosen the bound.  Every input must be a number (not
+    NaN).  Returns ``(bound_trunc, bound_abs)``, both clamped to at most 1.
     """
-    if delta <= 0 or eps <= 0:
+    if not (delta > 0 and eps > 0):
         raise InvalidTolerance("delta and eps must be positive")
-    if L < 0:
+    if not L >= 0:
         raise InvalidTolerance("L must be nonnegative")
     stab_abs = np.asarray(est_stability_terms, dtype=float)
     stab_trunc = stab_abs if est_stability_trunc is None else np.asarray(est_stability_trunc, dtype=float)
-    if k < 1 or stab_abs.size != k or stab_trunc.size != k:
+    k = stab_abs.size
+    if k < 1 or stab_trunc.size != k:
         raise InvalidTolerance("need at least one fold and one stability term per fold")
+    if np.isnan([est_pred_err_tail, est_pred_err_abs]).any() or np.isnan(stab_abs).any() or np.isnan(stab_trunc).any():
+        raise InvalidTolerance("prediction-error and stability estimates must be numbers")
     bound_trunc = (
         1.0
         - 2.0 * est_pred_err_tail / eps
@@ -163,16 +166,17 @@ def pac_bound_cv(
     return min(bound_trunc, 1.0), min(bound_abs, 1.0)
 
 
-def equivalence_bound(k: int, eps: float, delta: float, exceed_probs) -> float:
-    """CV vs CV+ finite-sample bound (1/(k*eps^2)) * sum_j P(|yhat - yhat^{fold j}| > delta)."""
+def equivalence_bound(eps: float, delta: float, exceed_probs) -> float:
+    """CV vs CV+ finite-sample bound (1/(k*eps^2)) * sum_j P(|yhat - yhat^{fold j}| > delta)
+    from the k per-fold probabilities ``exceed_probs``."""
     if not eps > 0:
         raise InvalidTolerance("eps must be positive")
     if not delta >= 0:
         raise InvalidTolerance("delta must be nonnegative")
     probs = np.asarray(exceed_probs, dtype=float)
-    if k < 1 or probs.size != k or np.any(probs < 0) or np.any(probs > 1):
+    if probs.size < 1 or not np.all((probs >= 0) & (probs <= 1)):
         raise InvalidTolerance("need one probability in [0, 1] per fold")
-    return float(np.sum(probs) / (k * eps**2))
+    return float(np.sum(probs) / (probs.size * eps**2))
 
 
 def variance_gap(spec, dgp: DgpSpec, n: int, reps: int, seed: int, threads: int = 1) -> McEstimate:

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -119,7 +120,7 @@ def test_degenerate_fit_exits_4(capsys, tmp_path):
 def test_stability_pacbound_arithmetic(capsys):
     code, payload = run_cli(
         capsys,
-        "stability", "pacbound", "--kfolds", "100", "--delta", "1.0", "--eps", "0.1",
+        "stability", "pacbound", "--delta", "1.0", "--eps", "0.1",
         "--bound-l", "0.0", "--tail", "0.05", "--abs-err", "0.0",
         "--stab", ",".join(["0"] * 100),
     )
@@ -300,6 +301,23 @@ def test_entry_point_subprocess(workdir):
     assert json.loads(proc.stdout)["error"] == "io"
 
 
+@pytest.mark.parametrize("exceed", ["0.05,0.05", "0.1,nan"], ids=["result", "error"])
+def test_closed_stdout_exits_1_without_a_traceback(exceed):
+    # the reader of stdout is gone before the JSON, a result or an error, is
+    # written: the run ends with exit 1 and nothing on stderr
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "cvuq.cli", "stability", "eqbound", "--eps", "0.5", "--delta", "0.1",
+             "--exceed", exceed],
+            stdout=write, stderr=subprocess.PIPE, text=True,
+        )
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (1, "")
+
+
 def test_out_file_instead_of_stdout(capsys, workdir, tmp_path):
     out = tmp_path / "res.json"
     code = main([
@@ -421,6 +439,13 @@ def test_wrong_xnew_length_exits_3_before_a_nan_delta(capsys, workdir):
         pytest.param(["stability", "pacbound"], ["--stab", ""], 3, id="stability-pacbound-no-folds"),
         pytest.param(["stability", "eqbound"], ["--exceed", ""], 3, id="stability-eqbound-no-folds"),
         pytest.param(["stability", "eqbound"], ["--delta", "nan"], 3, id="stability-eqbound-delta-nan"),
+        pytest.param(["stability", "eqbound"], ["--exceed", "0.1,nan"], 3, id="stability-eqbound-exceed-nan"),
+        pytest.param(["stability", "pacbound"], ["--delta", "nan"], 3, id="stability-pacbound-delta-nan"),
+        pytest.param(["stability", "pacbound"], ["--bound-l", "nan"], 3, id="stability-pacbound-bound-l-nan"),
+        pytest.param(["stability", "pacbound"], ["--tail", "nan"], 3, id="stability-pacbound-tail-nan"),
+        pytest.param(["stability", "pacbound"], ["--abs-err", "nan"], 3, id="stability-pacbound-abs-err-nan"),
+        pytest.param(["stability", "pacbound"], ["--stab", "0.1,nan"], 3, id="stability-pacbound-stab-nan"),
+        pytest.param(["stability", "pacbound"], ["--stab-trunc", "0.1,nan"], 3, id="stability-pacbound-stab-trunc-nan"),
         pytest.param(["sim", "equiv"], ["--stab-delta", "nan"], 3, id="sim-equiv-stab-delta-nan"),
         pytest.param(["gauge"], ["--g", "nan_last.json"], (3, "WeightSumError"), id="gauge-cum-nan-last"),
         pytest.param(["gauge"], ["--g", "nan_first.json"], (3, "WeightSumError"), id="gauge-cum-nan-first"),
@@ -486,9 +511,9 @@ SIM = {"--n": SIZES, "--n-grid": GRIDS, "--k": RULES, "--method": METHODS, "--al
        "--mc-test": COUNTS, "--mc-oracle": COUNTS, "--eps": NUMBERS, "--stab-delta": DELTAS,
        "--predictors": st.sampled_from(["max_response", "neg_max_response,constant", "bogus"])}
 STABILITY = {"--n": SIZES, "--k": RULES, "--eps-grid": LISTS, "--reps": COUNTS, "--m": COUNTS,
-             "--outer": COUNTS, "--inner": COUNTS, "--delta": DELTAS, "--eps": NUMBERS, "--mu": NUMBERS,
+             "--outer": COUNTS, "--inner": COUNTS, "--delta": DELTAS, "--eps": NUMBERS,
              "--bound-l": NUMBERS, "--tail": NUMBERS, "--abs-err": NUMBERS, "--stab": LISTS,
-             "--stab-trunc": LISTS, "--exceed": LISTS, "--kfolds": SIZES}
+             "--stab-trunc": LISTS, "--exceed": LISTS}
 # name: (subcommand argv, valid flags given before the fuzzed ones, fuzzable
 # flags, fuzzable switches)
 FUZZ_COMMANDS = {

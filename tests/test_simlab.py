@@ -48,14 +48,15 @@ ALL_METHODS = [
 
 
 def test_engine_matches_per_point_intervals_exactly():
-    rng = np.random.default_rng(0)
+    levels = ((0.1, 0.9, 0.0), (0.0, 0.8, 0.3), (0.25, 1.0, -0.2), (0.5, 0.5, 0.1))
     for part_rule in ("jackknife", 3):
         train = GAUSS.sample(10, stream(1, 0))
         fits = FoldFits(ridge(0.5), train, resolve_partition(part_rule, train.n))
         y_test, x_test = GAUSS.draw(200, stream(1, 1))
-        engine = CoverageEngine(fits, x_test, y_test)
         for method in ALL_METHODS:
-            for a1, a2, d in ((0.1, 0.9, 0.0), (0.0, 0.8, 0.3), (0.25, 1.0, -0.2), (0.5, 0.5, 0.1)):
+            engine = CoverageEngine(fits, x_test, y_test, cv_plus=[d for _, _, d in levels],
+                                    symmetrized=method.symmetrized)
+            for a1, a2, d in levels:
                 fast = engine.coverage(method, a1, a2, d)
                 assert fast == per_point_coverage(fits, method, a1, a2, d, x_test, y_test), (method, a1, a2, d)
 
@@ -257,21 +258,21 @@ def test_kernel_matches_sorted_atom_oracle(rule):
     train = GAUSS.sample(n, stream(14, 0))
     fits = FoldFits(ridge(0.5), train, resolve_partition(rule, n))
     y_test, x_test = GAUSS.draw(m, stream(14, 1))
-    engine = CoverageEngine(fits, x_test, y_test)
     for method in CV_PLUS:
+        engine = CoverageEngine(fits, x_test, y_test, cv_plus=(0.0, 0.05, -0.2), symmetrized=method.symmetrized)
         for d in (0.0, 0.05, -0.2):
             for a1, a2 in DEFAULT_PAIR_GRID:
                 fast = engine.coverage(method, a1, a2, d)
                 slow = sorted_atom_coverage(fits, a1, a2, d, x_test, y_test, method.symmetrized)
                 assert fast == slow, (method, d, a1, a2)
-    # the exceedance from its own pass, and from the first counting pass
+    # the exceedance from a pass without cv+ counts, and from one with them
     for d in (0.0, 0.01, 0.1):
         dense = dense_fold_exceedance(fits, x_test, d)
-        before = CoverageEngine(fits, x_test, y_test, exceed_delta=d)
-        np.testing.assert_array_equal(before.fold_exceedance(), dense)
-        after = CoverageEngine(fits, x_test, y_test, exceed_delta=d)
-        after.coverage(CV_PLUS[0], 0.05, 0.95, 0.0)
-        np.testing.assert_array_equal(after.fold_exceedance(), dense)
+        alone = CoverageEngine(fits, x_test, y_test, exceed_delta=d)
+        np.testing.assert_array_equal(alone.fold_exceedance(), dense)
+        counted = CoverageEngine(fits, x_test, y_test, cv_plus=[0.0], exceed_delta=d)
+        counted.coverage(CV_PLUS[0], 0.05, 0.95, 0.0)
+        np.testing.assert_array_equal(counted.fold_exceedance(), dense)
 
 
 def _lattice_case(n, rule):
@@ -328,8 +329,8 @@ def test_kernel_matches_scalar_intervals_on_adversarial_inputs(case):
         grid = sorted(set(grid[:: len(grid) // 10] + grid[-4:]))
     pairs = [(a, 1.0) for a in grid] + [(0.0, b) for b in grid] + list(zip(grid, reversed(grid)))
     pairs += [(1e-13, 1.0), (0.0, 1e-13), (-0.1, 0.5), (0.0, 1.5), (1.2, 1.5), (-0.5, 0.0)]
-    engine = CoverageEngine(fits, x_test, y_test)
     for method in CV_PLUS:
+        engine = CoverageEngine(fits, x_test, y_test, cv_plus=(0.0, 0.25, -0.25, -2.0), symmetrized=method.symmetrized)
         for d in (0.0, 0.25, -0.25, -2.0):
             for a1, a2 in pairs:
                 fast = engine.coverage(method, a1, a2, d)
@@ -350,16 +351,17 @@ def test_infinite_delta_is_rejected():
 
 def test_cv_plus_coverages_share_one_pass(monkeypatch):
     # the equivalence check reads cv+ coverages at its delta and at 0: one
-    # pass of fold predictions per method serves every tolerance of a batch
+    # pass of fold predictions per engine serves every declared tolerance
     fits, x_test, y_test = _ridge_case(13, 4)
     rows = []
     fold_predictions = fits.fold_predictions
     monkeypatch.setattr(fits, "fold_predictions", lambda x: rows.append(len(x)) or fold_predictions(x))
-    engine = CoverageEngine(fits, x_test, y_test)
     levels = [(a1, a2, d) for d in (0.25, 0.0, -0.25) for a1, a2 in DEFAULT_PAIR_GRID]
-    fast = {method: engine.coverages(method, levels) for method in CV_PLUS}
+    engines = {method: CoverageEngine(fits, x_test, y_test, cv_plus=(0.25, 0.0, -0.25),
+                                      symmetrized=method.symmetrized) for method in CV_PLUS}
+    fast = {method: [engine.coverage(method, *lv) for lv in levels] for method, engine in engines.items()}
     assert sum(rows) == 2 * y_test.size
-    assert [engine.coverage(CV_PLUS[0], *lv) for lv in levels] == fast[CV_PLUS[0]]
+    assert [engines[CV_PLUS[0]].coverage(CV_PLUS[0], *lv) for lv in levels] == fast[CV_PLUS[0]]
     assert sum(rows) == 2 * y_test.size  # counted tolerances are not counted again
     monkeypatch.undo()
     for method in CV_PLUS:
@@ -375,7 +377,7 @@ def test_cv_plus_kernel_memory_is_blocked():
     tracemalloc.start()
     try:
         # no (m, n) fold-prediction matrix: built, counted and exceeded by row blocks
-        engine = CoverageEngine(fits, x_test, y_test, exceed_delta=0.1)
+        engine = CoverageEngine(fits, x_test, y_test, cv_plus=[0.1], exceed_delta=0.1)
         engine.coverage(IntervalMethod("cv_plus"), 0.05, 0.95, 0.1)
         engine.fold_exceedance()
         peak = tracemalloc.get_traced_memory()[1]
@@ -396,7 +398,7 @@ def _traced_test_set_and_pass(rule):
         y_test, x_test = dgp.draw(m, stream(18, 1))
         drawn, draw_peak = tracemalloc.get_traced_memory()
         tracemalloc.reset_peak()
-        engine = CoverageEngine(fits, x_test, y_test, exceed_delta=0.1)
+        engine = CoverageEngine(fits, x_test, y_test, cv_plus=[0.1], exceed_delta=0.1)
         engine.coverage(IntervalMethod("cv_plus"), 0.05, 0.95, 0.1)
         engine_peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -422,24 +424,26 @@ def test_unequal_fold_pass_has_no_block_sized_temporaries():
 
 def test_drawn_engine_equals_array_engine():
     # one test set of 2 * 2,620 + 1 rows, chunks of 2,620 at n = 200 with a
-    # one-row tail, seen whole and drawn chunk by chunk inside each pass;
-    # each cv+ tolerance below is counted by a pass of its own, which draws
-    # the test set again
+    # one-row tail, seen whole and drawn chunk by chunk inside the pass of
+    # each engine, one engine per symmetrized flag
     n, m = 200, 2 * 2620 + 1
+    levels = ((0.05, 0.95, 0.0), (0.1, 0.9, 0.2), (0.0, 0.8, -0.1))
     for rule in ("jackknife", 7):
         fits = FoldFits(ridge(0.5), GAUSS.sample(n, stream(19, 0)), resolve_partition(rule, n))
         y_test, x_test = GAUSS.draw(m, stream(19, 1))
-        whole = CoverageEngine(fits, x_test, y_test, exceed_delta=0.05)
-        drawn = CoverageEngine.drawn(fits, GAUSS, m, 19, 1, exceed_delta=0.05)
-        np.testing.assert_array_equal(drawn.fold_exceedance(), whole.fold_exceedance())
-        for method in ALL_METHODS:
-            for a1, a2, d in ((0.05, 0.95, 0.0), (0.1, 0.9, 0.2), (0.0, 0.8, -0.1)):
-                assert drawn.coverage(method, a1, a2, d) == whole.coverage(method, a1, a2, d), (rule, method, d)
+        for symmetrized in (False, True):
+            declared = dict(cv_plus=[d for _, _, d in levels], symmetrized=symmetrized, exceed_delta=0.05)
+            whole = CoverageEngine(fits, x_test, y_test, **declared)
+            drawn = CoverageEngine.drawn(fits, GAUSS, m, 19, 1, **declared)
+            np.testing.assert_array_equal(drawn.fold_exceedance(), whole.fold_exceedance())
+            for method in (meth for meth in ALL_METHODS if meth.symmetrized == symmetrized):
+                for a1, a2, d in levels:
+                    assert drawn.coverage(method, a1, a2, d) == whole.coverage(method, a1, a2, d), (rule, method, d)
 
 
 def test_equivalence_draws_each_test_set_once(monkeypatch):
-    # the cv+ batch comes first, so one pass keeps y, the full-data
-    # predictions and the exceedance that the cv queries read
+    # each rep's engine declares its cv+ tolerances, so one pass keeps y,
+    # the full-data predictions and the exceedance, and counts the cv+ atoms
     n, reps, mc_test = 20, 3, 3000
     rows = []
     draw = DgpSpec.draw
@@ -460,14 +464,53 @@ def test_drawn_pass_holds_no_test_block(rule):
     block = m * (p + 1) * 8
     tracemalloc.start()
     try:
-        engine = CoverageEngine.drawn(fits, dgp, m, 18, 1, exceed_delta=0.1)
-        engine.coverages(IntervalMethod("cv_plus"), [(0.05, 0.95, 0.1), (0.1, 0.9, 0.0)])
+        engine = CoverageEngine.drawn(fits, dgp, m, 18, 1, cv_plus=(0.1, 0.0), exceed_delta=0.1)
+        engine.coverage(IntervalMethod("cv_plus"), 0.05, 0.95, 0.1)
+        engine.coverage(IntervalMethod("cv_plus"), 0.1, 0.9, 0.0)
         engine.fold_exceedance()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     wider_counts = 0 if engine.equal_weights else 2 * 2 * 7 * m
     assert peak <= block / 4 + wider_counts
+
+
+def test_engine_draws_and_predicts_its_test_set_once_whatever_the_query_order(monkeypatch):
+    # cv first, then cv+, then the exceedance: one pass serves all three
+    n, m = 20, 3000
+    fits = FoldFits(ridge(0.5), GAUSS.sample(n, stream(20, 0)), resolve_partition(7, n))
+    drawn, predicted = [], []
+    draw = DgpSpec.draw
+    monkeypatch.setattr(DgpSpec, "draw", lambda self, rows, rng: drawn.append(rows) or draw(self, rows, rng))
+    fold_predictions = fits.fold_predictions
+    monkeypatch.setattr(fits, "fold_predictions", lambda x: predicted.append(len(x)) or fold_predictions(x))
+    engine = CoverageEngine.drawn(fits, GAUSS, m, 20, 1, cv_plus=["iqr:0.1", 0.0], exceed_delta=0.1)
+    cv = engine.coverage(IntervalMethod("cv"), 0.05, 0.95, 0.0)
+    cvp = engine.coverage(IntervalMethod("cv_plus"), 0.05, 0.95, "iqr:0.1")
+    exceed = engine.fold_exceedance()
+    assert sum(drawn) == m and sum(predicted) == m
+    monkeypatch.undo()
+    y_test, x_test = GAUSS.draw(m, stream(20, 1))
+    assert cv == per_point_coverage(fits, IntervalMethod("cv"), 0.05, 0.95, 0.0, x_test, y_test)
+    d = resolve_delta("iqr:0.1", fits.loo_residuals)
+    assert cvp == per_point_coverage(fits, IntervalMethod("cv_plus"), 0.05, 0.95, d, x_test, y_test)
+    np.testing.assert_array_equal(exceed, dense_fold_exceedance(fits, x_test, 0.1))
+
+
+def test_undeclared_cv_plus_query_is_rejected():
+    fits, x_test, y_test = _ridge_case(12, "jackknife")
+    engine = CoverageEngine(fits, x_test, y_test, cv_plus=[0.0, "iqr:0.5"])
+    for method, d in ((CV_PLUS[0], 0.1), (CV_PLUS[0], "iqr:0.4"), (CV_PLUS[1], 0.0), (CV_PLUS[1], "iqr:0.5")):
+        with pytest.raises(InvalidTolerance, match="not declared"):
+            engine.coverage(method, 0.05, 0.95, d)
+    # declared queries, and cv at any tolerance, are answered
+    iqr = resolve_delta("iqr:0.5", fits.loo_residuals)
+    for method, d in ((CV_PLUS[0], "iqr:0.5"), (CV_PLUS[0], iqr), (IntervalMethod("cv", True), 0.1)):
+        assert engine.coverage(method, 0.05, 0.95, d) == per_point_coverage(
+            fits, method, 0.05, 0.95, resolve_delta(d, fits.loo_residuals), x_test, y_test)
+    bare = CoverageEngine(fits, x_test, y_test)
+    with pytest.raises(InvalidTolerance, match="not declared"):
+        bare.coverage(CV_PLUS[0], 0.05, 0.95, 0.0)
 
 
 def test_coverage_report_binomial_se_per_rep():

@@ -70,17 +70,17 @@ def test_pac_bound_perfect_inputs():
     # the absolute-moment bound is exactly 1 for perfect inputs; the truncated
     # bound keeps its deterministic (8L + 12 delta)/(k delta eps^2) term, which
     # only vanishes as k grows
-    bt, ba = pac_bound_cv(10, 1.0, 0.1, 0.0, 0.0, 0.0, 0.0, np.zeros(10))
+    bt, ba = pac_bound_cv(1.0, 0.1, 0.0, 0.0, 0.0, np.zeros(10))
     assert ba == 1.0
     assert bt == pytest.approx(1.0 - 12.0 / (10 * 0.1**2), abs=1e-12)
-    bt_big, ba_big = pac_bound_cv(10**6, 1.0, 0.5, 0.0, 0.0, 0.0, 0.0, np.zeros(10**6))
+    bt_big, ba_big = pac_bound_cv(1.0, 0.5, 0.0, 0.0, 0.0, np.zeros(10**6))
     assert ba_big == 1.0
     assert bt_big == pytest.approx(1.0, abs=1e-4)
 
 
 def test_pac_bound_tail_example():
     # tail = eps/2, everything else 0, L=0, delta=1, k=100, eps=0.1
-    bt, ba = pac_bound_cv(100, 1.0, 0.1, 0.0, 0.0, 0.05, 0.0, np.zeros(100))
+    bt, ba = pac_bound_cv(1.0, 0.1, 0.0, 0.05, 0.0, np.zeros(100))
     assert bt == pytest.approx(1.0 - 1.0 - 12.0 / (100 * 0.01), abs=1e-12)
     assert ba == 1.0
 
@@ -90,34 +90,34 @@ def test_pac_bound_k_large_limit():
     eps = 0.5
     prev = -np.inf
     for k in (10, 1000, 1_000_000):
-        bt, _ = pac_bound_cv(k, 1.0, eps, 0.0, 0.0, tail, 0.0, np.zeros(k))
+        bt, _ = pac_bound_cv(1.0, eps, 0.0, tail, 0.0, np.zeros(k))
         assert bt >= prev  # k^{-1} terms shrink
         prev = bt
     assert prev == pytest.approx(1 - 2 * tail / eps, abs=1e-3)
 
 
 def test_pac_bound_monotone_in_inputs():
-    base = pac_bound_cv(10, 0.5, 0.2, 0.0, 1.0, 0.01, 0.1, np.full(10, 0.05))
-    worse_tail = pac_bound_cv(10, 0.5, 0.2, 0.0, 1.0, 0.05, 0.1, np.full(10, 0.05))
-    worse_stab = pac_bound_cv(10, 0.5, 0.2, 0.0, 1.0, 0.01, 0.1, np.full(10, 0.2))
+    base = pac_bound_cv(0.5, 0.2, 1.0, 0.01, 0.1, np.full(10, 0.05))
+    worse_tail = pac_bound_cv(0.5, 0.2, 1.0, 0.05, 0.1, np.full(10, 0.05))
+    worse_stab = pac_bound_cv(0.5, 0.2, 1.0, 0.01, 0.1, np.full(10, 0.2))
     assert worse_tail[0] <= base[0] and worse_tail[1] <= base[1]
     assert worse_stab[0] <= base[0] and worse_stab[1] <= base[1]
     with pytest.raises(InvalidTolerance):
-        pac_bound_cv(10, 0.0, 0.2, 0.0, 1.0, 0.0, 0.0, np.zeros(10))
+        pac_bound_cv(0.0, 0.2, 1.0, 0.0, 0.0, np.zeros(10))
     with pytest.raises(InvalidTolerance):
-        pac_bound_cv(10, 0.5, -1.0, 0.0, 1.0, 0.0, 0.0, np.zeros(10))
+        pac_bound_cv(0.5, -1.0, 1.0, 0.0, 0.0, np.zeros(10))
 
 
 def test_equivalence_bound_arithmetic():
-    assert equivalence_bound(10, 0.5, 0.1, np.zeros(10)) == 0.0
-    assert equivalence_bound(10, 0.5, 0.1, np.full(10, 0.05)) == pytest.approx(0.2, abs=1e-15)
-    assert equivalence_bound(4, 1e-4, 0.0, np.full(4, 0.5)) > 1.0  # vacuous
+    assert equivalence_bound(0.5, 0.1, np.zeros(10)) == 0.0
+    assert equivalence_bound(0.5, 0.1, np.full(10, 0.05)) == pytest.approx(0.2, abs=1e-15)
+    assert equivalence_bound(1e-4, 0.0, np.full(4, 0.5)) > 1.0  # vacuous
     with pytest.raises(InvalidTolerance):
-        equivalence_bound(10, 0.0, 0.1, np.zeros(10))
+        equivalence_bound(0.0, 0.1, np.zeros(10))
     with pytest.raises(InvalidTolerance):
-        equivalence_bound(10, 0.5, 0.1, np.full(10, 1.5))
+        equivalence_bound(0.5, 0.1, np.full(10, 1.5))
     with pytest.raises(InvalidTolerance):
-        equivalence_bound(10, 0.5, np.nan, np.zeros(10))
+        equivalence_bound(0.5, np.nan, np.zeros(10))
 
 
 def test_variance_gap_constant_zero():
