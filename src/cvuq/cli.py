@@ -19,6 +19,7 @@ CSV ``(header, rows)``, or ``None``.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -247,6 +248,13 @@ def _build_parser(defaults: dict) -> _Parser:
     return parser
 
 
+@functools.lru_cache(maxsize=8)
+def _parser_for(config: str) -> _Parser:
+    """The parser for the config defaults whose canonical JSON is ``config``,
+    built once per process: parsing reads it and never changes it."""
+    return _build_parser(json.loads(config))
+
+
 # Flags that count replications, test points or worker threads, and the seed: least valid value.
 _COUNT_FLAGS = {"threads": 1, "reps": 1, "train_reps": 1, "mc_test": 1, "mc_oracle": 1, "outer": 1, "inner": 1,
                 "seed": 0}
@@ -449,7 +457,7 @@ def main(argv=None) -> int:
                 raise UsageError(f"bad config file: {exc}") from exc
             if not isinstance(defaults, dict):
                 raise UsageError("config must be a JSON object")
-        args = _build_parser(defaults).parse_args(argv)
+        args = _parser_for(json.dumps(defaults, sort_keys=True)).parse_args(argv)
         _check_counts(args)
         _check_levels(args)
         payload, csv = COMMANDS[args.command](args)

@@ -2,22 +2,22 @@
 interval length, and gauge convergence at desk scale.
 
 Coverage is evaluated with a fresh-test-point oracle: freeze the training
-set, draw test pairs, and count hits of the per-test-point interval.  Given
-the same predictions, every hit equals that of
-:func:`cvuq.intervals.interval` exactly.  The predictions themselves are
-matrix products over a block of test rows, which can round differently in
-the last bits from a product over one row or over a block of another size
-(ridge at n = 200 differs in up to about 1e-14), so a hit can differ from
-``interval``'s when y lies within a few ulps of an interval end.  One
-:class:`CoverageEngine` serves one :class:`cvuq.predictors.FoldFits` and one
-test set, from one pass over it; it and ``interval`` follow one quantile
-rule, :func:`cvuq.ecdf.quantiles`: Q_a is the first sorted atom whose
-cumulative fold weight reaches a.  The cv and fitted_values offsets are
-order statistics of the residuals, sorted per query.  The cv_plus atoms
-a_j = yhat^{(-fold(j))}(x) + u_j are counted, never sorted, one C-contiguous
-(n, rows) block at a time, so every comparison with the test responses runs
-along contiguous memory: rounding keeps x -> fl(x -+ d) nondecreasing, so
-with Q_a the k(a)-th smallest atom
+set, draw test pairs, and count hits of the per-test-point interval.  The
+cv_plus hits and the fold exceedance equal those computed from the exact
+fold predictions, :meth:`cvuq.predictors.FoldFits.fold_predictions`, whose
+rows are the one-row products :func:`cvuq.intervals.interval` uses.  cv and
+fitted_values read the full-data prediction of the chunk's matrix product,
+which can round differently in the last bits from ``interval``'s one-row
+product, so their hits can differ from ``interval``'s when y lies within a
+few ulps of an interval end.  One :class:`CoverageEngine` serves one
+:class:`cvuq.predictors.FoldFits` and one test set, from one pass over it;
+it and ``interval`` follow one quantile rule, :func:`cvuq.ecdf.quantiles`:
+Q_a is the first sorted atom whose cumulative fold weight reaches a.  The cv
+and fitted_values offsets are order statistics of the residuals, sorted per
+query.  The cv_plus atoms a_j = yhat^{(-fold(j))}(x) + u_j are counted,
+never sorted, one C-contiguous (n, rows) block at a time, so every
+comparison with the test responses runs along contiguous memory: rounding
+keeps x -> fl(x -+ d) nondecreasing, so with Q_a the k(a)-th smallest atom
 
     y >= fl(Q_{a1} - d)  iff  #{j : fl(a_j - d) <= y} >= k(a1),
     y <= fl(Q_{a2} + d)  iff  #{j : fl(a_j + d) <  y} <  k(a2),
@@ -28,6 +28,42 @@ same quantile rule applied to the ranks 1..n.  No count exceeds n, so the
 hits are summed as bytes into, and stored in, the narrowest unsigned integer
 type that holds n (uint8 up to n = 255): exact, and smaller and faster to
 sum than machine integers.
+
+The pass never forms the exact atoms of a whole block.  It reads screened
+fold predictions less the full-data prediction f of each row, s (float32
+for ridge, from one sgemm of the coefficient differences; float64 for the
+other kinds), each within a per-row bound e of its exact value v - f
+(:meth:`cvuq.predictors.FoldFits.screened_predictions`), forms the offsets
+fl(s + u) of the atoms from f in the block's dtype, and compares them with
+per-row thresholds widened by a band M: with the edge t = y - f + d for
+fl(a - d) <= y and t = y - f - d for fl(a + d) < y,
+
+    fl(s + u) <= fl(t - M)  implies the exact comparison holds,
+    fl(s + u) >  fl(t + M)  implies it fails,
+
+with t and t -+ M computed in float64 and rounded to nearest into the
+block's dtype.  The band: rounding to nearest is monotone and moves a value
+x by at most u_b |x| + eta_b (u_b and eta_b the unit roundoff and smallest
+subnormal of the block's dtype), so fl(s + u) <= fl(t - M) gives
+s + u <= t - M + u_b (2 |t| + 2M + |u|) + 3 eta_b; then
+v - f + u <= s + u + e, and the float64 roundings of y - f, of fl(v + u)
+and of its shift by d add at most 10 U (|y| + |f| + |d|) + 2 eta (U and
+eta those of float64).  So
+
+    M = (1 + 2^-16) (e + 20 u_b (|y - f| + |d| + max |u| + e) + 6 eta_b)
+        + 20 U (|y| + |f| + |d|)
+
+exceeds their sum strictly, and the same holds on the other side.  The
+exceedance |fl(v - f)| > delta is decided likewise from |s| against
+delta -+ M, with delta in place of |y - f| + |d| + max |u|.  A row is
+decided when the counts at its two thresholds agree for every tolerance
+and side, and the exceedance's for every fold; at d = 0 the two sides share
+one pair of comparisons, since a decided row has no atom equal to y.  A row
+with a value inside its band, or whose magnitudes reach
+``cvuq.predictors.SCREEN_LIMIT`` (where float32 could overflow), is
+recounted from ``fold_predictions`` of just such rows of its chunk, with the
+exact comparisons.  Leaving out a fold moves a stable fit little, so s and
+its bound are small: at n = 200, p = 50 about 0.1% of rows are recounted.
 
 The pass draws the test set chunk by chunk from the DGP (see
 :meth:`CoverageEngine.drawn`) and counts the cv_plus atoms at the
@@ -56,14 +92,15 @@ from .ecdf import LEVEL_GUARD, SortedAtoms, quantiles, uniform_ecdf, weighted_ec
 from .errors import InvalidTolerance
 from .intervals import IntervalMethod, checked_delta, interval, interval_atoms, interval_ends
 from .levy_gauge import gauge
-from .predictors import FoldFits
+from .predictors import SCREEN_LIMIT, FoldFits
 from .rng import indexed_map, stream
 from .stability import equivalence_bound, resolve_partition, se_of_mean
 
 # Test rows are processed in blocks of about this many cells, (k or n) x
-# rows: 1 MiB of float64 per scratch block, which bounds a pass's memory.  At
-# n = 200, p = 50 blocks of 64k to 262k cells ran within noise of each other
-# on a 2-core Xeon with 2 MiB of L2 per core; 32k and 400k or more were slower.
+# rows: 512 KiB of float32 (1 MiB of float64) per scratch block, which bounds a
+# pass's memory.  At n = 200, p = 50 float64 blocks of 64k to 262k cells ran
+# within noise of each other on a 2-core Xeon with 2 MiB of L2 per core; 32k
+# and 400k or more were slower.
 BLOCK_ATOMS = 1 << 17
 # A pass takes the test set in chunks of this many row blocks: a multiple of
 # 4 rows, so each chunk's products round as the whole set's do (see
@@ -102,6 +139,20 @@ def resolve_delta(delta, residuals) -> float:
     return checked_delta(d, delta)
 
 
+def _band_terms(dtype) -> tuple[float, float, float]:
+    """(a, b, c) with a e + b s + c the band M of the module docstring for a
+    block of ``dtype``, at bound e and scale s: no value within M of a
+    threshold is compared, even after the threshold's own rounding into
+    ``dtype``."""
+    info, slack = np.finfo(dtype), 1 + 2.0**-16
+    return slack * (1 + 10 * info.eps), slack * 10 * info.eps, slack * 6 * float(info.smallest_subnormal)
+
+
+_BAND_TERMS = {np.dtype(t): _band_terms(t) for t in (np.float32, np.float64)}
+# The band's term for the float64 roundings of y - f and of the exact atoms
+_FLOAT64_BAND = _BAND_TERMS[np.dtype(np.float64)][1]
+
+
 class CoverageEngine:
     """Vectorized per-test-point interval coverage for one training set and
     m test pairs, from one pass that takes the pairs from a source chunk by
@@ -109,9 +160,9 @@ class CoverageEngine:
     it is), it reads slices; built by :meth:`drawn`, it draws each chunk
     from the DGP inside the pass, so x is never held whole.  A chunk is
     ``CHUNK_BLOCKS`` row blocks of about ``BLOCK_ATOMS`` cells, (k or n) x
-    rows, and the blocks start at multiples of their width from row 0, chunk
-    boundaries included, so the rounding of every product matches a pass
-    over the whole test set (see :meth:`cvuq.data.DgpSpec.draw_chunks`).
+    rows, and the chunks start at multiples of their rows from row 0, so the
+    rounding of every full-data product matches a pass over the whole test
+    set (see :meth:`cvuq.data.DgpSpec.draw_chunks`).
 
     The first :meth:`coverage` or :meth:`fold_exceedance` call runs the
     pass, which keeps y and the full-data prediction of each row: all that
@@ -119,23 +170,31 @@ class CoverageEngine:
     ``cv_plus`` declares (numbers, ``"iqr:FACTOR"`` rules or callables,
     resolved once), on the residuals or, if ``symmetrized``, their absolute
     values; a cv_plus query at another tolerance or flag raises
-    :class:`cvuq.errors.InvalidTolerance`.  Per tolerance d, the (k, rows)
-    blocks of fold predictions give each row the counts
-    #{j : fl(a_j - d) <= y} and #{j : fl(a_j + d) < y}; each counted set is
-    a prefix of the sorted atoms, so the counts serve every level pair.
-    They are byte sums stored as ``np.min_scalar_type(n)``.  With unequal
-    folds an atom of fold j weighs 1/(k |K_j|) and a count is the float64
-    weight of the hit atoms (hits compared into a float scratch block, then
-    summed by a product with the weights), compared with the level.  With
-    ``exceed_delta`` set, the pass also counts, per fold, the test points
-    whose fold prediction is more than ``exceed_delta`` from the full-data
-    one.
+    :class:`cvuq.errors.InvalidTolerance`.  Per tolerance d each row gets
+    the counts #{j : fl(a_j - d) <= y} and #{j : fl(a_j + d) < y}; each
+    counted set is a prefix of the sorted atoms, so the counts serve every
+    level pair.  They are byte sums stored as ``np.min_scalar_type(n)``.
+    With unequal folds an atom of fold j weighs 1/(k |K_j|) and a count is
+    the float64 sum over folds of that weight times the fold's byte count,
+    compared with the level.  With ``exceed_delta`` (>= 0) set, the pass
+    also counts, per fold, the test points whose fold prediction is more
+    than ``exceed_delta`` from the full-data one.
+
+    Both come from the screened blocks of fold predictions less the
+    full-data one, :meth:`cvuq.predictors.FoldFits.screened_predictions`
+    (float32 for ridge), compared with per-row thresholds widened by the
+    band of the module docstring, and equal those computed from the exact
+    :meth:`~cvuq.predictors.FoldFits.fold_predictions`, which are
+    :func:`cvuq.intervals.interval`'s: a row with a value inside its band,
+    or one that cannot be screened, is recounted from the exact predictions
+    of just such rows of its chunk.  ``recounted`` is how many rows the pass
+    recounted.
 
     Memory is O(block) plus about 20 B per test row: a few scratch blocks
-    of 1 MiB and one chunk (2,620 rows at n = 200, 1.07 MB at p = 50),
-    then y and the full-data prediction (8 B each) and the counts (1 B per
-    tolerance and side up to n = 255; 8 B with unequal folds).  Chunks do
-    not change the rounding, but blocks do (see the module docstring).
+    (float32 for ridge: 512 KiB at 131k cells) and one chunk (2,620 rows at
+    n = 200, 1.07 MB at p = 50), then y and the full-data prediction (8 B
+    each) and the counts (1 B per tolerance and side up to n = 255; 8 B
+    with unequal folds).
     """
 
     def __init__(self, fits: FoldFits, x_test: np.ndarray, y_test: np.ndarray, cv_plus=(),
@@ -157,6 +216,8 @@ class CoverageEngine:
         return engine
 
     def _start(self, fits: FoldFits, m: int, cv_plus, symmetrized: bool, exceed_delta, chunks) -> None:
+        if exceed_delta is not None and not exceed_delta >= 0:
+            raise InvalidTolerance(f"exceed_delta must be a nonnegative number, got {exceed_delta!r}")
         self.fits = fits
         self.partition = fits.partition
         self.u = fits.loo_residuals
@@ -170,10 +231,19 @@ class CoverageEngine:
         weights = self.partition.atom_weights
         self.equal_weights = bool(np.all(weights == weights[0]))
         self.ranks = SortedAtoms(np.arange(1.0, weights.size + 1), weights)
-        # the fold-prediction column of each cv_plus atom; None when it is the identity
+        # the atoms in fold order, so each fold's atoms are one run of block rows:
+        # the fold-prediction row of each (None when it is the identity) and its residual
         fold_of = self.partition.fold_of
-        self.columns = None if np.array_equal(fold_of, np.arange(fold_of.size)) else fold_of
+        order = np.argsort(fold_of, kind="stable")
+        self.columns = None if np.array_equal(fold_of, np.arange(fold_of.size)) else fold_of[order]
+        res = np.abs(self.u) if symmetrized else self.u
+        self._res, self._res_top = res[order], float(np.max(np.abs(res)))
+        sizes = np.bincount(fold_of, minlength=self.partition.k)
+        self._fold_starts = None if self.equal_weights else np.concatenate(([0], np.cumsum(sizes)[:-1]))
+        self._fold_weights = 1.0 / (self.partition.k * sizes)
+        self._count_type = np.min_scalar_type(fold_of.size)  # no count exceeds n
         self._counts = self._exceed = None
+        self.recounted = 0
 
     def coverage(self, method: IntervalMethod, alpha1: float, alpha2: float, delta) -> float:
         """Fraction of the test pairs whose y lies in its interval."""
@@ -196,67 +266,141 @@ class CoverageEngine:
         self._pass()
         return self._exceed
 
+    def _tally(self, hits: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Per column of a (n, rows) block of atom hits in fold order, the
+        hit count, or with unequal folds the hits' weight, into ``out``."""
+        if self._fold_starts is None:
+            return np.add.reduce(hits.view(np.uint8), axis=0, dtype=self._count_type, out=out)
+        per_fold = np.add.reduceat(hits.view(np.uint8), self._fold_starts, axis=0, dtype=self._count_type)
+        return np.matmul(self._fold_weights, per_fold, out=out)
+
     def _pass(self) -> None:
-        """The engine's one pass over the chunks of the test set and over row
-        blocks of fold predictions in each, each a C-contiguous (k, rows)
-        block: it keeps y and the full-data predictions, counts the atoms at
-        every declared cv_plus tolerance (per row, the number of hit atoms,
-        or their weight with unequal folds) and takes the per-fold
-        exceedance.  Scratch blocks are allocated once."""
+        """The engine's one pass over the chunks of the test set: it keeps y
+        and the full-data predictions of each chunk and, when fold
+        predictions are needed, screens the chunk (:meth:`_screen`)."""
         if self.full is not None:  # the pass has run
             return
-        m, n, k = self.m, self.u.size, self.partition.k
-        ds, take = list(self.cv_plus), self.exceed_delta is not None
-        width = min(chunk_rows(n) // CHUNK_BLOCKS, m)
+        m, rows = self.m, chunk_rows(self.u.size)
         self.full = np.empty(m)
         keep_y = self.y_test is None
         if keep_y:
             self.y_test = np.empty(m)
-        folds = ds or take  # fold predictions are needed
-        if folds:
-            buf, hit = np.empty((n, width)), np.empty((n, width), dtype=bool)
-            gather = None if self.columns is None else np.empty((n, width))
-        res = (np.abs(self.u) if self.symmetrized else self.u)[:, None]
-        weights = None if self.equal_weights else self.partition.atom_weights
-        # no count exceeds n (per row) or width (per fold and block), so these are exact
-        count_type, fold_type = np.min_scalar_type(n), np.min_scalar_type(width)
-        counts = np.empty((len(ds), 2, m), dtype=count_type if weights is None else float)
-        exceed = np.zeros(k, dtype=np.intp)
+        counts = np.empty((len(self.cv_plus), 2, m), dtype=self._count_type if self.equal_weights else float)
+        exceed = np.zeros(self.partition.k, dtype=np.intp)
+        scratch = None
+        if self.cv_plus or self.exceed_delta is not None:  # fold predictions are needed
+            # a chunk holds at most rows + 1 rows: a one-row tail joins the chunk before it
+            scratch = self._scratch(min(rows // CHUNK_BLOCKS, m), min(rows + 1, m))
         start = 0
-        for y_chunk, x_chunk in self._chunks(chunk_rows(n)):
+        for y_chunk, x_chunk in self._chunks(rows):
             chunk = slice(start, start + y_chunk.size)
-            self.full[chunk] = self.fits.full_model.predict(x_chunk)
+            full = self.full[chunk]
+            full[:] = self.fits.full_model.predict(x_chunk)
             if keep_y:
                 self.y_test[chunk] = y_chunk
-            for at in range(0, y_chunk.size, width) if folds else ():
-                rows = slice(start + at, start + at + width)
-                block = self.fits.fold_predictions(x_chunk[at:at + width]).T
-                w = block.shape[1]
-                b, h = buf[:, :w], hit[:, :w]
-                if take:
-                    np.abs(np.subtract(block, self.full[rows], out=b[:k]), out=b[:k])
-                    np.greater(b[:k], self.exceed_delta, out=h[:k])
-                    exceed += np.add.reduce(h[:k].view(np.uint8), axis=1, dtype=fold_type)
-                if ds:
-                    # atom j is block[fold(j)] + u_j, in place when fold(j) = j
-                    if gather is not None:  # mode "raise" would buffer the whole output
-                        block = np.take(block, self.columns, axis=0, out=gather[:, :w], mode="clip")
-                    block += res
-                    y = y_chunk[at:at + width]
-                    into = h if weights is None else b  # with unequal folds, hits as floats for the weights to sum
-                    for i, d in enumerate(ds):
-                        for side, (compare, shift) in enumerate(((np.less_equal, np.subtract), (np.less, np.add))):
-                            hits = compare(block if d == 0 else shift(block, d, out=b), y, out=into)
-                            if weights is None:
-                                np.add.reduce(hits.view(np.uint8), axis=0, dtype=count_type, out=counts[i, side, rows])
-                            else:
-                                counts[i, side, rows] = weights @ hits
-                del block  # freed before the next block is computed
+            if scratch is not None:
+                exceed += self._screen(x_chunk, y_chunk, full, counts[:, :, chunk], scratch)
             start = chunk.stop
             del x_chunk  # freed before the next chunk is drawn
         self._counts = counts
-        if take:
+        if self.exceed_delta is not None:
             self._exceed = exceed / m
+
+    def _scratch(self, width: int, rows: int) -> dict:
+        """The pass's scratch, allocated once in the screen's dtype: blocks
+        of ``width`` test rows, and per-row arrays of a chunk of at most
+        ``rows`` rows."""
+        n, k, dtype = self.u.size, self.partition.k, self.fits.screen_dtype
+        return {"width": width, "values": np.empty(k * width, dtype), "floats": np.empty((n, width), dtype),
+                "hits": np.empty((2, n, width), bool),
+                "res": self._res.astype(dtype)[:, None], "per_fold": np.min_scalar_type(width),
+                "ok": np.empty(rows, bool), "spread": np.empty(rows, bool),
+                "exceed": np.empty((2, rows), np.min_scalar_type(k)),  # no count exceeds k
+                "maybe": np.empty((len(self.cv_plus), 2, rows), self._count_type if self.equal_weights else float)}
+
+    def _screen(self, x, y, full, counts, scratch) -> np.ndarray:
+        """Count one chunk into ``counts``, its (tolerances, 2, rows) slice,
+        from blocks of screened fold predictions compared with thresholds
+        widened by the band of the module docstring, then recount exactly
+        the rows the screen cannot decide; return the chunk's per-fold
+        exceedance counts."""
+        k, m, delta, width = self.partition.k, y.size, self.exceed_delta, scratch["width"]
+        dtype = scratch["values"].dtype
+        a, b, c = _BAND_TERMS[dtype]
+        ok, spread, maybe = scratch["ok"][:m], scratch["spread"][:m], scratch["maybe"][:, :, :m]
+        sure_ex, maybe_ex = scratch["exceed"][:, :m]
+        exceed = np.zeros(k, dtype=np.intp)
+        with np.errstate(over="ignore", invalid="ignore"):  # rows that cannot be screened are recounted
+            # every magnitude below SCREEN_LIMIT: nothing in the comparisons overflows
+            y_abs, f_abs, rest = np.abs(y), np.abs(full), y - full
+            limit = SCREEN_LIMIT - float(np.max(y_abs + f_abs)) - (
+                max(map(abs, self.cv_plus), default=0.0) + self._res_top + (delta or 0.0))
+            # fl(a - d) <= y about where a - f crosses y - f + d, fl(a + d) < y where it crosses y - f - d
+            edges = [[rest + d, rest - d] if d else [rest] for d in self.cv_plus]
+            rest = np.abs(rest)
+            scales = [b * (rest + (abs(d) + self._res_top)) + (_FLOAT64_BAND * (y_abs + f_abs + abs(d)) + c)
+                      for d in self.cv_plus]
+            for at in range(0, m, width):
+                rows = slice(at, at + width)
+                w = min(width, m - at)
+                values, bound = self.fits.screened_predictions(x[rows], full[rows],
+                                                               out=scratch["values"][:k * w].reshape(k, w))
+                np.less(bound, limit, out=ok[rows])
+                bound = a * bound
+                lo, hi = scratch["hits"][:, :, :w]
+                if delta is not None:  # |value| > delta about where it crosses delta
+                    band = bound + (b * delta + c)
+                    inside, outside = (delta - band).astype(dtype), (delta + band).astype(dtype)
+                    gap = np.abs(values, out=scratch["floats"][:k, :w])  # values are offsets from f
+                    certain = np.greater(gap, outside, out=hi[:k])  # kept until the exceedance is counted
+                    np.add.reduce(certain.view(np.uint8), axis=0, out=sure_ex[rows])
+                    np.add.reduce(np.greater(gap, inside, out=lo[:k]).view(np.uint8), axis=0, out=maybe_ex[rows])
+                    # the exceedance of rows it leaves undecided, or cannot screen, comes from the recount
+                    undecided = np.not_equal(sure_ex[rows], maybe_ex[rows], out=spread[rows])
+                    undecided = np.flatnonzero(np.logical_or(undecided, ~ok[rows], out=undecided))
+                    exceed += np.add.reduce(certain.view(np.uint8), axis=1, dtype=scratch["per_fold"])
+                    if undecided.size:
+                        exceed -= np.add.reduce(certain[:, undecided], axis=1)
+                if self.cv_plus:
+                    # atom j less full is values[fold(j)] + u_j, in place when fold(j) = j
+                    if self.columns is not None:  # mode "raise" would buffer the whole output
+                        values = np.take(values, self.columns, axis=0, out=scratch["floats"][:, :w], mode="clip")
+                    atoms = np.add(values, scratch["res"], out=values)
+                    for i, ts in enumerate(edges):
+                        band = bound + scales[i][rows]
+                        for side, t in enumerate(ts):
+                            below, above = (t[rows] - band).astype(dtype), (t[rows] + band).astype(dtype)
+                            self._tally(np.less_equal(atoms, below, out=lo), counts[i, side, rows])
+                            self._tally(np.less_equal(atoms, above, out=hi), maybe[i, side, rows])
+        unsure = ~ok
+        if delta is not None:
+            unsure |= spread
+        for i, ts in enumerate(edges):
+            unsure |= counts[i, 0] != maybe[i, 0]
+            if len(ts) == 1:  # d = 0: both sides, which differ only at ties
+                counts[i, 1] = counts[i, 0]
+            else:
+                unsure |= counts[i, 1] != maybe[i, 1]
+        redo = np.flatnonzero(unsure)
+        if redo.size:
+            self.recounted += redo.size
+            marked = spread[redo] if delta is not None else None
+            exceed += self._recount(x[redo], y[redo], full[redo], counts, redo, marked)
+        return exceed
+
+    def _recount(self, x, y, full, counts, rows, exceed_rows) -> np.ndarray:
+        """Count the test rows ``rows`` (with features x, responses y and
+        full-data predictions ``full``) into ``counts`` from their exact fold
+        predictions, and return the per-fold exceedance counts of those that
+        ``exceed_rows`` marks."""
+        exact = self.fits.fold_predictions(x).T
+        atoms = (exact if self.columns is None else exact[self.columns]) + self._res[:, None]
+        for i, d in enumerate(self.cv_plus):
+            counts[i, 0, rows] = self._tally(atoms - d <= y, None)
+            counts[i, 1, rows] = self._tally(atoms + d < y, None)
+        if exceed_rows is None:
+            return 0
+        return np.add.reduce((np.abs(exact - full) > self.exceed_delta) & exceed_rows, axis=1)
 
     def _reach(self, alpha: float) -> float:
         """The count (weight, with unequal folds) at which a row's counted

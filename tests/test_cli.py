@@ -241,6 +241,55 @@ def test_config_key_applies_only_where_the_flag_exists(capsys, workdir, tmp_path
     assert "--reps" in strict_json(capsys.readouterr().out)["message"]
 
 
+def test_parser_is_built_once_per_config_and_keeps_no_other_default(capsys, workdir, tmp_path, monkeypatch):
+    # config A, then no config, then config B, twice over in one process:
+    # each call reads its own defaults only, and each config's parser is built once
+    from cvuq import cli
+
+    builds = []
+    build = cli._build_parser
+    monkeypatch.setattr(cli, "_build_parser", lambda defaults: builds.append(defaults) or build(defaults))
+    cli._parser_for.cache_clear()
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    a.write_text(json.dumps({"alpha1": 0.2, "mc_test": 30}))
+    b.write_text(json.dumps({"alpha2": 0.7}))
+    argv = ["sim", "coverage", "--dgp", str(workdir / "dgp.json"), "--predictor", str(workdir / "ridge.json"),
+            "--n", "10", "--train-reps", "2"]
+    runs = [(["--config", str(a)], 0.95 - 0.2, 30), ([], 0.95 - 0.05, 1000), (["--config", str(b)], 0.7 - 0.05, 1000)]
+    try:
+        for _ in range(2):
+            for config, nominal, mc_test in runs:
+                code, payload = run_cli(capsys, *config, *argv)
+                assert (code, payload["nominal"], payload["mc_test_points"]) == (0, nominal, mc_test), config
+        assert builds == [{"alpha1": 0.2, "mc_test": 30}, {}, {"alpha2": 0.7}]
+    finally:
+        cli._parser_for.cache_clear()
+
+
+def test_cv_plus_runs_print_the_same_at_one_and_two_blas_threads(workdir, tmp_path):
+    # the float32 screen's sgemm may be split across BLAS threads; the
+    # certified counts, and so stdout, must not move
+    dgp = tmp_path / "p50.json"
+    dgp.write_text(json.dumps({"kind": "gaussian_linear", "beta": [50 ** -0.5] * 50, "sigma": 1.0}))
+    pred = tmp_path / "ridge.json"
+    pred.write_text(json.dumps({"kind": "ridge", "lambda": 1e-8}))
+    common = ["--dgp", str(dgp), "--predictor", str(pred), "--n", "60", "--train-reps", "2", "--mc-test", "6000"]
+    runs = [["sim", "equiv", *common], ["sim", "coverage", "--method", "cv_plus", "--delta", "iqr:0.1", *common]]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        out = []
+        for argv in runs:
+            proc = subprocess.run([sys.executable, "-m", "cvuq.cli", *argv], capture_output=True, text=True,
+                                  env=env, timeout=300)
+            assert proc.returncode == 0, proc.stdout + proc.stderr
+            out.append(proc.stdout)
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
+
+
 @pytest.mark.parametrize("argv", [["--help"], ["sim", "--help"], ["stability", "profile", "-h"]])
 def test_help_goes_to_stderr_and_returns_0(capsys, argv):
     assert main(argv) == 0

@@ -1,6 +1,12 @@
 import dataclasses
+import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -145,6 +151,85 @@ def test_permutation_invariance_with_tied_responses():
         for _ in range(5):
             perm = rng.permutation(train.n)
             assert fit_predict(spec, TrainingSet(train.y[perm], train.x[perm]), xnew) == base
+
+
+TIED_DGPS = {
+    "classification_grid": DgpSpec("classification_grid", {"p": 2, "class_count": 3}),
+    # rows resampled from an 8-row table: responses and whole rows repeat
+    "custom_table": DgpSpec("custom_table", {"table_y": [0.0, 1.0, 1.0, 2.0, -0.0, 3.0, 1.0, 2.5],
+                                             "table_x": np.random.default_rng(15).normal(size=(8, 2)).tolist()}),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(TIED_DGPS))
+def test_permutation_invariance_on_tied_response_dgps(kind):
+    dgp = TIED_DGPS[kind]
+    train = dgp.sample(40, stream(16, 0))
+    _, xs = dgp.draw(3, stream(16, 1))
+    rng = np.random.default_rng(17)
+    for spec in (ridge(0.7), knn_mean(5)):
+        base = [fit_predict(spec, train, x) for x in xs]
+        for _ in range(5):
+            perm = rng.permutation(train.n)
+            shuffled = TrainingSet(train.y[perm], train.x[perm])
+            assert [fit_predict(spec, shuffled, x) for x in xs] == base, (kind, spec)
+
+
+def test_canonical_order_is_the_lexsort_of_y_then_x():
+    # one argsort key when the responses are distinct, the lexsort of all
+    # p + 1 keys when any tie (0.0 and -0.0 included): the same permutation
+    rng = np.random.default_rng(18)
+    x = rng.normal(size=(40, 3))
+    near = 1.0 + rng.permutation(40) * np.spacing(1.0)  # neighbours one ulp apart
+    signed_zeros = np.where(rng.random(40) < 0.5, 0.0, -0.0)
+    for y in (rng.normal(size=40), near, np.round(rng.normal(size=40)), signed_zeros):
+        train = TrainingSet(y, x)
+        lexsort = np.lexsort(tuple(x[:, j] for j in range(2, -1, -1)) + (y,))
+        assert np.array_equal(predictors._canonical_order(train), lexsort)
+
+
+def test_ridge_fold_predictions_are_one_row_products_at_any_blas_thread_count():
+    # every row of a block gets the bits of a one-row call (interval's),
+    # fallback folds included, and the same bits at 1 and 2 BLAS threads
+    script = textwrap.dedent("""
+        import hashlib, json, sys
+        import numpy as np
+        sys.path.insert(0, sys.argv[1])
+        from test_predictors import _high_leverage_train
+        from cvuq.data import DgpSpec
+        from cvuq.predictors import FoldFits, FoldPartition, ridge
+        from cvuq.rng import stream
+        from cvuq.stability import resolve_partition
+
+        digests = []
+        cases = [(p, n, rule) for p, n in ((2, 60), (50, 200), (120, 100)) for rule in ("jackknife", 4, 7)]
+        for p, n, rule in cases:
+            dgp = DgpSpec("gaussian_linear", {"beta": [p ** -0.5] * p, "sigma": 1.0})
+            fits = FoldFits(ridge(1e-8), dgp.sample(n, stream(19, p, n)), resolve_partition(rule, n))
+            digests.append((fits, dgp.draw(700, stream(19, p, 1))[1]))
+        lev = _high_leverage_train(1e7)
+        for part in (FoldPartition.singletons(60), FoldPartition.contiguous(60, 4)):
+            fits = FoldFits(ridge(1e-8), lev, part)
+            assert fits.fallback_folds
+            digests.append((fits, np.random.default_rng(20).normal(size=(300, 21))[:, :20]))
+        out = []
+        for fits, X in digests:
+            P = fits.fold_predictions(X)
+            one = np.stack([fits.fold_predictions(X[i].reshape(1, -1))[0] for i in range(len(X))])
+            assert P.tobytes() == one.tobytes()
+            out.append(hashlib.sha256(P.tobytes()).hexdigest())
+        print(json.dumps(out))
+    """)
+    here = Path(__file__).resolve().parent
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(here.parent / "src"), env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", script, str(here)], capture_output=True, text=True, env=env,
+                              timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(json.loads(proc.stdout))
+    assert outputs[0] == outputs[1]
 
 
 def test_dimension_mismatch():

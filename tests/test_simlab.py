@@ -354,8 +354,8 @@ def test_cv_plus_coverages_share_one_pass(monkeypatch):
     # pass of fold predictions per engine serves every declared tolerance
     fits, x_test, y_test = _ridge_case(13, 4)
     rows = []
-    fold_predictions = fits.fold_predictions
-    monkeypatch.setattr(fits, "fold_predictions", lambda x: rows.append(len(x)) or fold_predictions(x))
+    screened = fits.screened_predictions
+    monkeypatch.setattr(fits, "screened_predictions", lambda x, *a, **kw: rows.append(len(x)) or screened(x, *a, **kw))
     levels = [(a1, a2, d) for d in (0.25, 0.0, -0.25) for a1, a2 in DEFAULT_PAIR_GRID]
     engines = {method: CoverageEngine(fits, x_test, y_test, cv_plus=(0.25, 0.0, -0.25),
                                       symmetrized=method.symmetrized) for method in CV_PLUS}
@@ -482,8 +482,9 @@ def test_engine_draws_and_predicts_its_test_set_once_whatever_the_query_order(mo
     drawn, predicted = [], []
     draw = DgpSpec.draw
     monkeypatch.setattr(DgpSpec, "draw", lambda self, rows, rng: drawn.append(rows) or draw(self, rows, rng))
-    fold_predictions = fits.fold_predictions
-    monkeypatch.setattr(fits, "fold_predictions", lambda x: predicted.append(len(x)) or fold_predictions(x))
+    screened = fits.screened_predictions
+    monkeypatch.setattr(fits, "screened_predictions",
+                        lambda x, *a, **kw: predicted.append(len(x)) or screened(x, *a, **kw))
     engine = CoverageEngine.drawn(fits, GAUSS, m, 20, 1, cv_plus=["iqr:0.1", 0.0], exceed_delta=0.1)
     cv = engine.coverage(IntervalMethod("cv"), 0.05, 0.95, 0.0)
     cvp = engine.coverage(IntervalMethod("cv_plus"), 0.05, 0.95, "iqr:0.1")
@@ -557,3 +558,90 @@ def test_coverage_pass_and_gauge_oracle_take_one_chunk_rule(monkeypatch):
                           train_reps=1, mc_test=300, seed=2)
     gauge_convergence(ridge(0.5), GAUSS, [10, 20], 0.1, train_reps=1, mc_oracle=300, seed=2)
     assert rows == [96, 80, 160]
+
+
+TIE_LEVELS = ((0.05, 0.95), (0.1, 0.8))
+
+
+def _tied_case(p, rule, d, symmetrized):
+    """A ridge fit and test rows whose responses sit exactly on an end of
+    their cv_plus interval, computed by ``interval`` from its one-row fold
+    predictions: every row has an atom exactly at a comparison's edge."""
+    dgp = DgpSpec("gaussian_linear", {"beta": [1 / math.sqrt(p)] * p, "sigma": 1.0})
+    n, m = 60, 400
+    fits = FoldFits(ridge(0.5), dgp.sample(n, stream(21, p)), resolve_partition(rule, n))
+    y_test, x_test = dgp.draw(m, stream(21, p, 1))
+    y_test = y_test.copy()
+    method = IntervalMethod("cv_plus", symmetrized=symmetrized)
+    for i in range(m):
+        ends = interval(method, fits, x_test[i], *TIE_LEVELS[i % 2], d)
+        y_test[i] = ends.lo if i % 4 < 2 else ends.hi
+    return fits, x_test, y_test, method
+
+
+@pytest.mark.parametrize("p", [2, 50])
+@pytest.mark.parametrize("rule", ["jackknife", 7])
+def test_engine_hits_equal_interval_at_exact_ties(p, rule):
+    # block products round differently in the last bits from interval's
+    # one-row products; the screen hands every row with an atom inside its
+    # band to the exact one-row path, so ties resolve as interval resolves them
+    for symmetrized in (False, True):
+        for d in (0.0, 0.1):
+            fits, x_test, y_test, method = _tied_case(p, rule, d, symmetrized)
+            # an exceedance tolerance equal to one of the fold-prediction gaps
+            gaps = np.abs(fits.fold_predictions(x_test) - fits.full_model.predict(x_test)[:, None])
+            delta = float(np.sort(gaps, axis=None)[gaps.size // 2])
+            engine = CoverageEngine(fits, x_test, y_test, cv_plus=[d], symmetrized=symmetrized, exceed_delta=delta)
+            for a1, a2 in TIE_LEVELS:
+                want = np.mean([interval(method, fits, x, a1, a2, d).contains(y) for y, x in zip(y_test, x_test)])
+                assert engine.coverage(method, a1, a2, d) == want, (symmetrized, d, a1, a2)
+            np.testing.assert_array_equal(engine.fold_exceedance(), (gaps > delta).mean(axis=0))
+            assert engine.recounted == y_test.size  # every row has an atom on its edge
+
+
+def _tied_case_responses(fits, x_test):
+    """Responses on the lower end of each row's (0.05, 0.95) cv_plus interval."""
+    return np.array([interval(CV_PLUS[0], fits, x, 0.05, 0.95).lo for x in x_test])
+
+
+@pytest.mark.parametrize("scale", [1e150, 1e-30])
+def test_screen_past_float32_range_stays_exact(scale):
+    # at 1e150 the features overflow float32, so no row can be screened and
+    # every row is recounted; at 1e-30 the float32 products underflow, which
+    # the bound's absolute term covers.  No RuntimeWarning may escape
+    n, m = 40, 600
+    train = GAUSS.sample(n, stream(22, 0))
+    fits = FoldFits(ridge(0.5), TrainingSet(train.y, train.x * scale), resolve_partition(7, n))
+    y_test, x_test = GAUSS.draw(m, stream(22, 1))
+    x_test = x_test * scale
+    gaps = np.abs(fits.fold_predictions(x_test) - fits.full_model.predict(x_test)[:, None])
+    delta = float(np.sort(gaps, axis=None)[gaps.size // 2])
+    for y in (y_test, _tied_case_responses(fits, x_test)):
+        engine = CoverageEngine(fits, x_test, y, cv_plus=[0.0, 0.1], exceed_delta=delta)
+        for d in (0.0, 0.1):
+            for a1, a2 in TIE_LEVELS:
+                want = per_point_coverage(fits, CV_PLUS[0], a1, a2, d, x_test, y)
+                assert engine.coverage(CV_PLUS[0], a1, a2, d) == want, (scale, d, a1, a2)
+        np.testing.assert_array_equal(engine.fold_exceedance(), (gaps > delta).mean(axis=0))
+        if scale > 1:
+            assert engine.recounted == m
+
+
+def test_screen_recounts_few_rows_at_the_equivalence_shape():
+    # n = 200, p = 50, ridge(1e-8), 50k test points, cv+ at 0 and the
+    # exceedance at iqr:0.1: the float32 band leaves a small share of rows
+    # to the exact path
+    p, n, m = 50, 200, 50_000
+    dgp = DgpSpec("gaussian_linear", {"beta": [1 / math.sqrt(p)] * p, "sigma": 1.0})
+    fits = FoldFits(ridge(1e-8), dgp.sample(n, stream(0, 0, 0)), resolve_partition("jackknife", n))
+    d_stab = resolve_delta("iqr:0.1", fits.loo_residuals)
+    engine = CoverageEngine.drawn(fits, dgp, m, 0, 0, 1, cv_plus=[0.0], exceed_delta=d_stab)
+    engine.fold_exceedance()
+    assert 0 < engine.recounted < m / 20
+
+
+def test_negative_exceedance_tolerance_is_rejected():
+    fits, x_test, y_test = _ridge_case(12, "jackknife")
+    for bad in (-0.1, math.nan):
+        with pytest.raises(InvalidTolerance):
+            CoverageEngine(fits, x_test, y_test, exceed_delta=bad)
