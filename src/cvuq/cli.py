@@ -268,10 +268,10 @@ def _check_counts(args) -> None:
 
 
 def _check_levels(args) -> None:
-    for name in ("alpha1", "alpha2", "eps", "nominal"):
+    for name in ("alpha1", "alpha2", "eps", "nominal", "indicator_at"):
         value = getattr(args, name, None)
         if value is not None and math.isnan(value):
-            raise UsageError(f"--{name} must be a number, got {value!r}")
+            raise UsageError(f"--{name.replace('_', '-')} must be a number, got {value!r}")
 
 
 def _require(args, *names) -> None:

@@ -19,8 +19,8 @@ import numpy as np
 
 from .errors import EmptyFold, MalformedInput, WeightSumError
 
-# Cumulative weights are accumulated in floating point, so level comparisons
-# tolerate this much slack.
+# Cumulative weights are rounded (float weights also accumulated) in floating
+# point, so level comparisons tolerate this much slack.
 LEVEL_GUARD = 1e-12
 
 
@@ -149,13 +149,17 @@ def quantiles(F, alphas) -> np.ndarray:
 
 class SortedAtoms:
     """Weighted atoms sorted, repeats kept, with unvalidated cumulative weights
-    (the last set to 1).  At :meth:`run_ends` they are :func:`weighted_ecdf`'s
-    jumps and cumulative weights."""
+    cumsum(weights) / total (the last set to 1).  Integer weights out of an
+    integer ``total`` of at most 2^53 (a partition's atom units and unit total,
+    :class:`cvuq.predictors.FoldPartition`) make every cumulative weight an
+    exact integer C divided once: fl(C / total).  At :meth:`run_ends` they are
+    :func:`weighted_ecdf`'s jumps and cumulative weights, whose float weights
+    pass total 1."""
 
-    def __init__(self, values: np.ndarray, weights: np.ndarray):
+    def __init__(self, values: np.ndarray, weights: np.ndarray, total=1):
         order = np.argsort(values, kind="stable")
         self.jumps = values[order]
-        self.cum = np.cumsum(weights[order])
+        self.cum = weights[order].cumsum() / total
         self.cum[-1] = 1.0
 
     def run_ends(self) -> np.ndarray:

@@ -98,21 +98,30 @@ def checked_delta(d: float, rule=None) -> float:
     return d
 
 
+def check_nominal(nominal: float) -> None:
+    """Raise InvalidTolerance unless the nominal coverage is in (0, 1]."""
+    if not 0.0 < nominal <= 1.0:
+        raise InvalidTolerance(f"nominal must be in (0, 1], got {nominal!r}")
+
+
 def interval_atoms(method: IntervalMethod, fits: FoldFits, fold_predictions=None) -> SortedAtoms:
     """The sorted atoms the interval's quantiles are taken from: the method's
-    residuals, absolute when symmetrized, with their weights; for cv_plus each
-    added to its fold's entry of ``fold_predictions``, the row of fold
-    predictions at the test point, which only cv_plus reads."""
+    residuals, absolute when symmetrized, with their integer weights (the
+    partition's atom units out of its unit total, or 1 out of n for
+    fitted_values), so every cumulative weight is fl(C / W) of an exact
+    integer C; for cv_plus each residual is added to its fold's entry of
+    ``fold_predictions``, the row of fold predictions at the test point, which
+    only cv_plus reads."""
     if method.base == "fitted_values":
         res = fits.train.y - fits.fitted_values()
-        weights = np.full(res.size, 1.0 / res.size)
+        units, total = np.ones(res.size, dtype=np.int64), res.size
     else:
-        res, weights = fits.loo_residuals, fits.partition.atom_weights
+        res, units, total = fits.loo_residuals, fits.partition.atom_units, fits.partition.unit_total
     if method.symmetrized:
         res = np.abs(res)
     if method.base == "cv_plus":
         res = fold_predictions[fits.partition.fold_of] + res
-    return SortedAtoms(res, weights)
+    return SortedAtoms(res, units, total)
 
 
 def interval_ends(method: IntervalMethod, center, atoms: SortedAtoms, alpha1, alpha2, delta):
@@ -169,8 +178,7 @@ def shortest_interval(
     cv or fitted_values interval is centered with a radius set by ``nominal``
     alone, so its levels are not identified: every candidate ties and the
     scan returns (0, nominal)."""
-    if not 0.0 < nominal <= 1.0:
-        raise InvalidTolerance("nominal must be in (0, 1]")
+    check_nominal(nominal)
     atoms, center = _at_point(method, fits, xnew)
     top = 1.0 - nominal
     cum = atoms.cum[atoms.run_ends()]  # a StepCdf's cum

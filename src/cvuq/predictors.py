@@ -42,7 +42,7 @@ from functools import cached_property
 import numpy as np
 
 from .data import TrainingSet
-from .errors import DegenerateFit, DimensionMismatch, EmptyFold, FoldLeavesNothing, MalformedInput
+from .errors import DegenerateFit, DimensionMismatch, EmptyFold, FoldLeavesNothing, MalformedInput, WeightSumError
 
 PREDICTOR_KINDS = ("ridge", "knn_mean", "max_response", "neg_max_response", "dirac_threshold", "constant")
 
@@ -291,10 +291,12 @@ def fit(spec, train: TrainingSet):
 
 def feature_row(xnew, p: int) -> np.ndarray:
     """The feature vector ``xnew`` as a (1, p) row; DimensionMismatch unless
-    it has p entries."""
+    it has p entries, MalformedInput unless they are finite."""
     xnew = np.asarray(xnew, dtype=float)
     if xnew.shape != (p,):
         raise DimensionMismatch(f"xnew has shape {xnew.shape}, expected ({p},)")
+    if not np.isfinite(xnew).all():
+        raise MalformedInput(f"xnew must be finite, got {xnew.tolist()}")
     return xnew.reshape(1, -1)
 
 
@@ -306,7 +308,15 @@ def fit_predict(spec, train: TrainingSet, xnew) -> float:
 
 @dataclass(frozen=True)
 class FoldPartition:
-    """Partition of row indices 0..n-1 into k >= 2 nonempty folds."""
+    """Partition of row indices 0..n-1 into k >= 2 nonempty folds.
+
+    An atom of fold j weighs 1/(k |K_j|) (the CV+ weights of Barber, Candes,
+    Ramdas and Tibshirani, Ann. Statist. 49(1), 2021), held exactly as the
+    integer ``atom_units`` L/|K_j| out of ``unit_total`` W = kL, L the lcm of
+    the fold sizes: every sum C of atom units is an exact integer, and every
+    cumulative weight is C/W rounded once.  A partition whose W exceeds 2^53,
+    past which float64 no longer holds every integer, raises WeightSumError.
+    """
 
     folds: tuple
     n: int
@@ -323,6 +333,15 @@ class FoldPartition:
         if not np.array_equal(np.sort(seen), np.arange(self.n)):
             raise EmptyFold("folds must partition exactly 0..n-1")
         object.__setattr__(self, "folds", folds)
+        sizes = [f.size for f in folds]
+        lcm = math.lcm(*sizes)
+        if len(folds) * lcm > 2**53:
+            raise WeightSumError(f"fold sizes {sorted(set(sizes))} have no exact integer weights: "
+                                 f"k * lcm = {len(folds) * lcm} exceeds 2^53")
+        units = (lcm // np.array(sizes))[self.fold_of]
+        units.setflags(write=False)
+        object.__setattr__(self, "atom_units", units)
+        object.__setattr__(self, "unit_total", len(folds) * lcm)
 
     @property
     def k(self) -> int:
@@ -337,9 +356,9 @@ class FoldPartition:
 
     @cached_property
     def atom_weights(self) -> np.ndarray:
-        """Read-only weight 1/(k*|K_j|) of each row, j the row's fold."""
-        sizes = np.bincount(self.fold_of, minlength=self.k)
-        weights = (1.0 / (self.k * sizes))[self.fold_of]
+        """Read-only weight 1/(k*|K_j|) of each row, j the row's fold: its
+        atom units over the unit total, the same rational rounded once."""
+        weights = self.atom_units / self.unit_total
         weights.setflags(write=False)
         return weights
 

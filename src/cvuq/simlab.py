@@ -16,18 +16,28 @@ Q_a is the first sorted atom whose cumulative fold weight reaches a.  The cv
 and fitted_values offsets are order statistics of the residuals, sorted per
 query.  The cv_plus atoms a_j = yhat^{(-fold(j))}(x) + u_j are counted,
 never sorted, one C-contiguous (n, rows) block at a time, so every
-comparison with the test responses runs along contiguous memory: rounding
-keeps x -> fl(x -+ d) nondecreasing, so with Q_a the k(a)-th smallest atom
+comparison with the test responses runs along contiguous memory.
 
-    y >= fl(Q_{a1} - d)  iff  #{j : fl(a_j - d) <= y} >= k(a1),
-    y <= fl(Q_{a2} + d)  iff  #{j : fl(a_j + d) <  y} <  k(a2),
+The weights are exact.  An atom of fold j weighs 1/(k |K_j|) (Barber,
+Candes, Ramdas and Tibshirani, Ann. Statist. 49(1), 2021), held as the
+integer L/|K_j| out of W = kL, L the lcm of the fold sizes
+(:class:`cvuq.predictors.FoldPartition`; a partition with W > 2^53 is
+rejected), so every set of atoms weighs an exact integer C and every
+cumulative weight ``interval`` reads is fl(C / W), rounded once (1 out of n
+per atom for fitted_values).  Rounding keeps x -> fl(x -+ d) nondecreasing,
+so each counted set below is a prefix of the sorted atoms, and with Q_a the
+first atom whose prefix weight C has fl(C / W) >= a - LEVEL_GUARD
 
-the comparison form of the jackknife+ coverage argument (Barber, Candes,
-Ramdas and Tibshirani, Ann. Statist. 49(1), 2021).  The rank k(a) is the
-same quantile rule applied to the ranks 1..n.  No count exceeds n, so the
-hits are summed as bytes into, and stored in, the narrowest unsigned integer
-type that holds n (uint8 up to n = 255): exact, and smaller and faster to
-sum than machine integers.
+    y >= fl(Q_{a1} - d)  iff  weight{j : fl(a_j - d) <= y} >= k(a1),
+    y <= fl(Q_{a2} + d)  iff  weight{j : fl(a_j + d) <  y} <  k(a2),
+
+the comparison form of the jackknife+ coverage argument, where the reach
+k(a) is the least integer C >= 1 with fl(C / W) >= a - LEVEL_GUARD, found in
+closed form.  The atoms are ordered by weight: each run of equal weight (one
+for the jackknife, at most two for contiguous folds) is summed as bytes into
+the narrowest unsigned integer type that holds n (uint8 up to n = 255),
+exact and fast to sum, and after the pass each row's run counts are weighted
+once into the narrowest type that holds W.
 
 The pass never forms the exact atoms of a whole block.  It reads screened
 fold predictions less the full-data prediction f of each row, s (float32
@@ -68,9 +78,10 @@ its bound are small: at n = 200, p = 50 about 0.1% of rows are recounted.
 The pass draws the test set chunk by chunk from the DGP (see
 :meth:`CoverageEngine.drawn`) and counts the cv_plus atoms at the
 tolerances the engine was built with, so its memory is O(block) plus about
-20 B per test row at n <= 255 and equal folds, whatever p: y and the
-full-data prediction, 8 B each, and the byte counts of two tolerances.  x is
-never held whole.
+20 B per test row at n <= 255 for the jackknife, whatever p: y and the
+full-data prediction, 8 B each, and the counts of two tolerances, 4 B (8 B
+at k = 7, whose W needs 2 B), with byte counts of 4 B per weight run during
+the pass.  x is never held whole.
 
 ``delta`` arguments accept a float, a string ``"iqr:FACTOR"`` (factor times
 the interquartile range of the leave-fold-out residuals), or a callable
@@ -88,9 +99,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import DgpSpec, chunk_slices
-from .ecdf import LEVEL_GUARD, SortedAtoms, quantiles, uniform_ecdf, weighted_ecdf
+from .ecdf import LEVEL_GUARD, uniform_ecdf, weighted_ecdf
 from .errors import InvalidTolerance
-from .intervals import IntervalMethod, checked_delta, interval, interval_atoms, interval_ends
+from .intervals import IntervalMethod, check_nominal, checked_delta, interval, interval_atoms, interval_ends
 from .levy_gauge import gauge
 from .predictors import SCREEN_LIMIT, FoldFits
 from .rng import indexed_map, stream
@@ -155,29 +166,32 @@ _FLOAT64_BAND = _BAND_TERMS[np.dtype(np.float64)][1]
 
 class CoverageEngine:
     """Vectorized per-test-point interval coverage for one training set and
-    m test pairs, from one pass that takes the pairs from a source chunk by
-    chunk: given arrays, which it does not copy (a strided view is kept as
-    it is), it reads slices; built by :meth:`drawn`, it draws each chunk
-    from the DGP inside the pass, so x is never held whole.  A chunk is
-    ``CHUNK_BLOCKS`` row blocks of about ``BLOCK_ATOMS`` cells, (k or n) x
-    rows, and the chunks start at multiples of their rows from row 0, so the
-    rounding of every full-data product matches a pass over the whole test
-    set (see :meth:`cvuq.data.DgpSpec.draw_chunks`).
+    m test pairs, from one pass, run when the engine is built, that takes the
+    pairs from a source chunk by chunk: given arrays, it reads slices and
+    copies no x (a strided view is kept as it is); built by :meth:`drawn`,
+    it draws each chunk from the DGP inside the pass, so x is never held
+    whole.  A chunk is ``CHUNK_BLOCKS`` row blocks of about
+    ``BLOCK_ATOMS`` cells, (k or n) x rows, and the chunks start at multiples
+    of their rows from row 0, so the rounding of every full-data product
+    matches a pass over the whole test set (see
+    :meth:`cvuq.data.DgpSpec.draw_chunks`).
 
-    The first :meth:`coverage` or :meth:`fold_exceedance` call runs the
-    pass, which keeps y and the full-data prediction of each row: all that
-    cv and fitted_values need.  cv_plus is counted at the tolerances
-    ``cv_plus`` declares (numbers, ``"iqr:FACTOR"`` rules or callables,
-    resolved once), on the residuals or, if ``symmetrized``, their absolute
-    values; a cv_plus query at another tolerance or flag raises
-    :class:`cvuq.errors.InvalidTolerance`.  Per tolerance d each row gets
-    the counts #{j : fl(a_j - d) <= y} and #{j : fl(a_j + d) < y}; each
+    The pass keeps y and the full-data prediction of each row: all that cv
+    and fitted_values need.  cv_plus is counted at the tolerances ``cv_plus``
+    declares (numbers, ``"iqr:FACTOR"`` rules or callables, resolved once),
+    on the residuals or, if ``symmetrized``, their absolute values; a cv_plus
+    query at another tolerance or flag raises
+    :class:`cvuq.errors.InvalidTolerance`.  Per tolerance d each row gets the
+    weights of {j : fl(a_j - d) <= y} and {j : fl(a_j + d) < y}; each
     counted set is a prefix of the sorted atoms, so the counts serve every
-    level pair.  They are byte sums stored as ``np.min_scalar_type(n)``.
-    With unequal folds an atom of fold j weighs 1/(k |K_j|) and a count is
-    the float64 sum over folds of that weight times the fold's byte count,
-    compared with the level.  With ``exceed_delta`` (>= 0) set, the pass
-    also counts, per fold, the test points whose fold prediction is more
+    level pair.  An atom of fold j weighs the integer L/|K_j| out of W = kL
+    (:class:`cvuq.predictors.FoldPartition`): the atoms are ordered by weight,
+    then by fold, each run of equal weight (one for the jackknife, at most two
+    for contiguous folds) is summed as bytes into ``np.min_scalar_type(n)``,
+    and after the pass each row's run counts are weighted once into
+    ``np.min_scalar_type(W)``: exact integers, compared with the integer reach
+    of the level (:meth:`_reach`).  With ``exceed_delta`` (>= 0) set, the
+    pass also counts, per fold, the test points whose fold prediction is more
     than ``exceed_delta`` from the full-data one.
 
     Both come from the screened blocks of fold predictions less the
@@ -193,8 +207,9 @@ class CoverageEngine:
     Memory is O(block) plus about 20 B per test row: a few scratch blocks
     (float32 for ridge: 512 KiB at 131k cells) and one chunk (2,620 rows at
     n = 200, 1.07 MB at p = 50), then y and the full-data prediction (8 B
-    each) and the counts (1 B per tolerance and side up to n = 255; 8 B
-    with unequal folds).
+    each) and the counts (1 B per tolerance, side and weight run up to
+    n = 255 during the pass; then 1 B per tolerance and side for the
+    jackknife, 2 B at k = 7).
     """
 
     def __init__(self, fits: FoldFits, x_test: np.ndarray, y_test: np.ndarray, cv_plus=(),
@@ -203,7 +218,6 @@ class CoverageEngine:
         y_test = np.asarray(y_test, dtype=float)
         self._start(fits, y_test.size, cv_plus, symmetrized, exceed_delta,
                     lambda rows: ((y_test[s], x_test[s]) for s in chunk_slices(y_test.size, rows)))
-        self.y_test = y_test
 
     @classmethod
     def drawn(cls, fits: FoldFits, dgp: DgpSpec, m: int, seed: int, *key, cv_plus=(),
@@ -216,45 +230,42 @@ class CoverageEngine:
         return engine
 
     def _start(self, fits: FoldFits, m: int, cv_plus, symmetrized: bool, exceed_delta, chunks) -> None:
+        """Set the engine up and run its pass over ``chunks``, a function of
+        rows to the (y, x) chunks of that many rows."""
         if exceed_delta is not None and not exceed_delta >= 0:
             raise InvalidTolerance(f"exceed_delta must be a nonnegative number, got {exceed_delta!r}")
         self.fits = fits
         self.partition = fits.partition
         self.u = fits.loo_residuals
         self.m = m
-        self._chunks = chunks  # rows -> (y, x) chunks of that many rows
-        self.y_test = self.full = None  # per row, kept by the pass
         # each declared cv_plus tolerance and its index in the counts
         self.cv_plus = {d: i for i, d in enumerate(dict.fromkeys(resolve_delta(d, self.u) for d in cv_plus))}
         self.symmetrized = symmetrized
         self.exceed_delta = exceed_delta
-        weights = self.partition.atom_weights
-        self.equal_weights = bool(np.all(weights == weights[0]))
-        self.ranks = SortedAtoms(np.arange(1.0, weights.size + 1), weights)
-        # the atoms in fold order, so each fold's atoms are one run of block rows:
+        # the atoms by weight, then fold, so each run of equal weight is one run of block rows:
         # the fold-prediction row of each (None when it is the identity) and its residual
-        fold_of = self.partition.fold_of
-        order = np.argsort(fold_of, kind="stable")
-        self.columns = None if np.array_equal(fold_of, np.arange(fold_of.size)) else fold_of[order]
+        units, fold_of = self.partition.atom_units, self.partition.fold_of
+        order = np.lexsort((fold_of, units))
+        columns = fold_of[order]
+        self.columns = None if np.array_equal(columns, np.arange(columns.size)) else columns
         res = np.abs(self.u) if symmetrized else self.u
         self._res, self._res_top = res[order], float(np.max(np.abs(res)))
-        sizes = np.bincount(fold_of, minlength=self.partition.k)
-        self._fold_starts = None if self.equal_weights else np.concatenate(([0], np.cumsum(sizes)[:-1]))
-        self._fold_weights = 1.0 / (self.partition.k * sizes)
-        self._count_type = np.min_scalar_type(fold_of.size)  # no count exceeds n
-        self._counts = self._exceed = None
+        units = units[order]
+        starts = np.flatnonzero(np.diff(units, prepend=0))
+        self._runs = [slice(a, b) for a, b in zip(starts, [*starts[1:], units.size])]
+        self._run_units = units[starts].tolist()
+        self._count_type = np.min_scalar_type(units.size)  # no byte count exceeds n
         self.recounted = 0
+        self._pass(chunks)
 
     def coverage(self, method: IntervalMethod, alpha1: float, alpha2: float, delta) -> float:
         """Fraction of the test pairs whose y lies in its interval."""
         d = resolve_delta(delta, self.u)
-        cv_plus = method.base == "cv_plus"
-        if cv_plus and (d not in self.cv_plus or method.symmetrized != self.symmetrized):
-            raise InvalidTolerance(f"cv_plus at delta {d}, symmetrized={method.symmetrized}, was not declared to this engine")
-        self._pass()
-        if not cv_plus:
+        if method.base != "cv_plus":
             lo, hi = interval_ends(method, self.full, interval_atoms(method, self.fits), alpha1, alpha2, d)
             return float(np.mean((self.y_test >= lo) & (self.y_test <= hi)))
+        if d not in self.cv_plus or method.symmetrized != self.symmetrized:
+            raise InvalidTolerance(f"cv_plus at delta {d}, symmetrized={method.symmetrized}, was not declared to this engine")
         le, lt = self._counts[self.cv_plus[d]]
         return float(np.mean((le >= self._reach(alpha1)) & ~(lt >= self._reach(alpha2))))
 
@@ -263,48 +274,46 @@ class CoverageEngine:
         |yhat(x) - yhat^{(-K_j)}(x)| > exceed_delta."""
         if self.exceed_delta is None:
             raise InvalidTolerance("fold_exceedance needs an engine built with exceed_delta")
-        self._pass()
         return self._exceed
 
-    def _tally(self, hits: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Per column of a (n, rows) block of atom hits in fold order, the
-        hit count, or with unequal folds the hits' weight, into ``out``."""
-        if self._fold_starts is None:
-            return np.add.reduce(hits.view(np.uint8), axis=0, dtype=self._count_type, out=out)
-        per_fold = np.add.reduceat(hits.view(np.uint8), self._fold_starts, axis=0, dtype=self._count_type)
-        return np.matmul(self._fold_weights, per_fold, out=out)
+    def _tally(self, hits: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Per column of a (n, rows) block of atom hits in weight order, the
+        hit count of each run of equal weight, into ``out`` (runs, rows)."""
+        if out is None:
+            out = np.empty((len(self._runs), hits.shape[1]), self._count_type)
+        for run, row in zip(self._runs, out):
+            np.add.reduce(hits[run].view(np.uint8), axis=0, dtype=self._count_type, out=row)
+        return out
 
-    def _pass(self) -> None:
+    def _pass(self, chunks) -> None:
         """The engine's one pass over the chunks of the test set: it keeps y
         and the full-data predictions of each chunk and, when fold
-        predictions are needed, screens the chunk (:meth:`_screen`)."""
-        if self.full is not None:  # the pass has run
-            return
+        predictions are needed, screens the chunk (:meth:`_screen`); then it
+        weighs each row's run counts once."""
         m, rows = self.m, chunk_rows(self.u.size)
-        self.full = np.empty(m)
-        keep_y = self.y_test is None
-        if keep_y:
-            self.y_test = np.empty(m)
-        counts = np.empty((len(self.cv_plus), 2, m), dtype=self._count_type if self.equal_weights else float)
+        self.y_test, self.full = np.empty(m), np.empty(m)
+        counts = np.empty((len(self.cv_plus), 2, len(self._runs), m), self._count_type)
         exceed = np.zeros(self.partition.k, dtype=np.intp)
         scratch = None
         if self.cv_plus or self.exceed_delta is not None:  # fold predictions are needed
             # a chunk holds at most rows + 1 rows: a one-row tail joins the chunk before it
             scratch = self._scratch(min(rows // CHUNK_BLOCKS, m), min(rows + 1, m))
         start = 0
-        for y_chunk, x_chunk in self._chunks(rows):
+        for y_chunk, x_chunk in chunks(rows):
             chunk = slice(start, start + y_chunk.size)
+            self.y_test[chunk] = y_chunk
             full = self.full[chunk]
             full[:] = self.fits.full_model.predict(x_chunk)
-            if keep_y:
-                self.y_test[chunk] = y_chunk
             if scratch is not None:
-                exceed += self._screen(x_chunk, y_chunk, full, counts[:, :, chunk], scratch)
+                exceed += self._screen(x_chunk, y_chunk, full, counts[..., chunk], scratch)
             start = chunk.stop
             del x_chunk  # freed before the next chunk is drawn
-        self._counts = counts
-        if self.exceed_delta is not None:
-            self._exceed = exceed / m
+        # the weight of a row's counted atoms: an integer of at most W <= 2^53
+        weight_type = np.min_scalar_type(self.partition.unit_total)
+        self._counts = np.zeros(counts.shape[:2] + (m,), weight_type)
+        for run, unit in enumerate(self._run_units):
+            self._counts += np.multiply(counts[:, :, run], unit, dtype=weight_type)
+        self._exceed = exceed / m if self.exceed_delta is not None else None
 
     def _scratch(self, width: int, rows: int) -> dict:
         """The pass's scratch, allocated once in the screen's dtype: blocks
@@ -316,10 +325,10 @@ class CoverageEngine:
                 "res": self._res.astype(dtype)[:, None], "per_fold": np.min_scalar_type(width),
                 "ok": np.empty(rows, bool), "spread": np.empty(rows, bool),
                 "exceed": np.empty((2, rows), np.min_scalar_type(k)),  # no count exceeds k
-                "maybe": np.empty((len(self.cv_plus), 2, rows), self._count_type if self.equal_weights else float)}
+                "maybe": np.empty((len(self.cv_plus), 2, len(self._runs), rows), self._count_type)}
 
     def _screen(self, x, y, full, counts, scratch) -> np.ndarray:
-        """Count one chunk into ``counts``, its (tolerances, 2, rows) slice,
+        """Count one chunk into ``counts``, its (tolerances, 2, runs, rows) slice,
         from blocks of screened fold predictions compared with thresholds
         widened by the band of the module docstring, then recount exactly
         the rows the screen cannot decide; return the chunk's per-fold
@@ -327,7 +336,7 @@ class CoverageEngine:
         k, m, delta, width = self.partition.k, y.size, self.exceed_delta, scratch["width"]
         dtype = scratch["values"].dtype
         a, b, c = _BAND_TERMS[dtype]
-        ok, spread, maybe = scratch["ok"][:m], scratch["spread"][:m], scratch["maybe"][:, :, :m]
+        ok, spread, maybe = scratch["ok"][:m], scratch["spread"][:m], scratch["maybe"][..., :m]
         sure_ex, maybe_ex = scratch["exceed"][:, :m]
         exceed = np.zeros(k, dtype=np.intp)
         with np.errstate(over="ignore", invalid="ignore"):  # rows that cannot be screened are recounted
@@ -370,17 +379,17 @@ class CoverageEngine:
                         band = bound + scales[i][rows]
                         for side, t in enumerate(ts):
                             below, above = (t[rows] - band).astype(dtype), (t[rows] + band).astype(dtype)
-                            self._tally(np.less_equal(atoms, below, out=lo), counts[i, side, rows])
-                            self._tally(np.less_equal(atoms, above, out=hi), maybe[i, side, rows])
+                            self._tally(np.less_equal(atoms, below, out=lo), counts[i, side, :, rows])
+                            self._tally(np.less_equal(atoms, above, out=hi), maybe[i, side, :, rows])
         unsure = ~ok
         if delta is not None:
             unsure |= spread
         for i, ts in enumerate(edges):
-            unsure |= counts[i, 0] != maybe[i, 0]
+            unsure |= np.any(counts[i, 0] != maybe[i, 0], axis=0)
             if len(ts) == 1:  # d = 0: both sides, which differ only at ties
                 counts[i, 1] = counts[i, 0]
             else:
-                unsure |= counts[i, 1] != maybe[i, 1]
+                unsure |= np.any(counts[i, 1] != maybe[i, 1], axis=0)
         redo = np.flatnonzero(unsure)
         if redo.size:
             self.recounted += redo.size
@@ -396,21 +405,33 @@ class CoverageEngine:
         exact = self.fits.fold_predictions(x).T
         atoms = (exact if self.columns is None else exact[self.columns]) + self._res[:, None]
         for i, d in enumerate(self.cv_plus):
-            counts[i, 0, rows] = self._tally(atoms - d <= y, None)
-            counts[i, 1, rows] = self._tally(atoms + d < y, None)
+            counts[i, 0][:, rows] = self._tally(atoms - d <= y)
+            counts[i, 1][:, rows] = self._tally(atoms + d < y)
         if exceed_rows is None:
             return 0
         return np.add.reduce((np.abs(exact - full) > self.exceed_delta) & exceed_rows, axis=1)
 
     def _reach(self, alpha: float) -> float:
-        """The count (weight, with unequal folds) at which a row's counted
-        atoms hold Q_alpha: -inf for alpha <= 0 and +inf for alpha > 1, as
-        the infinite quantile there passes every y or none."""
-        rank = float(quantiles(self.ranks, alpha))
-        if self.equal_weights or math.isinf(rank):
-            return rank
-        # any atom reaches a level at or below the lightest atom's weight
-        return max(alpha - LEVEL_GUARD, float(self.partition.atom_weights.min()))
+        """The least weight C >= 1 of a row's counted atoms at which they
+        hold Q_alpha: the least integer with fl(C / W) >= alpha - LEVEL_GUARD,
+        W the unit total, as :func:`cvuq.ecdf.quantiles` reads the cumulative
+        weights fl(C / W) of :func:`cvuq.intervals.interval_atoms`; -inf for
+        alpha <= 0 and +inf for alpha > 1, as the infinite quantile there
+        passes every y or none."""
+        if math.isnan(alpha):
+            raise ValueError("alpha must not be NaN")
+        if alpha <= 0.0:
+            return -math.inf
+        if alpha > 1.0:
+            return math.inf
+        level, total = alpha - LEVEL_GUARD, self.partition.unit_total
+        # level * total and C / total each round by less than 1 in C: a step or two from the answer
+        reach = max(1, math.ceil(level * total))
+        while reach > 1 and (reach - 1) / total >= level:
+            reach -= 1
+        while reach / total < level:
+            reach += 1
+        return reach
 
 
 def _declared(method: IntervalMethod, delta) -> dict:
@@ -606,8 +627,7 @@ def length_compare(
     threads: int = 1,
 ) -> LengthReport:
     """Per-replication Jackknife vs Jackknife+ interval lengths for each spec."""
-    if not 0 < nominal <= 1:
-        raise InvalidTolerance("nominal must be in (0, 1]")
+    check_nominal(nominal)
     a1 = (1.0 - nominal) / 2.0 if alpha1 is None else alpha1
     a2 = a1 + nominal
     partition = resolve_partition("jackknife", n)
@@ -708,6 +728,7 @@ def infinite_length_probe(
 ) -> TrendReport:
     """Mean symmetrized-Jackknife interval length per training size for a DGP
     family whose error scale may grow with n."""
+    check_nominal(nominal)
     method = IntervalMethod("cv", symmetrized=True)
 
     def rep_at(n: int):

@@ -88,6 +88,8 @@ def oos_stability_profile(
     if reps < 1:
         raise InvalidTolerance("reps must be at least 1")
     eps_grid = np.asarray(eps_grid, dtype=float)
+    if np.isnan(eps_grid).any():
+        raise InvalidTolerance(f"eps_grid must hold numbers, got {eps_grid.tolist()}")
     partition = resolve_partition(partition_rule, n)
 
     def one(r: int):

@@ -6,7 +6,8 @@ infimum, the sandwich oracle bisects the quantile characterization, the
 leave-fold-out oracles refit the predictor once per fold (ridge also by
 orthogonal least squares, without normal equations), and the coverage
 oracles build every test point's interval, from a validated step cdf or by
-sorting each row of cv_plus atoms.  ``merged_ecdf`` builds a step cdf by
+sorting each row of cv_plus atoms, with each cumulative weight an exact
+integer sum over the least common denominator, rounded once.  ``merged_ecdf`` builds a step cdf by
 merging equal atoms before it sums their weights, and ``ReadCountingDict``
 counts the reads of a spec's parameters.
 """
@@ -17,9 +18,9 @@ import math
 
 import numpy as np
 
-from cvuq.ecdf import LEVEL_GUARD, StepCdf, fold_ecdf, quantile, quantiles, uniform_ecdf
+from cvuq.ecdf import LEVEL_GUARD, StepCdf, quantile, quantiles
 from cvuq.intervals import PredInterval
-from cvuq.predictors import fit
+from cvuq.predictors import FoldPartition, fit
 
 
 class ReadCountingDict(dict):
@@ -208,17 +209,45 @@ def lstsq_refit_leave_fold_out(lam, train, partition, X) -> tuple[np.ndarray, np
     return resid, np.column_stack(cols)
 
 
+def unequal_folds(n: int) -> FoldPartition:
+    """A callable partition rule: non-contiguous folds of sizes 3, 2 and 5 (n = 10)."""
+    return FoldPartition(([0, 3, 7], [1, 8], [2, 4, 5, 6, 9]), n)
+
+
+def fold_denominators(part) -> np.ndarray:
+    """Per row, the d with the row's atom weight 1/d: k times its fold's size."""
+    sizes = np.array([f.size for f in part.folds])
+    return (part.k * sizes)[part.fold_of]
+
+
+def exact_ecdf(values, denominators) -> StepCdf:
+    """Step cdf of atoms weighing 1/d, d each atom's entry of ``denominators``,
+    with every cumulative weight summed exactly, as integers over the least
+    common denominator, and rounded once."""
+    total = math.lcm(*set(denominators.tolist()))
+    order = np.argsort(values, kind="stable")
+    jumps, cum = values[order], np.cumsum((total // denominators)[order])
+    assert cum[-1] == total <= 2**53  # the weights sum to 1, and every sum is exact
+    last = np.append(jumps[1:] != jumps[:-1], True)
+    return StepCdf(jumps[last], cum[last] / total)
+
+
 def stepcdf_interval(method, fits, xnew, alpha1, alpha2, delta=0.0) -> PredInterval:
     """:func:`cvuq.intervals.interval` read off a validated :class:`StepCdf`:
-    the fold ecdf of per-fold atom lists (the uniform ecdf for fitted values)
-    and :func:`cvuq.ecdf.quantile` on its merged jumps."""
+    the fold ecdf of the atoms (the uniform ecdf for fitted values), with
+    exact cumulative weights rounded once (:func:`exact_ecdf`), and
+    :func:`cvuq.ecdf.quantile` on its merged jumps."""
     part = fits.partition
     row = np.asarray(xnew, dtype=float).reshape(1, -1)
     full = float(fits.full_model.predict(row)[0])
     if method.base == "fitted_values":
-        res, ecdf = fits.train.y - fits.fitted_values(), uniform_ecdf
+        res, denominators = fits.train.y - fits.fitted_values(), np.full(part.n, part.n)
     else:
-        res, ecdf = fits.loo_residuals, lambda values: fold_ecdf([values[f] for f in part.folds])
+        res, denominators = fits.loo_residuals, fold_denominators(part)
+
+    def ecdf(values):
+        return exact_ecdf(values, denominators)
+
     if method.symmetrized:
         res = np.abs(res)
     if method.symmetrized and method.base != "cv_plus":
@@ -241,16 +270,16 @@ def per_point_coverage(fits, method, alpha1, alpha2, delta, x_test, y_test) -> f
 
 def sorted_atom_coverage(fits, alpha1, alpha2, delta, x_test, y_test, absolute=False) -> float:
     """cv_plus coverage by sorting each test point's atom row and reading the
-    quantiles off it: the first atom whose cumulative fold weight reaches the
-    level."""
+    quantiles off it: the first atom whose cumulative fold weight, summed
+    exactly and rounded once, reaches the level."""
     part = fits.partition
     res = np.abs(fits.loo_residuals) if absolute else fits.loo_residuals
     A = fits.fold_predictions(x_test)[:, part.fold_of] + res[None, :]
     m = A.shape[0]
-    sizes = np.array([f.size for f in part.folds])
+    denominators = fold_denominators(part)
+    total = math.lcm(*set(denominators.tolist()))
     order = np.argsort(A, axis=1, kind="stable")
-    cums = np.cumsum((1.0 / (part.k * sizes))[part.fold_of][order], axis=1)
-    cums[:, -1] = 1.0
+    cums = np.cumsum((total // denominators)[order], axis=1) / total
     A = np.take_along_axis(A, order, axis=1)
 
     def row_quantile(alpha):

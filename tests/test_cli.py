@@ -454,6 +454,17 @@ def test_wrong_xnew_length_exits_3_before_a_nan_delta(capsys, workdir):
     assert strict_json(capsys.readouterr().out)["error"] == "DimensionMismatch"
 
 
+@pytest.mark.parametrize("xnew", ["nan", "inf", "-inf"])
+def test_non_finite_xnew_exits_3(capsys, workdir, xnew):
+    # a NaN would reach the fit as a numeric failure, an infinity an empty interval at infinity
+    code = main([
+        "interval", "--data", str(workdir / "d.csv"), "--predictor", str(workdir / "ridge.json"),
+        "--alpha1", "0.1", "--alpha2", "0.9", f"--xnew={xnew}",
+    ])
+    assert code == 3
+    assert strict_json(capsys.readouterr().out)["error"] == "MalformedInput"
+
+
 @pytest.mark.parametrize(
     "command, flags, code",
     [
@@ -482,6 +493,12 @@ def test_wrong_xnew_length_exits_3_before_a_nan_delta(capsys, workdir):
         pytest.param(["sim", "equiv"], ["--delta", "nan"], 4, id="sim-equiv-delta-nan"),
         pytest.param(["sim", "equiv"], ["--eps", "nan"], 2, id="sim-equiv-eps-nan"),
         pytest.param(["sim", "problen"], ["--nominal", "nan"], 2, id="sim-problen-nominal-nan"),
+        pytest.param(["sim", "problen"], ["--nominal", "1.5"], 3, id="sim-problen-nominal-above-1"),
+        pytest.param(["sim", "problen"], ["--nominal", "0"], 3, id="sim-problen-nominal-0"),
+        pytest.param(["risk"], ["--indicator-at", "nan"], 2, id="risk-indicator-at-nan"),
+        pytest.param(["stability", "profile"], ["--predictor", "ridge.json", "--dgp", "dgp.json", "--n", "10",
+                                                "--reps", "2", "--eps-grid", "0.1,nan"], 3,
+                     id="stability-profile-eps-grid-nan"),
         pytest.param(["sim", "problen"], ["--n-grid", ""], 2, id="sim-problen-empty-n-grid"),
         pytest.param(["sim", "gauge"], ["--n-grid", "5,nan"], 2, id="sim-gauge-n-grid-nan"),
         pytest.param(["sim", "coverage"], ["--seed", "-1"], 2, id="sim-coverage-seed-negative"),
@@ -515,6 +532,7 @@ def test_bad_level_or_tolerance_exits_with_json_error(capsys, workdir, command, 
                 "--train-reps", "2", "--mc-test", "20"],
         "gauge": ["--f", str(cdf), "--g", str(cdf), "--delta", "0.1"],
         "stability": ["--eps", "0.5", "--delta", "0.1", "--stab", "0.1,0.2", "--exceed", "0.05,0.05"],
+        "risk": ["--data", data, "--predictor", pred],
     }
     # the bad flag comes last, so it overrides the valid one
     assert main([*command, *valid[command[0]], *flags]) == code

@@ -7,7 +7,7 @@ from cvuq.data import TrainingSet, sample_gaussian_linear
 from cvuq.errors import InvalidTolerance
 from cvuq.intervals import IntervalMethod, coverage_ceiling, interval, shortest_interval
 from cvuq.levy_gauge import gauge_bound_matched_pairs
-from oracles import ceil_guarded, jackknife_formula, stepcdf_interval
+from oracles import ceil_guarded, jackknife_formula, stepcdf_interval, unequal_folds
 from cvuq.predictors import (
     FoldFits,
     FoldPartition,
@@ -246,11 +246,6 @@ def test_interval_shrunken_can_be_empty():
     assert piv.empty and piv.length == 0.0
 
 
-def _unequal_folds(n):
-    # non-contiguous folds of sizes 3, 2 and 5
-    return FoldPartition(([0, 3, 7], [1, 8], [2, 4, 5, 6, 9]), n)
-
-
 def _oracle_case(rule, lattice):
     n = 12 if rule == "jackknife" else 10
     rng = np.random.default_rng(23)
@@ -265,7 +260,7 @@ def _oracle_case(rule, lattice):
 
 
 @pytest.mark.parametrize("lattice", [False, True], ids=["distinct", "lattice"])
-@pytest.mark.parametrize("rule", ["jackknife", 3, _unequal_folds], ids=["singletons", "k3-n10", "callable-unequal"])
+@pytest.mark.parametrize("rule", ["jackknife", 3, unequal_folds], ids=["singletons", "k3-n10", "callable-unequal"])
 def test_interval_matches_stepcdf_oracle(rule, lattice):
     fits, xnew = _oracle_case(rule, lattice)
     n = fits.train.n
@@ -286,7 +281,7 @@ def test_shortest_interval_exhaustive_oracle_unequal_folds():
     rng = np.random.default_rng(29)
     for _ in range(5):
         train = TrainingSet(rng.normal(size=10), rng.normal(size=(10, 2)))
-        fits, xnew = FoldFits(ridge(0.5), train, _unequal_folds(10)), rng.normal(size=2)
+        fits, xnew = FoldFits(ridge(0.5), train, unequal_folds(10)), rng.normal(size=2)
         nominal = float(rng.uniform(0.3, 0.9))
         for method in (CV, CVP):
             for d in (0.0, 0.1):

@@ -13,7 +13,7 @@ import pytest
 
 from cvuq import predictors
 from cvuq.data import DgpSpec, TrainingSet
-from cvuq.errors import DegenerateFit, DimensionMismatch, EmptyFold, FoldLeavesNothing, MalformedInput
+from cvuq.errors import DegenerateFit, DimensionMismatch, EmptyFold, FoldLeavesNothing, MalformedInput, WeightSumError
 from cvuq.predictors import (
     FoldFits,
     FoldPartition,
@@ -29,7 +29,7 @@ from cvuq.predictors import (
 )
 from cvuq.rng import stream
 from cvuq.stability import resolve_partition
-from oracles import ReadCountingDict, lstsq_refit_leave_fold_out, refit_leave_fold_out
+from oracles import ReadCountingDict, lstsq_refit_leave_fold_out, refit_leave_fold_out, unequal_folds
 
 
 def toy_train(y, x=None):
@@ -97,12 +97,30 @@ def test_ridge_fold_fits_take_one_svd(monkeypatch):
 
 
 def test_partition_atom_weights():
-    part = FoldPartition(([0, 3, 7], [1, 8], [2, 4, 5, 6, 9]), 10)
-    want = np.empty(10)
-    for f in part.folds:
-        want[f] = 1.0 / (part.k * f.size)
-    assert np.array_equal(part.atom_weights, want)
-    assert not part.atom_weights.flags.writeable
+    # an atom of fold j weighs the integer L/|K_j| out of W = kL, L the lcm of
+    # the fold sizes; atom_weights, that rational rounded once, keeps the bits
+    # of 1/(k |K_j|), for a callable partition and contiguous ones
+    for rule, n in [(unequal_folds, 10), *((k, n) for k in (2, 3, 7) for n in (k, 10, 23, 200, 1001))]:
+        part = resolve_partition(rule, n)
+        want = np.empty(n)
+        for f in part.folds:
+            want[f] = 1.0 / (part.k * f.size)
+        assert part.atom_weights.tobytes() == want.tobytes(), (rule, n)
+        assert not part.atom_weights.flags.writeable and not part.atom_units.flags.writeable
+        sizes = np.array([f.size for f in part.folds])
+        assert part.unit_total == part.k * math.lcm(*sizes.tolist())
+        assert np.all(part.atom_units * part.k * sizes[part.fold_of] == part.unit_total)
+
+
+def test_partition_without_exact_integer_weights_is_rejected():
+    # folds of sizes 1..37: W = 37 lcm(1..37) exceeds 2^53, past which
+    # float64 does not hold every sum of atom units
+    bounds = np.cumsum(range(38))
+    assert 37 * math.lcm(*range(1, 38)) > 2**53
+    with pytest.raises(WeightSumError):
+        FoldPartition(tuple(np.arange(a, b) for a, b in zip(bounds[:-1], bounds[1:])), int(bounds[-1]))
+    bounds = np.cumsum(range(31))  # sizes 1..30: W = 30 lcm(1..30) < 2^53
+    assert FoldPartition(tuple(np.arange(a, b) for a, b in zip(bounds[:-1], bounds[1:])), int(bounds[-1])).unit_total < 2**53
 
 
 def test_knn_mean_lowest_index_ties():

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import math
 import os
@@ -13,6 +14,7 @@ import pytest
 
 from cvuq import simlab
 from cvuq.data import DgpSpec, TrainingSet
+from cvuq.ecdf import LEVEL_GUARD
 from cvuq.errors import InvalidTolerance, NumericError
 from cvuq.intervals import IntervalMethod, interval
 from cvuq.levy_gauge import gauge
@@ -32,7 +34,7 @@ from cvuq.simlab import (
     sqrt_n_family,
 )
 from cvuq.stability import resolve_partition
-from oracles import dense_fold_exceedance, isotonic_trend_ok, per_point_coverage, sorted_atom_coverage
+from oracles import dense_fold_exceedance, isotonic_trend_ok, per_point_coverage, sorted_atom_coverage, unequal_folds
 
 GAUSS = DgpSpec("gaussian_linear", {"beta": [1.0, -0.5], "sigma": 1.0})
 GAUSS1 = DgpSpec("gaussian_linear", {"beta": [0.0], "sigma": 1.0})
@@ -337,6 +339,62 @@ def test_kernel_matches_scalar_intervals_on_adversarial_inputs(case):
                 assert fast == per_point_coverage(fits, method, a1, a2, d, x_test, y_test), (method, d, a1, a2)
 
 
+def _fold_reader_case(rule, symmetrized):
+    """Fits of a predictor whose fit without fold j predicts x[j] (the full
+    fit: 0), and a test row at y = 0 for each weight C the cv+ atoms counted at
+    y can have: x[j] sets how many of fold j's atoms, fl(x[j] + r_i) <= 0
+    exactly when r_i <= -x[j], lie at or below y, so the rows realise every
+    sum over folds of count times atom units.  Returns the fits, the test
+    set and the weights."""
+    n = 10
+    part = resolve_partition(rule, n)
+    rng = np.random.default_rng(31)
+    train = TrainingSet(rng.normal(size=n), rng.normal(size=(n, part.k)))
+    fold_without = {frozenset(np.delete(train.y, f).tolist()): j for j, f in enumerate(part.folds)}
+
+    def reader(xnew, rows):
+        j = fold_without.get(frozenset(rows.y.tolist()))
+        return 0.0 if j is None else float(xnew[j])
+
+    fits = FoldFits(reader, train, part)
+    res = np.abs(fits.loo_residuals) if symmetrized else fits.loo_residuals
+    # per fold, a threshold below, between and above its sorted residuals for each count
+    cuts = []
+    for f in part.folds:
+        r = np.sort(res[f])
+        cuts.append(np.concatenate(([r[0] - 1.0], (r[:-1] + r[1:]) / 2, [r[-1] + 1.0])))
+    units = [int(part.atom_units[f[0]]) for f in part.folds]
+    rows = {}
+    for counts in itertools.product(*(range(f.size + 1) for f in part.folds)):
+        rows.setdefault(sum(c * u for c, u in zip(counts, units)), [-cut[c] for cut, c in zip(cuts, counts)])
+    return fits, np.array(list(rows.values())), np.zeros(len(rows)), sorted(rows)
+
+
+@pytest.mark.parametrize("rule", [3, 4, 7, unequal_folds], ids=["k3-n10", "k4-n10", "k7-n10", "callable-unequal"])
+def test_engine_reach_matches_interval_at_every_prefix_weight(rule):
+    # every cumulative weight is fl(C / W) of an exact integer C, and a level
+    # a reaches it when fl(a - LEVEL_GUARD) >= fl(C / W): at the two levels
+    # one ulp either side of where that starts, for every weight C a row's
+    # counted atoms can have, the engine's integer reach and the oracle's step
+    # cdf take the same atom
+    for method in CV_PLUS:
+        fits, x_test, y_test, weights = _fold_reader_case(rule, method.symmetrized)
+        total = fits.partition.unit_total
+        assert weights[-1] == total and len(x_test) == len(weights)
+        levels = []
+        for c in weights:
+            reach = c / total + LEVEL_GUARD
+            while reach - LEVEL_GUARD >= c / total:
+                reach = math.nextafter(reach, 0.0)
+            while reach - LEVEL_GUARD < c / total:  # the least level that reaches fl(c / total)
+                reach = math.nextafter(reach, 2.0)
+            levels += [math.nextafter(reach, 0.0), reach]
+        engine = CoverageEngine(fits, x_test, y_test, cv_plus=[0.0], symmetrized=method.symmetrized)
+        for a1, a2 in [(a, 1.0) for a in levels] + [(0.0, a) for a in levels]:
+            fast = engine.coverage(method, a1, a2, 0.0)
+            assert fast == per_point_coverage(fits, method, a1, a2, 0.0, x_test, y_test), (method, a1, a2)
+
+
 def test_infinite_delta_is_rejected():
     # at an infinite quantile an end Q -+ delta would be inf - inf
     fits, x_test, y_test = _ridge_case(12, "jackknife")
@@ -415,10 +473,10 @@ def test_test_set_costs_its_size_once():
 
 
 def test_unequal_fold_pass_has_no_block_sized_temporaries():
-    # with unequal folds the hits are compared into the float scratch block
-    # the fold weights sum, and the atoms gathered into theirs: no bool block
-    # is cast to float64 and no gather output is buffered.  Each of those
-    # would add 1 MiB, about 0.05 of the test block, to a pass
+    # with unequal folds the atoms are gathered into the scratch block and
+    # each run of equal weight of the bool hits is summed as bytes: no block
+    # is cast to a wider type and no gather output is buffered.  Each of
+    # those would add 1 MiB, about 0.05 of the test block, to a pass
     assert _traced_test_set_and_pass(7)[1] <= 0.2
 
 
@@ -456,8 +514,9 @@ def test_equivalence_draws_each_test_set_once(monkeypatch):
 def test_drawn_pass_holds_no_test_block(rule):
     # a drawn engine holds one chunk of x at a time, never the 20 MB block:
     # draw, y and full-data predictions, cv+ counts at two tolerances and
-    # the exceedance in one pass.  Byte counts are 4 B per row here; with
-    # unequal folds (k = 7) they are float64, 28 B per row more
+    # the exceedance in one pass.  Byte counts are 4 B per row and weight run
+    # here (one run for the jackknife, two at k = 7), and the weighted counts
+    # 4 B per row for the jackknife and 8 B at k = 7
     m, p, n = 50_000, 50, 200
     dgp = DgpSpec("gaussian_linear", {"beta": [1 / math.sqrt(p)] * p, "sigma": 1.0})
     fits = FoldFits(ridge(0.5), dgp.sample(n, stream(18, 0)), resolve_partition(rule, n))
@@ -471,8 +530,7 @@ def test_drawn_pass_holds_no_test_block(rule):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    wider_counts = 0 if engine.equal_weights else 2 * 2 * 7 * m
-    assert peak <= block / 4 + wider_counts
+    assert peak <= block / 4
 
 
 def test_engine_draws_and_predicts_its_test_set_once_whatever_the_query_order(monkeypatch):
