@@ -9,22 +9,16 @@ with full round-trip precision; or a JSON array of ``{"y": number,
 Sampling contract
 -----------------
 Every DGP draws exactly ``p + 1`` standard normals per row, in row order, and
-transforms them deterministically.  Hence the first ``m`` rows drawn from a
+transforms them deterministically, each row on its own: the linear kinds take
+x'beta from :func:`row_products`.  Hence the first ``m`` rows drawn from a
 stream equal an ``m``-row draw from a fresh stream with the same key, which
 gives nested common random numbers across sample sizes, and successive draws
 from one generator continue its stream: :meth:`DgpSpec.draw_chunks` yields
-chunks that concatenate to one ``draw`` of all their rows.  For the linear
-kinds that holds bit for bit because ``x @ beta`` rounds each row alike
-whenever the chunks start at multiples of 4 rows (the row grouping of the
-BLAS matrix-vector kernel) and none but a whole draw has one row (a one-row
-product takes another path); ``draw_chunks`` keeps both rules.  With a
-threaded BLAS a large whole draw's product is split across threads at row
-counts of its own, which can round differently (OpenBLAS 0.3.31 with 2
-threads, p = 50, m = 50,001: one row off by 1.1e-16); the 2,620-row chunks
-of a coverage pass were not split there, and matched the one-thread whole
-draw.  A draw's x is a view of its (n, p + 1) block of normals (for
-``custom_table``, rows of the table), not a copy, so a test set costs its
-size once; :class:`TrainingSet` keeps its own contiguous, read-only copy.
+chunks of any size that concatenate to one ``draw`` of all their rows, bit
+for bit, at any BLAS thread count (for p up to 10,000).  A draw's x is a view of its (n, p + 1)
+block of normals (for ``custom_table``, rows of the table), not a copy, so a
+test set costs its size once; :class:`TrainingSet` keeps its own contiguous,
+read-only copy.
 
 ``scipy`` is loaded only on the first ``student_linear``,
 ``classification_grid`` or ``custom_table`` draw, the kinds that need the
@@ -228,16 +222,20 @@ def _array(params: dict, name: str) -> np.ndarray:
     return values
 
 
-def chunk_slices(m: int, rows: int):
-    """Slices of ``rows`` rows each (a multiple of 4) covering m rows, the
-    last one shorter; a one-row tail joins the slice before it."""
-    start = 0
-    while start < m:
-        stop = min(start + rows, m)
-        if m - stop == 1:
-            stop = m
-        yield slice(start, stop)
-        start = stop
+def row_products(x: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    """x'beta for each row of the (m, p) x, each row its own dot product, so
+    a row has the same bits alone or in any block, at any BLAS thread count
+    up to p = 10,000 (past that OpenBLAS 0.3.31 splits one dot across
+    threads).  Rows whose entries are not adjacent in memory are copied
+    first: a strided dot rounds differently."""
+    return np.vecdot(unit_stride_rows(x), np.ascontiguousarray(beta, dtype=float))
+
+
+def unit_stride_rows(x) -> np.ndarray:
+    """The float array ``x``, copied to C order unless its rows already have
+    unit stride (a strided view of whole rows is kept as it is)."""
+    x = np.asarray(x, dtype=float)
+    return x if x.strides[-1] == x.itemsize else np.ascontiguousarray(x)
 
 
 DGP_KINDS = ("gaussian_linear", "student_linear", "classification_grid", "custom_table", "dirac_first_coord")
@@ -299,9 +297,9 @@ class DgpSpec:
         block = rng.standard_normal((n, self.p + 1))
         x, z = block[:, :self.p], block[:, self.p]  # strided views: the draw costs one block, not two
         if self.kind == "gaussian_linear":
-            y = x @ self.beta + self.sigma * z
+            y = row_products(x, self.beta) + self.sigma * z
         elif self.kind == "student_linear":
-            y = x @ self.beta + self.sigma * _student_t_quantile(_special().ndtr(z), self.dof)
+            y = row_products(x, self.beta) + self.sigma * _student_t_quantile(_special().ndtr(z), self.dof)
         elif self.kind == "classification_grid":
             y = 1.0 + np.floor(self.class_count * _special().ndtr(x[:, 0])) % self.class_count
         elif self.kind == "custom_table":
@@ -313,10 +311,10 @@ class DgpSpec:
         return y, x
 
     def draw_chunks(self, m: int, rng: np.random.Generator, rows: int):
-        """Draw m rows as successive draws of the :func:`chunk_slices` sizes:
-        chunks that concatenate to ``draw(m, rng)`` of a fresh ``rng``."""
-        for chunk in chunk_slices(m, rows):
-            yield self.draw(chunk.stop - chunk.start, rng)
+        """Draw m rows as successive draws of ``rows`` rows, the last one
+        shorter: chunks that concatenate to ``draw(m, rng)`` of a fresh ``rng``."""
+        for start in range(0, m, rows):
+            yield self.draw(min(rows, m - start), rng)
 
     def sample(self, n: int, rng: np.random.Generator) -> TrainingSet:
         if n < 2:

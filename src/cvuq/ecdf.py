@@ -71,32 +71,49 @@ class StepCdf:
         return cls(jumps, cum)
 
 
-def weighted_ecdf(values, weights) -> StepCdf:
-    """Weighted empirical cdf; atoms at duplicate values merge their weights."""
+def weighted_ecdf(values, weights, total=1) -> StepCdf:
+    """Weighted empirical cdf with cumulative weights cumsum(weights) / total
+    (:class:`SortedAtoms`); atoms at duplicate values merge their weights.
+    Integer weights out of their integer sum make every cumulative weight
+    fl(C / total) of an exact integer C; float weights pass total 1."""
     values = np.asarray(values, dtype=float)
-    weights = np.asarray(weights, dtype=float)
+    weights = np.asarray(weights, dtype=float)  # integers up to 2^53 stay exact, and so does their cumsum
     if values.ndim != 1 or values.shape != weights.shape or values.size == 0:
         raise WeightSumError("values and weights must be matching nonempty 1-d arrays")
     if not np.all(np.isfinite(values)):
         raise WeightSumError("atom values must be finite")
     if not np.all(weights > 0):  # NaN fails both comparisons, so test the good case
         raise WeightSumError("weights must be positive")
-    total = float(np.sum(weights))
-    if not abs(total - 1.0) <= LEVEL_GUARD:
-        raise WeightSumError(f"weights sum to {total!r}, expected 1 within {LEVEL_GUARD}")
-    atoms = SortedAtoms(values, weights)
+    mass = float(np.sum(weights))
+    if not abs(mass / total - 1.0) <= LEVEL_GUARD:
+        raise WeightSumError(f"weights sum to {mass!r}, expected {total!r} within a factor 1 +- {LEVEL_GUARD}")
+    atoms = SortedAtoms(values, weights, total)
     ends = atoms.run_ends()
     return StepCdf(atoms.jumps[ends], atoms.cum[ends])
 
 
 def uniform_ecdf(values) -> StepCdf:
-    """Plain empirical cdf with weight 1/n per observation."""
+    """Plain empirical cdf with weight 1/n per observation: cumulative
+    weights fl(C / n)."""
     values = np.asarray(values, dtype=float)
-    return weighted_ecdf(values, np.full(values.size, 1.0 / values.size))
+    return weighted_ecdf(values, np.ones(values.size), values.size)
+
+
+def fold_units(sizes) -> tuple[np.ndarray, int]:
+    """The exact integer weights of k folds of the given sizes: per fold the
+    units L/|K_j| of each of its atoms, out of the total W = kL, L the lcm of
+    the sizes, so an atom of fold j weighs 1/(k |K_j|).  WeightSumError when
+    W exceeds 2^53, past which float64 no longer holds every integer."""
+    lcm = math.lcm(*sizes)
+    if len(sizes) * lcm > 2**53:
+        raise WeightSumError(f"fold sizes {sorted(set(sizes))} have no exact integer weights: "
+                             f"k * lcm = {len(sizes) * lcm} exceeds 2^53")
+    return lcm // np.array(sizes, dtype=np.int64), len(sizes) * lcm
 
 
 def fold_ecdf(per_fold_values) -> StepCdf:
-    """Fold-weighted ecdf: an atom in fold j carries weight 1/(k*|K_j|).
+    """Fold-weighted ecdf: an atom in fold j carries weight 1/(k*|K_j|), held
+    exactly as :func:`fold_units`, so its cumulative weights are fl(C / W).
 
     With equal fold sizes this reduces to the uniform ecdf, and with
     singleton folds to the plain leave-one-out ecdf.
@@ -106,9 +123,9 @@ def fold_ecdf(per_fold_values) -> StepCdf:
         raise EmptyFold("need at least two folds")
     if any(g.size == 0 for g in groups):
         raise EmptyFold("every fold must be nonempty")
-    sizes = np.array([g.size for g in groups])
-    weights = np.repeat(1.0 / (len(groups) * sizes), sizes)
-    return weighted_ecdf(np.concatenate(groups), weights)
+    sizes = [g.size for g in groups]
+    units, total = fold_units(sizes)
+    return weighted_ecdf(np.concatenate(groups), np.repeat(units, sizes), total)
 
 
 def _weight_below(F: StepCdf, t, side: str):
@@ -150,11 +167,10 @@ def quantiles(F, alphas) -> np.ndarray:
 class SortedAtoms:
     """Weighted atoms sorted, repeats kept, with unvalidated cumulative weights
     cumsum(weights) / total (the last set to 1).  Integer weights out of an
-    integer ``total`` of at most 2^53 (a partition's atom units and unit total,
-    :class:`cvuq.predictors.FoldPartition`) make every cumulative weight an
-    exact integer C divided once: fl(C / total).  At :meth:`run_ends` they are
-    :func:`weighted_ecdf`'s jumps and cumulative weights, whose float weights
-    pass total 1."""
+    integer ``total`` of at most 2^53 (:func:`fold_units`) make every
+    cumulative weight an exact integer C divided once: fl(C / total).  At
+    :meth:`run_ends` they are :func:`weighted_ecdf`'s jumps and cumulative
+    weights."""
 
     def __init__(self, values: np.ndarray, weights: np.ndarray, total=1):
         order = np.argsort(values, kind="stable")

@@ -195,7 +195,7 @@ def coverage_ceiling(fits: FoldFits, alpha1: float, alpha2: float, delta: float)
     leave-fold-out residual ecdf; compare it to alpha2 - alpha1."""
     if not delta > 0:
         raise InvalidTolerance("delta must be positive")
-    F = weighted_ecdf(fits.loo_residuals, fits.partition.atom_weights)
+    F = weighted_ecdf(fits.loo_residuals, fits.partition.atom_units, fits.partition.unit_total)
     q1 = quantile(F, alpha1)
     q2 = quantile(F, alpha2)
     return eval_cdf(F, q2 + 2 * delta) - left_limit(F, q1 - 2 * delta)

@@ -26,7 +26,8 @@ kinds and dirac_threshold; one refit per fold for knn_mean and callables.  A
 FoldFits is the only input of the interval constructions in
 :mod:`cvuq.intervals`, which read from it what their method needs.  Its
 ``fold_predictions`` are exact: each row is computed on its own, so it has
-the same bits in any block; ``screened_predictions`` gives a cheaper block
+the same bits in any block, as a ridge fit's ``predict`` has
+(:func:`cvuq.data.row_products`); ``screened_predictions`` gives a cheaper block
 of them less the full-data prediction (float32 for ridge) with a per-row
 bound on its distance from the exact differences.
 """
@@ -41,8 +42,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .data import TrainingSet
-from .errors import DegenerateFit, DimensionMismatch, EmptyFold, FoldLeavesNothing, MalformedInput, WeightSumError
+from .data import TrainingSet, row_products, unit_stride_rows
+from .ecdf import fold_units
+from .errors import DegenerateFit, DimensionMismatch, EmptyFold, FoldLeavesNothing, MalformedInput
 
 PREDICTOR_KINDS = ("ridge", "knn_mean", "max_response", "neg_max_response", "dirac_threshold", "constant")
 
@@ -221,7 +223,7 @@ class FittedRidge(_Fitted):
         self.beta = beta
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        return X @ self.beta
+        return row_products(X, self.beta)
 
 
 class FittedConstant(_Fitted):
@@ -313,9 +315,10 @@ class FoldPartition:
     An atom of fold j weighs 1/(k |K_j|) (the CV+ weights of Barber, Candes,
     Ramdas and Tibshirani, Ann. Statist. 49(1), 2021), held exactly as the
     integer ``atom_units`` L/|K_j| out of ``unit_total`` W = kL, L the lcm of
-    the fold sizes: every sum C of atom units is an exact integer, and every
-    cumulative weight is C/W rounded once.  A partition whose W exceeds 2^53,
-    past which float64 no longer holds every integer, raises WeightSumError.
+    the fold sizes (:func:`cvuq.ecdf.fold_units`): every sum C of atom units
+    is an exact integer, and every cumulative weight is C/W rounded once.  A
+    partition whose W exceeds 2^53, past which float64 no longer holds every
+    integer, raises WeightSumError.
     """
 
     folds: tuple
@@ -333,15 +336,11 @@ class FoldPartition:
         if not np.array_equal(np.sort(seen), np.arange(self.n)):
             raise EmptyFold("folds must partition exactly 0..n-1")
         object.__setattr__(self, "folds", folds)
-        sizes = [f.size for f in folds]
-        lcm = math.lcm(*sizes)
-        if len(folds) * lcm > 2**53:
-            raise WeightSumError(f"fold sizes {sorted(set(sizes))} have no exact integer weights: "
-                                 f"k * lcm = {len(folds) * lcm} exceeds 2^53")
-        units = (lcm // np.array(sizes))[self.fold_of]
+        units, total = fold_units([f.size for f in folds])
+        units = units[self.fold_of]
         units.setflags(write=False)
         object.__setattr__(self, "atom_units", units)
-        object.__setattr__(self, "unit_total", len(folds) * lcm)
+        object.__setattr__(self, "unit_total", total)
 
     @property
     def k(self) -> int:
@@ -353,14 +352,6 @@ class FoldPartition:
         for j, f in enumerate(self.folds):
             out[f] = j
         return out
-
-    @cached_property
-    def atom_weights(self) -> np.ndarray:
-        """Read-only weight 1/(k*|K_j|) of each row, j the row's fold: its
-        atom units over the unit total, the same rational rounded once."""
-        weights = self.atom_units / self.unit_total
-        weights.setflags(write=False)
-        return weights
 
     @classmethod
     def singletons(cls, n: int) -> "FoldPartition":
@@ -498,11 +489,12 @@ class FoldFits:
         Fortran order: its transpose is a C-contiguous (k, m) block.  These
         are the exact values: each row's is its own computation, so a row
         gets the same bits in any block, alone (as :func:`cvuq.intervals.interval`
-        asks for it) or among others, at any BLAS thread count.  For ridge
-        that is one matrix-vector product per row, ``np.matmul`` of the
-        (k, p) coefficients with the stacked (p, 1) rows."""
+        asks for it) or among others, in any memory order, at any BLAS
+        thread count.  For ridge that is one matrix-vector product per row,
+        ``np.matmul`` of the (k, p) coefficients with the stacked (p, 1) rows,
+        read with unit stride (:func:`cvuq.data.unit_stride_rows`)."""
         if self._coef is not None:
-            X = np.asarray(X, dtype=float)
+            X = unit_stride_rows(X)
             P = np.empty((self.partition.k, X.shape[0]))
             np.matmul(self._coef.T, X[:, :, None], out=P.T[:, :, None])
         elif self._values is not None:

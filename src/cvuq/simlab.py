@@ -2,14 +2,11 @@
 interval length, and gauge convergence at desk scale.
 
 Coverage is evaluated with a fresh-test-point oracle: freeze the training
-set, draw test pairs, and count hits of the per-test-point interval.  The
-cv_plus hits and the fold exceedance equal those computed from the exact
-fold predictions, :meth:`cvuq.predictors.FoldFits.fold_predictions`, whose
-rows are the one-row products :func:`cvuq.intervals.interval` uses.  cv and
-fitted_values read the full-data prediction of the chunk's matrix product,
-which can round differently in the last bits from ``interval``'s one-row
-product, so their hits can differ from ``interval``'s when y lies within a
-few ulps of an interval end.  One :class:`CoverageEngine` serves one
+set, draw test pairs, and count hits of the per-test-point interval.  Every
+hit equals :func:`cvuq.intervals.interval`'s: the full-data predictions
+(``full_model.predict``) and the exact fold predictions
+(:meth:`cvuq.predictors.FoldFits.fold_predictions`) give each row the same
+bits in any block as alone.  One :class:`CoverageEngine` serves one
 :class:`cvuq.predictors.FoldFits` and one test set, from one pass over it;
 it and ``interval`` follow one quantile rule, :func:`cvuq.ecdf.quantiles`:
 Q_a is the first sorted atom whose cumulative fold weight reaches a.  The cv
@@ -98,7 +95,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import DgpSpec, chunk_slices
+from .data import DgpSpec
 from .ecdf import LEVEL_GUARD, uniform_ecdf, weighted_ecdf
 from .errors import InvalidTolerance
 from .intervals import IntervalMethod, check_nominal, checked_delta, interval, interval_atoms, interval_ends
@@ -113,9 +110,8 @@ from .stability import equivalence_bound, resolve_partition, se_of_mean
 # within noise of each other on a 2-core Xeon with 2 MiB of L2 per core; 32k
 # and 400k or more were slower.
 BLOCK_ATOMS = 1 << 17
-# A pass takes the test set in chunks of this many row blocks: a multiple of
-# 4 rows, so each chunk's products round as the whole set's do (see
-# cvuq.data.DgpSpec.draw_chunks), and 1.07 MB of x at n = 200, p = 50.
+# A pass takes the test set in chunks of this many row blocks: 1.07 MB of x
+# at n = 200, p = 50.
 CHUNK_BLOCKS = 4
 
 
@@ -168,13 +164,11 @@ class CoverageEngine:
     """Vectorized per-test-point interval coverage for one training set and
     m test pairs, from one pass, run when the engine is built, that takes the
     pairs from a source chunk by chunk: given arrays, it reads slices and
-    copies no x (a strided view is kept as it is); built by :meth:`drawn`,
-    it draws each chunk from the DGP inside the pass, so x is never held
-    whole.  A chunk is ``CHUNK_BLOCKS`` row blocks of about
-    ``BLOCK_ATOMS`` cells, (k or n) x rows, and the chunks start at multiples
-    of their rows from row 0, so the rounding of every full-data product
-    matches a pass over the whole test set (see
-    :meth:`cvuq.data.DgpSpec.draw_chunks`).
+    copies no x whose rows have unit stride (a strided view of whole rows is
+    kept as it is; other chunks are copied for their products); built by
+    :meth:`drawn`, it draws each chunk from the DGP inside the pass, so x is
+    never held whole.  A chunk is ``CHUNK_BLOCKS`` row blocks of about
+    ``BLOCK_ATOMS`` cells, (k or n) x rows, the last chunk shorter.
 
     The pass keeps y and the full-data prediction of each row: all that cv
     and fitted_values need.  cv_plus is counted at the tolerances ``cv_plus``
@@ -217,7 +211,7 @@ class CoverageEngine:
         x_test = np.asarray(x_test, dtype=float)
         y_test = np.asarray(y_test, dtype=float)
         self._start(fits, y_test.size, cv_plus, symmetrized, exceed_delta,
-                    lambda rows: ((y_test[s], x_test[s]) for s in chunk_slices(y_test.size, rows)))
+                    lambda rows: ((y_test[a:a + rows], x_test[a:a + rows]) for a in range(0, y_test.size, rows)))
 
     @classmethod
     def drawn(cls, fits: FoldFits, dgp: DgpSpec, m: int, seed: int, *key, cv_plus=(),
@@ -296,8 +290,7 @@ class CoverageEngine:
         exceed = np.zeros(self.partition.k, dtype=np.intp)
         scratch = None
         if self.cv_plus or self.exceed_delta is not None:  # fold predictions are needed
-            # a chunk holds at most rows + 1 rows: a one-row tail joins the chunk before it
-            scratch = self._scratch(min(rows // CHUNK_BLOCKS, m), min(rows + 1, m))
+            scratch = self._scratch(min(rows // CHUNK_BLOCKS, m), min(rows, m))
         start = 0
         for y_chunk, x_chunk in chunks(rows):
             chunk = slice(start, start + y_chunk.size)
@@ -685,9 +678,7 @@ def gauge_convergence(
     of fresh prediction errors, per training size.
 
     Replications share streams across n (nested samples), so trend
-    comparisons use common random numbers.  The oracle rows are drawn and
-    predicted in the chunks of a coverage pass, so the errors do not depend
-    on the BLAS thread count (see :meth:`cvuq.data.DgpSpec.draw_chunks`).
+    comparisons use common random numbers.
     """
 
     def rep_at(n: int):
@@ -696,10 +687,9 @@ def gauge_convergence(
         def one(r: int) -> float:
             train = dgp.sample(n, stream(seed, r, 0))
             fits = FoldFits(spec, train, partition)
-            F_hat = weighted_ecdf(fits.loo_residuals, partition.atom_weights)
-            chunks = dgp.draw_chunks(mc_oracle, stream(seed, r, 1), chunk_rows(n))
-            errors = np.concatenate([y - fits.full_model.predict(x) for y, x in chunks])
-            return gauge(F_hat, uniform_ecdf(errors), delta).value
+            F_hat = weighted_ecdf(fits.loo_residuals, partition.atom_units, partition.unit_total)
+            y, x = dgp.draw(mc_oracle, stream(seed, r, 1))
+            return gauge(F_hat, uniform_ecdf(y - fits.full_model.predict(x)), delta).value
 
         return one
 

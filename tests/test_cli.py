@@ -266,15 +266,19 @@ def test_parser_is_built_once_per_config_and_keeps_no_other_default(capsys, work
         cli._parser_for.cache_clear()
 
 
-def test_cv_plus_runs_print_the_same_at_one_and_two_blas_threads(workdir, tmp_path):
+def test_cli_runs_print_the_same_at_one_and_two_blas_threads(workdir, tmp_path):
     # the float32 screen's sgemm may be split across BLAS threads; the
-    # certified counts, and so stdout, must not move
+    # certified counts, and so stdout, must not move.  Nor may a 50,001-row
+    # p = 50 dataset, whose x'beta a threaded BLAS would split if it were one
+    # matrix product
     dgp = tmp_path / "p50.json"
     dgp.write_text(json.dumps({"kind": "gaussian_linear", "beta": [50 ** -0.5] * 50, "sigma": 1.0}))
     pred = tmp_path / "ridge.json"
     pred.write_text(json.dumps({"kind": "ridge", "lambda": 1e-8}))
+    data = tmp_path / "sampled.csv"
     common = ["--dgp", str(dgp), "--predictor", str(pred), "--n", "60", "--train-reps", "2", "--mc-test", "6000"]
-    runs = [["sim", "equiv", *common], ["sim", "coverage", "--method", "cv_plus", "--delta", "iqr:0.1", *common]]
+    runs = [["sim", "equiv", *common], ["sim", "coverage", "--method", "cv_plus", "--delta", "iqr:0.1", *common],
+            ["dgp", "--dgp", str(dgp), "--n", "50001", "--data-out", str(data)]]
     src = str(Path(__file__).resolve().parents[1] / "src")
     outputs = []
     for threads in ("1", "2"):
@@ -286,6 +290,7 @@ def test_cv_plus_runs_print_the_same_at_one_and_two_blas_threads(workdir, tmp_pa
                                   env=env, timeout=300)
             assert proc.returncode == 0, proc.stdout + proc.stderr
             out.append(proc.stdout)
+        out.append(data.read_text())
         outputs.append(out)
     assert outputs[0] == outputs[1]
 

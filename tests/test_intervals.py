@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from cvuq.data import TrainingSet, sample_gaussian_linear
+from cvuq.ecdf import fold_ecdf, quantile, uniform_ecdf, weighted_ecdf
 from cvuq.errors import InvalidTolerance
-from cvuq.intervals import IntervalMethod, coverage_ceiling, interval, shortest_interval
+from cvuq.intervals import IntervalMethod, coverage_ceiling, interval, interval_atoms, shortest_interval
 from cvuq.levy_gauge import gauge_bound_matched_pairs
 from oracles import ceil_guarded, jackknife_formula, stepcdf_interval, unequal_folds
 from cvuq.predictors import (
@@ -240,6 +241,25 @@ def test_coverage_ceiling():
         coverage_ceiling(fits, 0.2, 0.9, 0.0)
 
 
+def test_fold_ecdfs_take_interval_cumulative_weights():
+    # constant(0) on y = 0..9, jackknife: interval reads the third cumulative
+    # weight as fl(3/10) = 0.3, where a float cumsum of 1/10 gives
+    # 0.30000000000000004; at a level between the two every fold ecdf takes
+    # interval's quantile, 3.0, not 2.0
+    fits = singleton_fits(constant(0.0), np.arange(10.0))
+    part, res = fits.partition, fits.loo_residuals
+    level = 0.30000000000000004 + 1e-12
+    atoms = interval_atoms(CV, fits)
+    assert interval(CV, fits, X0, level, 1.0).lo == 3.0
+    ecdfs = [fold_ecdf([res[f] for f in part.folds]), uniform_ecdf(res),
+             weighted_ecdf(res, part.atom_units, part.unit_total)]
+    for F in ecdfs:
+        assert F.cum.tobytes() == atoms.cum[atoms.run_ends()].tobytes()
+        assert quantile(F, level) == 3.0
+    # F(Q_{0.95} + 0.2) - F((Q_level - 0.2)-) = F(9.2) - F(2.8-) = 1 - fl(3/10)
+    assert coverage_ceiling(fits, level, 0.95, 0.1) == 1.0 - 0.3
+
+
 def test_interval_shrunken_can_be_empty():
     fits = singleton_fits(constant(0.0), [0.0, 0.1])
     piv = interval(CV, fits, X0, 0.4, 0.6, -5.0)
@@ -266,7 +286,8 @@ def test_interval_matches_stepcdf_oracle(rule, lattice):
     n = fits.train.n
     # every cumulative fold weight and multiple of 1/n as either level, crossed
     # pairs, and levels near and outside the ends of (0, 1]
-    grid = sorted({j / n for j in range(n + 1)} | {float(c) for c in np.cumsum(fits.partition.atom_weights)})
+    part = fits.partition
+    grid = sorted({j / n for j in range(n + 1)} | {float(c) for c in np.cumsum(part.atom_units) / part.unit_total})
     pairs = [(a, 1.0) for a in grid] + [(0.0, b) for b in grid] + list(zip(grid, reversed(grid)))
     pairs += [(1e-13, 1.0), (0.0, 1e-13), (1e-13, 1.0 + 1e-13), (0.5, 1.0 + 1e-13), (-0.1, 0.5)]
     for method in ALL_METHODS:

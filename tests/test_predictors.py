@@ -98,15 +98,15 @@ def test_ridge_fold_fits_take_one_svd(monkeypatch):
 
 def test_partition_atom_weights():
     # an atom of fold j weighs the integer L/|K_j| out of W = kL, L the lcm of
-    # the fold sizes; atom_weights, that rational rounded once, keeps the bits
-    # of 1/(k |K_j|), for a callable partition and contiguous ones
+    # the fold sizes; that rational rounded once has the bits of 1/(k |K_j|),
+    # for a callable partition and contiguous ones
     for rule, n in [(unequal_folds, 10), *((k, n) for k in (2, 3, 7) for n in (k, 10, 23, 200, 1001))]:
         part = resolve_partition(rule, n)
         want = np.empty(n)
         for f in part.folds:
             want[f] = 1.0 / (part.k * f.size)
-        assert part.atom_weights.tobytes() == want.tobytes(), (rule, n)
-        assert not part.atom_weights.flags.writeable and not part.atom_units.flags.writeable
+        assert (part.atom_units / part.unit_total).tobytes() == want.tobytes(), (rule, n)
+        assert not part.atom_units.flags.writeable
         sizes = np.array([f.size for f in part.folds])
         assert part.unit_total == part.k * math.lcm(*sizes.tolist())
         assert np.all(part.atom_units * part.k * sizes[part.fold_of] == part.unit_total)
@@ -208,7 +208,8 @@ def test_canonical_order_is_the_lexsort_of_y_then_x():
 
 def test_ridge_fold_predictions_are_one_row_products_at_any_blas_thread_count():
     # every row of a block gets the bits of a one-row call (interval's),
-    # fallback folds included, and the same bits at 1 and 2 BLAS threads
+    # fallback folds included, in C order, in Fortran order and as a view
+    # whose rows are strided, and the same bits at 1 and 2 BLAS threads
     script = textwrap.dedent("""
         import hashlib, json, sys
         import numpy as np
@@ -235,6 +236,8 @@ def test_ridge_fold_predictions_are_one_row_products_at_any_blas_thread_count():
             P = fits.fold_predictions(X)
             one = np.stack([fits.fold_predictions(X[i].reshape(1, -1))[0] for i in range(len(X))])
             assert P.tobytes() == one.tobytes()
+            for other in (np.asfortranarray(X), np.repeat(X, 2, axis=1)[:, ::2]):
+                assert fits.fold_predictions(other).tobytes() == P.tobytes()
             out.append(hashlib.sha256(P.tobytes()).hexdigest())
         print(json.dumps(out))
     """)

@@ -155,9 +155,9 @@ def test_gauge_convergence_decreasing_for_stable():
 
 
 def test_gauge_convergence_oracle_errors_do_not_depend_on_blas_threads():
-    # a whole draw of 10,485 rows at p = 50 rounds x @ beta differently under
-    # a 2-thread OpenBLAS; the oracle errors are drawn and predicted in the
-    # chunks of a coverage pass, so they are the same bits at 1 and 2 threads
+    # a whole draw of 10,485 rows at p = 50, split across threads by a
+    # 2-thread OpenBLAS if x'beta were one matrix product; each row's is its
+    # own, so the oracle errors are the same bits at 1 and 2 threads
     script = textwrap.dedent("""
         import hashlib, json
         import numpy as np
@@ -181,6 +181,18 @@ def test_gauge_convergence_oracle_errors_do_not_depend_on_blas_threads():
         assert proc.returncode == 0, proc.stderr
         outputs.append(json.loads(proc.stdout))
     assert outputs[0] == outputs[1]
+
+
+def test_gauge_convergence_residual_ecdf_takes_interval_cumulative_weights(monkeypatch):
+    # F_hat's cumulative weights are fl(C / W), the ones interval reads, even
+    # at n = 10, where a float cumsum of 1/10 misses fl(3/10)
+    built = []
+    build = simlab.weighted_ecdf
+    monkeypatch.setattr(simlab, "weighted_ecdf", lambda *args: built.append(build(*args)) or built[-1])
+    gauge_convergence(constant(0.0), GAUSS1, [10], 0.1, train_reps=1, mc_oracle=50, seed=4)
+    fits = FoldFits(constant(0.0), GAUSS1.sample(10, stream(4, 0, 0)), FoldPartition.singletons(10))
+    atoms = simlab.interval_atoms(IntervalMethod("cv"), fits)
+    assert [F.cum.tobytes() for F in built] == [atoms.cum[atoms.run_ends()].tobytes()]
 
 
 def test_gauge_monotone_in_delta_per_rep():
@@ -604,57 +616,68 @@ def test_equivalence_rejects_bad_tolerances_before_any_rep(eps, stability_delta,
     assert calls == []
 
 
-def test_coverage_pass_and_gauge_oracle_take_one_chunk_rule(monkeypatch):
-    # 4 blocks of 655 rows at n = 200; a pass and the gauge oracle both draw
-    # their test rows in chunks of simlab.chunk_rows(n)
+def test_coverage_pass_draws_chunks_and_gauge_oracle_one_draw(monkeypatch):
+    # 4 blocks of 655 rows at n = 200; a pass draws its test rows in chunks
+    # of simlab.chunk_rows(n), and the gauge oracle its rows in one draw
     assert simlab.chunk_rows(200) == 2620
-    rows = []
-    draw_chunks = DgpSpec.draw_chunks
+    rows, sizes = [], []
+    draw_chunks, draw = DgpSpec.draw_chunks, DgpSpec.draw
     monkeypatch.setattr(DgpSpec, "draw_chunks", lambda self, m, rng, r: rows.append(r) or draw_chunks(self, m, rng, r))
+    monkeypatch.setattr(DgpSpec, "draw", lambda self, m, rng: sizes.append(m) or draw(self, m, rng))
     monkeypatch.setattr(simlab, "chunk_rows", lambda n: 8 * n)
     coverage_distribution(ridge(0.5), GAUSS, 12, IntervalMethod("cv_plus"), 0.05, 0.95, 0.0,
                           train_reps=1, mc_test=300, seed=2)
+    assert rows == [96] and sizes[1:] == [96, 96, 96, 12]  # the training set, then the chunks
+    rows.clear()
+    sizes.clear()
     gauge_convergence(ridge(0.5), GAUSS, [10, 20], 0.1, train_reps=1, mc_oracle=300, seed=2)
-    assert rows == [96, 80, 160]
+    assert rows == [] and sizes == [10, 300, 20, 300]
 
 
 TIE_LEVELS = ((0.05, 0.95), (0.1, 0.8))
 
 
-def _tied_case(p, rule, d, symmetrized):
-    """A ridge fit and test rows whose responses sit exactly on an end of
-    their cv_plus interval, computed by ``interval`` from its one-row fold
-    predictions: every row has an atom exactly at a comparison's edge."""
+def _tied_case(p, rule, d, method, fortran):
+    """A ridge fit and test rows (x in Fortran order if ``fortran``) whose
+    responses sit exactly on an end of their ``method`` interval, computed by
+    ``interval`` from its one-row predictions: every row has a comparison
+    decided by a tie."""
     dgp = DgpSpec("gaussian_linear", {"beta": [1 / math.sqrt(p)] * p, "sigma": 1.0})
     n, m = 60, 400
     fits = FoldFits(ridge(0.5), dgp.sample(n, stream(21, p)), resolve_partition(rule, n))
     y_test, x_test = dgp.draw(m, stream(21, p, 1))
     y_test = y_test.copy()
-    method = IntervalMethod("cv_plus", symmetrized=symmetrized)
+    if fortran:
+        x_test = np.asfortranarray(x_test)
     for i in range(m):
         ends = interval(method, fits, x_test[i], *TIE_LEVELS[i % 2], d)
         y_test[i] = ends.lo if i % 4 < 2 else ends.hi
-    return fits, x_test, y_test, method
+    return fits, x_test, y_test
 
 
 @pytest.mark.parametrize("p", [2, 50])
 @pytest.mark.parametrize("rule", ["jackknife", 7])
 def test_engine_hits_equal_interval_at_exact_ties(p, rule):
-    # block products round differently in the last bits from interval's
-    # one-row products; the screen hands every row with an atom inside its
-    # band to the exact one-row path, so ties resolve as interval resolves them
-    for symmetrized in (False, True):
-        for d in (0.0, 0.1):
-            fits, x_test, y_test, method = _tied_case(p, rule, d, symmetrized)
-            # an exceedance tolerance equal to one of the fold-prediction gaps
-            gaps = np.abs(fits.fold_predictions(x_test) - fits.full_model.predict(x_test)[:, None])
-            delta = float(np.sort(gaps, axis=None)[gaps.size // 2])
-            engine = CoverageEngine(fits, x_test, y_test, cv_plus=[d], symmetrized=symmetrized, exceed_delta=delta)
-            for a1, a2 in TIE_LEVELS:
-                want = np.mean([interval(method, fits, x, a1, a2, d).contains(y) for y, x in zip(y_test, x_test)])
-                assert engine.coverage(method, a1, a2, d) == want, (symmetrized, d, a1, a2)
-            np.testing.assert_array_equal(engine.fold_exceedance(), (gaps > delta).mean(axis=0))
-            assert engine.recounted == y_test.size  # every row has an atom on its edge
+    # the full-data predictions are one-row products in a block as alone, and
+    # the screen hands every row with an atom inside its band to the exact
+    # one-row fold predictions, so for every base, and x in either memory
+    # order, ties resolve as interval resolves them
+    cases = itertools.product(("cv", "cv_plus", "fitted_values"), (False, True), (0.0, 0.1), (False, True))
+    for base, symmetrized, d, fortran in cases:
+        method = IntervalMethod(base, symmetrized)
+        fits, x_test, y_test = _tied_case(p, rule, d, method, fortran)
+        # an exceedance tolerance equal to one of the fold-prediction gaps
+        gaps = np.abs(fits.fold_predictions(x_test) - fits.full_model.predict(x_test)[:, None])
+        delta = float(np.sort(gaps, axis=None)[gaps.size // 2])
+        engine = CoverageEngine(fits, x_test, y_test, cv_plus=[d] if base == "cv_plus" else [],
+                                symmetrized=symmetrized, exceed_delta=delta)
+        case = (method, d, fortran)
+        for a1, a2 in TIE_LEVELS:
+            want = np.mean([interval(method, fits, x, a1, a2, d).contains(y) for y, x in zip(y_test, x_test)])
+            assert engine.coverage(method, a1, a2, d) == want, (*case, a1, a2)
+        np.testing.assert_array_equal(engine.fold_exceedance(), (gaps > delta).mean(axis=0))
+        if base == "cv_plus":
+            assert engine.recounted == y_test.size, case  # every row has an atom on its edge
 
 
 def _tied_case_responses(fits, x_test):
