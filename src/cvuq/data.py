@@ -226,8 +226,11 @@ def row_products(x: np.ndarray, beta: np.ndarray) -> np.ndarray:
     """x'beta for each row of the (m, p) x, each row its own dot product, so
     a row has the same bits alone or in any block, at any BLAS thread count
     up to p = 10,000 (past that OpenBLAS 0.3.31 splits one dot across
-    threads).  Rows whose entries are not adjacent in memory are copied
-    first: a strided dot rounds differently."""
+    threads).  ``beta`` broadcasts against the rows as a vector argument of
+    ``np.vecdot``: a (p,) vector gives (m,) products, an (m, p) array one
+    vector per row, and (k, 1, p) a (k, m) block.  Rows of x or beta whose
+    entries are not adjacent in memory are copied first: a strided dot
+    rounds differently."""
     return np.vecdot(unit_stride_rows(x), np.ascontiguousarray(beta, dtype=float))
 
 

@@ -26,10 +26,8 @@ kinds and dirac_threshold; one refit per fold for knn_mean and callables.  A
 FoldFits is the only input of the interval constructions in
 :mod:`cvuq.intervals`, which read from it what their method needs.  Its
 ``fold_predictions`` are exact: each row is computed on its own, so it has
-the same bits in any block, as a ridge fit's ``predict`` has
-(:func:`cvuq.data.row_products`); ``screened_predictions`` gives a cheaper block
-of them less the full-data prediction (float32 for ridge) with a per-row
-bound on its distance from the exact differences.
+the same bits in any block; for ridge every x'c, full-data or leave-fold-out,
+is one dot product per row (:func:`cvuq.data.row_products`).
 """
 
 from __future__ import annotations
@@ -42,7 +40,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .data import TrainingSet, row_products, unit_stride_rows
+from .data import TrainingSet, row_products
 from .ecdf import fold_units
 from .errors import DegenerateFit, DimensionMismatch, EmptyFold, FoldLeavesNothing, MalformedInput
 
@@ -51,14 +49,6 @@ PREDICTOR_KINDS = ("ridge", "knn_mean", "max_response", "neg_max_response", "dir
 # X'X + cI counts as singular when (d_min^2 + c)/(d_max^2 + c) < PIVOT_RTOL^2,
 # d_min = 0 if rank X < p: [X; sqrt(c) I] has condition number > 1/PIVOT_RTOL.
 PIVOT_RTOL = 1e-12
-
-# The float32 screen of ridge fold predictions (FoldFits.screened_predictions)
-# certifies a row only while its feature norm, and its product with the
-# largest coefficient norm, stay below this: no cast, product or sum in
-# float32 (largest finite value about 2^128) can then overflow.
-SCREEN_LIMIT = 2.0**100
-_U32, _U64 = 2.0**-24, 2.0**-53  # unit roundoffs of float32 and float64
-_ETA32 = 2.0**-149  # bounds a float32 underflow: the smallest subnormal
 
 # Smallest eigenvalue of a ridge fold's Woodbury capacitance matrix
 # I - Z_f'Z_f (equivalently I - Z_f Z_f'), relative to its largest when p >= n,
@@ -138,29 +128,6 @@ def dirac_threshold(level: float) -> PredictorSpec:
 
 def constant(value: float) -> PredictorSpec:
     return PredictorSpec("constant", {"value": float(value)})
-
-
-def _ridge_screen(coef: np.ndarray, beta: np.ndarray):
-    """What :meth:`FoldFits.screened_predictions` reads for (p, k) ridge fold
-    coefficients and the full-data ``beta``: the float32 (k, p) differences
-    c_j - beta, the bound's slope in the row norm and its constant term, and
-    the largest row norm it certifies; None when it would certify no row
-    (a norm or p u too large)."""
-    p = coef.shape[0]
-    diff = coef - beta[:, None]
-    # the largest fold difference, fold coefficient and full-data norms; 2^-20
-    # covers the float64 rounding of the norms, of the differences and of the bound
-    D, C, B = (float(np.sqrt(np.einsum("ij,ij->j", a, a).max())) * (1 + 2.0**-20)
-               for a in (diff, coef, beta[:, None]))
-    top = max(1.0, C, B)
-    if not (p * _U32 < 0.5 and top < SCREEN_LIMIT):
-        return None
-    g32, g64 = p * _U32 / (1 - p * _U32), p * _U64 / (1 - p * _U64)
-    slope = ((g32 * (1 + _U32) ** 2 + 2 * _U32 + _U32**2) * D + g64 * (C + B)) * (1 + 2.0**-20)
-    absolute = 4 * (1 + g32) * _ETA32  # twice the derived 2 (1 + gamma_p) eta: room for float64 underflow
-    root_p = math.sqrt(p)
-    return (np.ascontiguousarray(diff.T, dtype=np.float32), slope + absolute * root_p, absolute * (root_p * D + p),
-            SCREEN_LIMIT / top)
 
 
 def _canonical_order(train: TrainingSet) -> np.ndarray:
@@ -381,7 +348,8 @@ class FoldFits:
       ``WOODBURY_MIN_EIG``, when its own X'X + cI may count as singular (by
       the bound eig * (d_min^2 + c) on its smallest eigenvalue), or when its
       size's X'X + cI does; a refit raises ``DegenerateFit`` as a direct fit
-      would.  ``fallback_folds`` lists them.
+      would.  ``fallback_folds`` lists them, and ``coef`` holds the (p, k)
+      leave-fold-out coefficients (None for every other kind).
     * constant, max_response, neg_max_response: O(n) closed forms.
     * dirac_threshold: fold j predicts level * 1{x1 < t_j}, with t_j the
       size n - |K_j| of its training rows or the fixed threshold.
@@ -395,12 +363,11 @@ class FoldFits:
         self.train = train
         self.partition = partition
         kind = spec.kind if isinstance(spec, PredictorSpec) else None
-        self._coef = self._values = self._thresholds = self._screen = None
+        self.coef = self._values = self._thresholds = None
         self._fallback = ()
         if kind == "ridge":
-            self.full_model, self._coef, self._fallback = self._ridge_fits()
-            self._screen = _ridge_screen(self._coef, self.full_model.beta)
-            self.loo_residuals = train.y - np.einsum("ij,ji->i", train.x, self._coef[:, partition.fold_of])
+            self.full_model, self.coef, self._fallback = self._ridge_fits()
+            self.loo_residuals = train.y - row_products(train.x, self.coef.T[partition.fold_of])
             return
         self.full_model = fit(spec, train)
         if kind in ("constant", "max_response", "neg_max_response"):
@@ -425,14 +392,16 @@ class FoldFits:
         return fit(self.spec, self.train.subset(np.delete(np.arange(self.train.n), fold)))
 
     def _ridge_fits(self) -> tuple[FittedRidge, np.ndarray, tuple]:
-        """The full-data fit, the (p, k) leave-fold-out coefficients and the
-        folds refitted from their own rows, from one thin SVD of X."""
+        """The full-data fit, the (p, k) leave-fold-out coefficients (the
+        transpose of C-contiguous (k, p) rows, which row products read with
+        unit stride) and the folds refitted from their own rows, from one thin
+        SVD of X."""
         lam = self.spec.lam
         train, folds = self.train, self.partition.folds
         U, d, vt, uty = _ridge_svd(train)
         # ridge_coefficients' expression, so a full-data DegenerateFit comes first
         full = FittedRidge(_ridge_solve(d, vt, uty, lam * train.n))
-        coef = np.empty((train.p, len(folds)))
+        coef = np.empty((len(folds), train.p))
         sizes = np.array([f.size for f in folds])
         square = d.size == train.n  # p >= n: U is orthogonal, so U_f U_f' = I
         fallback = []
@@ -463,12 +432,12 @@ class FoldFits:
                 eig[:, 0] * lo >= PIVOT_RTOL**2 * hi)
             Z, Zt, M, r = Z[ok], Zt[ok], M[ok], r[ok, :, None]
             v = Zt @ np.linalg.solve(M, r) if small else np.linalg.solve(M, Zt @ r)
-            coef[:, members[ok]] = vt.T @ ((d * h2 * uty)[:, None] - h[:, None] * v[..., 0].T)
+            coef[members[ok]] = (vt.T @ ((d * h2 * uty)[:, None] - h[:, None] * v[..., 0].T)).T
             fallback.extend(members[~ok])
         fallback = tuple(sorted(int(j) for j in fallback))
         for j in fallback:
-            coef[:, j] = self._refit(folds[j]).beta
-        return full, coef, fallback
+            coef[j] = self._refit(folds[j]).beta
+        return full, coef.T, fallback
 
     def _complement_values(self, kind: str) -> np.ndarray:
         """Per-fold value of a fit on the rows outside the fold."""
@@ -490,13 +459,11 @@ class FoldFits:
         are the exact values: each row's is its own computation, so a row
         gets the same bits in any block, alone (as :func:`cvuq.intervals.interval`
         asks for it) or among others, in any memory order, at any BLAS
-        thread count.  For ridge that is one matrix-vector product per row,
-        ``np.matmul`` of the (k, p) coefficients with the stacked (p, 1) rows,
-        read with unit stride (:func:`cvuq.data.unit_stride_rows`)."""
-        if self._coef is not None:
-            X = unit_stride_rows(X)
-            P = np.empty((self.partition.k, X.shape[0]))
-            np.matmul(self._coef.T, X[:, :, None], out=P.T[:, :, None])
+        thread count.  For ridge that is one dot product per row and fold,
+        :func:`cvuq.data.row_products` of the rows and each fold's
+        coefficients, the bits of the leave-fold-out residuals."""
+        if self.coef is not None:
+            P = row_products(X, self.coef.T[:, None, :])
         elif self._values is not None:
             P = self._values[:, None].repeat(X.shape[0], axis=1)
         elif self._thresholds is not None:
@@ -504,52 +471,6 @@ class FoldFits:
         else:
             P = np.stack([m.predict(X) for m in self._models])
         return P.T
-
-    @property
-    def screen_dtype(self) -> np.dtype:
-        """The dtype of :meth:`screened_predictions`' values."""
-        return np.dtype(np.float64 if self._screen is None else np.float32)
-
-    def screened_predictions(self, X: np.ndarray, full: np.ndarray, out: np.ndarray | None = None
-                             ) -> tuple[np.ndarray, np.ndarray]:
-        """``(values, bound)``: a C-contiguous (k, m) block of the fold
-        predictions at the rows of X less ``full``, their full-data
-        predictions computed in float64 in any summation order (as
-        ``full_model.predict`` does), new or ``out`` (a C-contiguous block of
-        that shape and of dtype :attr:`screen_dtype`); and, per row, a bound
-        on the distance of each of the row's values from its exact one, the
-        row of :meth:`fold_predictions` less ``full``; inf where none is
-        certified.
-
-        Ridge values are float32, from one sgemm of the float32 differences
-        c_j - beta of the fold and full-data coefficients and the float32
-        rows.  With u and eta the unit roundoff and smallest subnormal of
-        float32, gamma_p = p u / (1 - p u) (Higham, Accuracy and Stability of
-        Numerical Algorithms, 2nd ed., section 3.1) and gamma_p(U) that of
-        float64, a float32 value is within
-        (gamma_p (1 + u)^2 + 2u + u^2) sum_l |d_l x_l| + 2 (1 + gamma_p) eta
-        (||d||_1 + ||x||_1 + p) of the real product d'x, d = c_j - beta (the
-        casts of d and x, then the product in any summation order, underflows
-        included); the exact fold prediction is within
-        gamma_p(U) sum_l |c_l x_l| of c_j'x, and ``full`` within
-        gamma_p(U) sum_l |beta_l x_l| of beta'x.  By Cauchy-Schwarz the bound
-        is that with each sum at most ||x|| times the largest norm of its
-        coefficients, and ||d||_1 <= sqrt(p) ||d||, slightly widened for the
-        rounding of the norms.  The differences are small next to the
-        coefficients (leaving out a fold moves the fit little), and so is the
-        bound.  Rows whose norm, or norm times a coefficient norm, reaches
-        ``SCREEN_LIMIT`` get inf.  Every other kind, and ridge whose
-        coefficients are past the limit, returns the float64 differences
-        fl(exact - full), within 2^-52 of their largest magnitude."""
-        if self._screen is None:
-            values = np.subtract(self.fold_predictions(X).T, full, out=out)
-            return values, 2.0**-52 * np.max(np.abs(values), axis=0)
-        diff32, slope, constant, limit = self._screen
-        X = np.asarray(X, dtype=float)
-        with np.errstate(over="ignore", invalid="ignore"):
-            values = np.matmul(diff32, X.astype(np.float32).T, out=out)
-            norms = np.sqrt(np.einsum("ij,ij->i", X, X))
-        return values, np.where(norms < limit, slope * norms + constant, np.inf)
 
     def fitted_values(self) -> np.ndarray:
         return self.full_model.predict(self.train.x)

@@ -36,28 +36,46 @@ the narrowest unsigned integer type that holds n (uint8 up to n = 255),
 exact and fast to sum, and after the pass each row's run counts are weighted
 once into the narrowest type that holds W.
 
-The pass never forms the exact atoms of a whole block.  It reads screened
-fold predictions less the full-data prediction f of each row, s (float32
-for ridge, from one sgemm of the coefficient differences; float64 for the
-other kinds), each within a per-row bound e of its exact value v - f
-(:meth:`cvuq.predictors.FoldFits.screened_predictions`), forms the offsets
-fl(s + u) of the atoms from f in the block's dtype, and compares them with
-per-row thresholds widened by a band M: with the edge t = y - f + d for
-fl(a - d) <= y and t = y - f - d for fl(a + d) < y,
+Ridge fits are screened in float32; every other kind, and ridge whose
+coefficients the screen cannot take, is counted from the exact fold
+predictions (:meth:`cvuq.predictors.FoldFits.fold_predictions`) one block
+of rows at a time.  The screen never forms the exact atoms of a whole block.
+With c_j the fold coefficients, beta the full-data ones and x a test row,
+one sgemm gives s = d_j'x in float32 for every fold and row, d_j = c_j -
+beta, in place of v - f: the exact fold prediction v (c_j'x in float64)
+less the full-data one f (beta'x in float64).  Let u and eta be the unit roundoff and the
+smallest subnormal of float32, U that roundoff of float64, gamma_p =
+p u / (1 - p u) and Gamma_p = p U / (1 - p U) (Higham, Accuracy and
+Stability of Numerical Algorithms, 2nd ed., section 3.1).  Casting d and x
+to float32, then the product in any summation order, underflows included,
+leaves s within (gamma_p (1 + u)^2 + 2u + u^2) sum_l |d_l x_l| +
+2 (1 + gamma_p) eta (||d||_1 + ||x||_1 + p) of d'x; v is within Gamma_p
+sum_l |c_l x_l| of c_j'x and f within Gamma_p sum_l |beta_l x_l| of beta'x.
+By Cauchy-Schwarz each sum is at most ||x|| times the largest norm of its
+coefficients, D = max ||d_j||, C = max ||c_j|| and B = ||beta||, and
+||d||_1 <= sqrt(p) D, so s is within
+
+    e = (1 + 2^-20) ((gamma_p (1 + u)^2 + 2u + u^2) D + Gamma_p (C + B)) ||x||
+        + 4 (1 + gamma_p) eta (sqrt(p) (||x|| + D) + p)
+
+of v - f, the 2^-20 and the doubled eta term covering the float64 rounding
+of the norms and of e itself.  Leaving out a fold moves a stable fit little,
+so D and e are small.  The pass forms the offsets fl(s + u) of the atoms from
+f in float32 and compares them with per-row thresholds widened by a band M:
+with the edge t = y - f + d for fl(a - d) <= y and t = y - f - d for
+fl(a + d) < y,
 
     fl(s + u) <= fl(t - M)  implies the exact comparison holds,
     fl(s + u) >  fl(t + M)  implies it fails,
 
-with t and t -+ M computed in float64 and rounded to nearest into the
-block's dtype.  The band: rounding to nearest is monotone and moves a value
-x by at most u_b |x| + eta_b (u_b and eta_b the unit roundoff and smallest
-subnormal of the block's dtype), so fl(s + u) <= fl(t - M) gives
-s + u <= t - M + u_b (2 |t| + 2M + |u|) + 3 eta_b; then
-v - f + u <= s + u + e, and the float64 roundings of y - f, of fl(v + u)
-and of its shift by d add at most 10 U (|y| + |f| + |d|) + 2 eta (U and
-eta those of float64).  So
+with t and t -+ M computed in float64 and rounded to nearest into float32.
+The band: rounding to nearest is monotone and moves a value x by at most
+u |x| + eta, so fl(s + u) <= fl(t - M) gives s + u <= t - M +
+u (2 |t| + 2M + |u|) + 3 eta; then v - f + u <= s + u + e, and the float64
+roundings of y - f, of fl(v + u) and of its shift by d add at most
+10 U (|y| + |f| + |d|) + 2 eta' (eta' the smallest float64 subnormal).  So
 
-    M = (1 + 2^-16) (e + 20 u_b (|y - f| + |d| + max |u| + e) + 6 eta_b)
+    M = (1 + 2^-16) (e + 20 u (|y - f| + |d| + max |u| + e) + 6 eta)
         + 20 U (|y| + |f| + |d|)
 
 exceeds their sum strictly, and the same holds on the other side.  The
@@ -65,12 +83,15 @@ exceedance |fl(v - f)| > delta is decided likewise from |s| against
 delta -+ M, with delta in place of |y - f| + |d| + max |u|.  A row is
 decided when the counts at its two thresholds agree for every tolerance
 and side, and the exceedance's for every fold; at d = 0 the two sides share
-one pair of comparisons, since a decided row has no atom equal to y.  A row
-with a value inside its band, or whose magnitudes reach
-``cvuq.predictors.SCREEN_LIMIT`` (where float32 could overflow), is
-recounted from ``fold_predictions`` of just such rows of its chunk, with the
-exact comparisons.  Leaving out a fold moves a stable fit little, so s and
-its bound are small: at n = 200, p = 50 about 0.1% of rows are recounted.
+one pair of comparisons, since a decided row has no atom equal to y.
+
+Float32 overflows near 2^128.  The screen runs only while p u < 1/2 and
+max(1, C, B) < ``SCREEN_LIMIT`` = 2^100, and takes a row only while
+max(1, C, B) ||x|| + e + |y| + |f| + max |d| + max |u| + delta stays below
+``SCREEN_LIMIT``: then no cast, product, sum or threshold overflows.  A row
+with a value inside its band, or past that limit, is recounted from
+``fold_predictions`` of just such rows of its chunk, with the exact
+comparisons.  At n = 200, p = 50 about 0.1% of rows are recounted.
 
 The pass draws the test set chunk by chunk from the DGP (see
 :meth:`CoverageEngine.drawn`) and counts the cv_plus atoms at the
@@ -100,7 +121,7 @@ from .ecdf import LEVEL_GUARD, uniform_ecdf, weighted_ecdf
 from .errors import InvalidTolerance
 from .intervals import IntervalMethod, check_nominal, checked_delta, interval, interval_atoms, interval_ends
 from .levy_gauge import gauge
-from .predictors import SCREEN_LIMIT, FoldFits
+from .predictors import FoldFits
 from .rng import indexed_map, stream
 from .stability import equivalence_bound, resolve_partition, se_of_mean
 
@@ -146,18 +167,43 @@ def resolve_delta(delta, residuals) -> float:
     return checked_delta(d, delta)
 
 
-def _band_terms(dtype) -> tuple[float, float, float]:
-    """(a, b, c) with a e + b s + c the band M of the module docstring for a
-    block of ``dtype``, at bound e and scale s: no value within M of a
-    threshold is compared, even after the threshold's own rounding into
-    ``dtype``."""
-    info, slack = np.finfo(dtype), 1 + 2.0**-16
-    return slack * (1 + 10 * info.eps), slack * 10 * info.eps, slack * 6 * float(info.smallest_subnormal)
+# The float32 screen (module docstring) runs while its magnitudes stay below
+# this, far enough under float32's largest finite value (about 2^128) that
+# no cast, product, sum or threshold overflows.
+SCREEN_LIMIT = 2.0**100
+_U32, _U64 = 2.0**-24, 2.0**-53  # unit roundoffs of float32 and float64
+_ETA32 = 2.0**-149  # bounds a float32 underflow: the smallest subnormal
+# The band M of the module docstring is _BAND_E e + _BAND_S s + _BAND_ETA +
+# _BAND_U64 s64 at bound e, float32 scale s = |y - f| + |d| + max |u| and
+# float64 scale s64 = |y| + |f| + |d|.
+_SLACK = 1 + 2.0**-16
+_BAND_E, _BAND_S, _BAND_ETA = _SLACK * (1 + 20 * _U32), _SLACK * 20 * _U32, _SLACK * 6 * _ETA32
+_BAND_U64 = _SLACK * 20 * _U64
 
 
-_BAND_TERMS = {np.dtype(t): _band_terms(t) for t in (np.float32, np.float64)}
-# The band's term for the float64 roundings of y - f and of the exact atoms
-_FLOAT64_BAND = _BAND_TERMS[np.dtype(np.float64)][1]
+def _ridge_screen(fits: FoldFits):
+    """The float32 screen of a ridge ``fits``, as the module docstring
+    derives it: the (k, p) float32 differences c_j - beta of its fold and
+    full-data coefficients, the bound e's slope in the row norm and its
+    constant term, and max(1, C, B); None for any other kind, or when the
+    screen would take no row (p u or a coefficient norm too large)."""
+    if fits.coef is None:
+        return None
+    coef, beta = fits.coef, fits.full_model.beta
+    p = coef.shape[0]
+    diff = coef - beta[:, None]
+    # the largest fold difference, fold coefficient and full-data norms, widened by 2^-20
+    D, C, B = (float(np.sqrt(np.einsum("ij,ij->j", a, a).max())) * (1 + 2.0**-20)
+               for a in (diff, coef, beta[:, None]))
+    top = max(1.0, C, B)
+    if not (p * _U32 < 0.5 and top < SCREEN_LIMIT):
+        return None
+    g32, g64 = p * _U32 / (1 - p * _U32), p * _U64 / (1 - p * _U64)
+    slope = ((g32 * (1 + _U32) ** 2 + 2 * _U32 + _U32**2) * D + g64 * (C + B)) * (1 + 2.0**-20)
+    absolute = 4 * (1 + g32) * _ETA32
+    root_p = math.sqrt(p)
+    return (np.ascontiguousarray(diff.T, dtype=np.float32), slope + absolute * root_p, absolute * (root_p * D + p),
+            top)
 
 
 class CoverageEngine:
@@ -188,18 +234,19 @@ class CoverageEngine:
     pass also counts, per fold, the test points whose fold prediction is more
     than ``exceed_delta`` from the full-data one.
 
-    Both come from the screened blocks of fold predictions less the
-    full-data one, :meth:`cvuq.predictors.FoldFits.screened_predictions`
-    (float32 for ridge), compared with per-row thresholds widened by the
-    band of the module docstring, and equal those computed from the exact
+    Both equal those computed from the exact
     :meth:`~cvuq.predictors.FoldFits.fold_predictions`, which are
-    :func:`cvuq.intervals.interval`'s: a row with a value inside its band,
-    or one that cannot be screened, is recounted from the exact predictions
-    of just such rows of its chunk.  ``recounted`` is how many rows the pass
-    recounted.
+    :func:`cvuq.intervals.interval`'s.  For ridge they come from float32
+    blocks of fold predictions less the full-data one, compared with per-row
+    thresholds widened by the band of the module docstring; a row with a
+    value inside its band, or past ``SCREEN_LIMIT``, is recounted from the
+    exact predictions of just such rows of its chunk.  Every other kind is
+    counted from the exact predictions one block at a time.  ``recounted`` is
+    how many rows the pass counted from exact predictions: all m without the
+    screen.
 
     Memory is O(block) plus about 20 B per test row: a few scratch blocks
-    (float32 for ridge: 512 KiB at 131k cells) and one chunk (2,620 rows at
+    (float32: 512 KiB at 131k cells) and one chunk (2,620 rows at
     n = 200, 1.07 MB at p = 50), then y and the full-data prediction (8 B
     each) and the counts (1 B per tolerance, side and weight run up to
     n = 255 during the pass; then 1 B per tolerance and side for the
@@ -282,23 +329,30 @@ class CoverageEngine:
     def _pass(self, chunks) -> None:
         """The engine's one pass over the chunks of the test set: it keeps y
         and the full-data predictions of each chunk and, when fold
-        predictions are needed, screens the chunk (:meth:`_screen`); then it
-        weighs each row's run counts once."""
+        predictions are needed, counts the chunk, screened (:meth:`_screen`)
+        or exactly by blocks (:meth:`_recount`); then it weighs each row's
+        run counts once."""
         m, rows = self.m, chunk_rows(self.u.size)
+        width = rows // CHUNK_BLOCKS
         self.y_test, self.full = np.empty(m), np.empty(m)
         counts = np.empty((len(self.cv_plus), 2, len(self._runs), m), self._count_type)
         exceed = np.zeros(self.partition.k, dtype=np.intp)
-        scratch = None
-        if self.cv_plus or self.exceed_delta is not None:  # fold predictions are needed
-            scratch = self._scratch(min(rows // CHUNK_BLOCKS, m), min(rows, m))
+        counted = bool(self.cv_plus) or self.exceed_delta is not None  # fold predictions are needed
+        screen = _ridge_screen(self.fits) if counted else None
+        scratch = self._scratch(min(width, m), min(rows, m)) if screen is not None else None
         start = 0
         for y_chunk, x_chunk in chunks(rows):
             chunk = slice(start, start + y_chunk.size)
             self.y_test[chunk] = y_chunk
             full = self.full[chunk]
             full[:] = self.fits.full_model.predict(x_chunk)
-            if scratch is not None:
-                exceed += self._screen(x_chunk, y_chunk, full, counts[..., chunk], scratch)
+            if screen is not None:
+                exceed += self._screen(x_chunk, y_chunk, full, counts[..., chunk], screen, scratch)
+            elif counted:
+                for at in range(0, y_chunk.size, width):
+                    block = slice(at, at + width)
+                    exceed += self._recount(x_chunk[block], y_chunk[block], full[block], counts[..., chunk], block)
+                self.recounted += y_chunk.size
             start = chunk.stop
             del x_chunk  # freed before the next chunk is drawn
         # the weight of a row's counted atoms: an integer of at most W <= 2^53
@@ -309,50 +363,50 @@ class CoverageEngine:
         self._exceed = exceed / m if self.exceed_delta is not None else None
 
     def _scratch(self, width: int, rows: int) -> dict:
-        """The pass's scratch, allocated once in the screen's dtype: blocks
-        of ``width`` test rows, and per-row arrays of a chunk of at most
-        ``rows`` rows."""
-        n, k, dtype = self.u.size, self.partition.k, self.fits.screen_dtype
-        return {"width": width, "values": np.empty(k * width, dtype), "floats": np.empty((n, width), dtype),
-                "hits": np.empty((2, n, width), bool),
-                "res": self._res.astype(dtype)[:, None], "per_fold": np.min_scalar_type(width),
+        """The screen's scratch, allocated once: float32 blocks of ``width``
+        test rows, and per-row arrays of a chunk of at most ``rows`` rows."""
+        n, k = self.u.size, self.partition.k
+        return {"width": width, "values": np.empty(k * width, np.float32),
+                "floats": np.empty((n, width), np.float32), "hits": np.empty((2, n, width), bool),
+                "res": self._res.astype(np.float32)[:, None], "per_fold": np.min_scalar_type(width),
                 "ok": np.empty(rows, bool), "spread": np.empty(rows, bool),
                 "exceed": np.empty((2, rows), np.min_scalar_type(k)),  # no count exceeds k
                 "maybe": np.empty((len(self.cv_plus), 2, len(self._runs), rows), self._count_type)}
 
-    def _screen(self, x, y, full, counts, scratch) -> np.ndarray:
+    def _screen(self, x, y, full, counts, screen, scratch) -> np.ndarray:
         """Count one chunk into ``counts``, its (tolerances, 2, runs, rows) slice,
-        from blocks of screened fold predictions compared with thresholds
-        widened by the band of the module docstring, then recount exactly
-        the rows the screen cannot decide; return the chunk's per-fold
-        exceedance counts."""
+        from float32 blocks of fold predictions less the full-data one
+        compared with thresholds widened by the band of the module docstring
+        (``screen`` from :func:`_ridge_screen`), then recount exactly the rows
+        the screen cannot decide; return the chunk's per-fold exceedance
+        counts."""
         k, m, delta, width = self.partition.k, y.size, self.exceed_delta, scratch["width"]
-        dtype = scratch["values"].dtype
-        a, b, c = _BAND_TERMS[dtype]
+        diff32, slope, constant, top = screen
         ok, spread, maybe = scratch["ok"][:m], scratch["spread"][:m], scratch["maybe"][..., :m]
         sure_ex, maybe_ex = scratch["exceed"][:, :m]
         exceed = np.zeros(k, dtype=np.intp)
-        with np.errstate(over="ignore", invalid="ignore"):  # rows that cannot be screened are recounted
-            # every magnitude below SCREEN_LIMIT: nothing in the comparisons overflows
+        with np.errstate(over="ignore", invalid="ignore"):  # rows past SCREEN_LIMIT are recounted
             y_abs, f_abs, rest = np.abs(y), np.abs(full), y - full
-            limit = SCREEN_LIMIT - float(np.max(y_abs + f_abs)) - (
-                max(map(abs, self.cv_plus), default=0.0) + self._res_top + (delta or 0.0))
+            # a row's magnitudes besides those of its products
+            sizes = y_abs + f_abs + (max(map(abs, self.cv_plus), default=0.0) + self._res_top + (delta or 0.0))
             # fl(a - d) <= y about where a - f crosses y - f + d, fl(a + d) < y where it crosses y - f - d
             edges = [[rest + d, rest - d] if d else [rest] for d in self.cv_plus]
             rest = np.abs(rest)
-            scales = [b * (rest + (abs(d) + self._res_top)) + (_FLOAT64_BAND * (y_abs + f_abs + abs(d)) + c)
+            scales = [_BAND_S * (rest + (abs(d) + self._res_top)) + (_BAND_U64 * (y_abs + f_abs + abs(d)) + _BAND_ETA)
                       for d in self.cv_plus]
             for at in range(0, m, width):
                 rows = slice(at, at + width)
                 w = min(width, m - at)
-                values, bound = self.fits.screened_predictions(x[rows], full[rows],
-                                                               out=scratch["values"][:k * w].reshape(k, w))
-                np.less(bound, limit, out=ok[rows])
-                bound = a * bound
+                block = x[rows]
+                values = np.matmul(diff32, block.astype(np.float32).T, out=scratch["values"][:k * w].reshape(k, w))
+                norms = np.sqrt(np.einsum("ij,ij->i", block, block))
+                bound = slope * norms + constant
+                np.less(top * norms + bound + sizes[rows], SCREEN_LIMIT, out=ok[rows])
+                bound *= _BAND_E
                 lo, hi = scratch["hits"][:, :, :w]
                 if delta is not None:  # |value| > delta about where it crosses delta
-                    band = bound + (b * delta + c)
-                    inside, outside = (delta - band).astype(dtype), (delta + band).astype(dtype)
+                    band = bound + (_BAND_S * delta + _BAND_ETA)
+                    inside, outside = (delta - band).astype(np.float32), (delta + band).astype(np.float32)
                     gap = np.abs(values, out=scratch["floats"][:k, :w])  # values are offsets from f
                     certain = np.greater(gap, outside, out=hi[:k])  # kept until the exceedance is counted
                     np.add.reduce(certain.view(np.uint8), axis=0, out=sure_ex[rows])
@@ -371,7 +425,7 @@ class CoverageEngine:
                     for i, ts in enumerate(edges):
                         band = bound + scales[i][rows]
                         for side, t in enumerate(ts):
-                            below, above = (t[rows] - band).astype(dtype), (t[rows] + band).astype(dtype)
+                            below, above = (t[rows] - band).astype(np.float32), (t[rows] + band).astype(np.float32)
                             self._tally(np.less_equal(atoms, below, out=lo), counts[i, side, :, rows])
                             self._tally(np.less_equal(atoms, above, out=hi), maybe[i, side, :, rows])
         unsure = ~ok
@@ -386,21 +440,20 @@ class CoverageEngine:
         redo = np.flatnonzero(unsure)
         if redo.size:
             self.recounted += redo.size
-            marked = spread[redo] if delta is not None else None
-            exceed += self._recount(x[redo], y[redo], full[redo], counts, redo, marked)
+            exceed += self._recount(x[redo], y[redo], full[redo], counts, redo, spread[redo])
         return exceed
 
-    def _recount(self, x, y, full, counts, rows, exceed_rows) -> np.ndarray:
+    def _recount(self, x, y, full, counts, rows, exceed_rows=True) -> np.ndarray:
         """Count the test rows ``rows`` (with features x, responses y and
         full-data predictions ``full``) into ``counts`` from their exact fold
         predictions, and return the per-fold exceedance counts of those that
-        ``exceed_rows`` marks."""
+        the mask ``exceed_rows`` marks (all of them by default)."""
         exact = self.fits.fold_predictions(x).T
         atoms = (exact if self.columns is None else exact[self.columns]) + self._res[:, None]
         for i, d in enumerate(self.cv_plus):
             counts[i, 0][:, rows] = self._tally(atoms - d <= y)
             counts[i, 1][:, rows] = self._tally(atoms + d < y)
-        if exceed_rows is None:
+        if self.exceed_delta is None:
             return 0
         return np.add.reduce((np.abs(exact - full) > self.exceed_delta) & exceed_rows, axis=1)
 

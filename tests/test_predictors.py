@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from cvuq import predictors
-from cvuq.data import DgpSpec, TrainingSet
+from cvuq.data import DgpSpec, TrainingSet, row_products
 from cvuq.errors import DegenerateFit, DimensionMismatch, EmptyFold, FoldLeavesNothing, MalformedInput, WeightSumError
 from cvuq.predictors import (
     FoldFits,
@@ -251,6 +251,27 @@ def test_ridge_fold_predictions_are_one_row_products_at_any_blas_thread_count():
         assert proc.returncode == 0, proc.stderr
         outputs.append(json.loads(proc.stdout))
     assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("p", [2, 50, 120])
+@pytest.mark.parametrize("rule", ["jackknife", 7])
+def test_ridge_leave_fold_out_products_follow_row_products(p, rule):
+    # every x'c of a fold's coefficients is one dot product per row, the
+    # rule of row_products: the leave-fold-out residuals are y less the
+    # own-fold predictions, and each fold's predictions are row_products of
+    # its coefficients, bit for bit
+    n = 200
+    dgp = DgpSpec("gaussian_linear", {"beta": [p ** -0.5] * p, "sigma": 1.0})
+    train = dgp.sample(n, stream(23, p))
+    fits = FoldFits(ridge(1e-8), train, resolve_partition(rule, n))
+    fold_of = fits.partition.fold_of
+    own = fits.fold_predictions(train.x)[np.arange(n), fold_of]
+    assert fits.loo_residuals.tobytes() == (train.y - own).tobytes()
+    assert own.tobytes() == row_products(train.x, fits.coef.T[fold_of]).tobytes()
+    X = dgp.draw(300, stream(23, p, 1))[1]
+    P = fits.fold_predictions(X)
+    for j in range(fits.partition.k):
+        assert P[:, j].tobytes() == row_products(X, fits.coef[:, j]).tobytes(), j
 
 
 def test_dimension_mismatch():

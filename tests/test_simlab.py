@@ -349,6 +349,8 @@ def test_kernel_matches_scalar_intervals_on_adversarial_inputs(case):
             for a1, a2 in pairs:
                 fast = engine.coverage(method, a1, a2, d)
                 assert fast == per_point_coverage(fits, method, a1, a2, d, x_test, y_test), (method, d, a1, a2)
+        if fits.coef is None:  # constant: every row counted from the exact fold predictions
+            assert engine.recounted == y_test.size
 
 
 def _fold_reader_case(rule, symmetrized):
@@ -402,6 +404,7 @@ def test_engine_reach_matches_interval_at_every_prefix_weight(rule):
                 reach = math.nextafter(reach, 2.0)
             levels += [math.nextafter(reach, 0.0), reach]
         engine = CoverageEngine(fits, x_test, y_test, cv_plus=[0.0], symmetrized=method.symmetrized)
+        assert engine.recounted == len(x_test)  # a callable: every row counted exactly
         for a1, a2 in [(a, 1.0) for a in levels] + [(0.0, a) for a in levels]:
             fast = engine.coverage(method, a1, a2, 0.0)
             assert fast == per_point_coverage(fits, method, a1, a2, 0.0, x_test, y_test), (method, a1, a2)
@@ -424,8 +427,8 @@ def test_cv_plus_coverages_share_one_pass(monkeypatch):
     # pass of fold predictions per engine serves every declared tolerance
     fits, x_test, y_test = _ridge_case(13, 4)
     rows = []
-    screened = fits.screened_predictions
-    monkeypatch.setattr(fits, "screened_predictions", lambda x, *a, **kw: rows.append(len(x)) or screened(x, *a, **kw))
+    predict = fits.full_model.predict
+    monkeypatch.setattr(fits.full_model, "predict", lambda x: rows.append(len(x)) or predict(x))
     levels = [(a1, a2, d) for d in (0.25, 0.0, -0.25) for a1, a2 in DEFAULT_PAIR_GRID]
     engines = {method: CoverageEngine(fits, x_test, y_test, cv_plus=(0.25, 0.0, -0.25),
                                       symmetrized=method.symmetrized) for method in CV_PLUS}
@@ -552,9 +555,8 @@ def test_engine_draws_and_predicts_its_test_set_once_whatever_the_query_order(mo
     drawn, predicted = [], []
     draw = DgpSpec.draw
     monkeypatch.setattr(DgpSpec, "draw", lambda self, rows, rng: drawn.append(rows) or draw(self, rows, rng))
-    screened = fits.screened_predictions
-    monkeypatch.setattr(fits, "screened_predictions",
-                        lambda x, *a, **kw: predicted.append(len(x)) or screened(x, *a, **kw))
+    predict = fits.full_model.predict
+    monkeypatch.setattr(fits.full_model, "predict", lambda x: predicted.append(len(x)) or predict(x))
     engine = CoverageEngine.drawn(fits, GAUSS, m, 20, 1, cv_plus=["iqr:0.1", 0.0], exceed_delta=0.1)
     cv = engine.coverage(IntervalMethod("cv"), 0.05, 0.95, 0.0)
     cvp = engine.coverage(IntervalMethod("cv_plus"), 0.05, 0.95, "iqr:0.1")
@@ -685,14 +687,17 @@ def _tied_case_responses(fits, x_test):
     return np.array([interval(CV_PLUS[0], fits, x, 0.05, 0.95).lo for x in x_test])
 
 
-@pytest.mark.parametrize("scale", [1e150, 1e-30])
-def test_screen_past_float32_range_stays_exact(scale):
+@pytest.mark.parametrize("lam,scale", [pytest.param(0.5, 1e150, id="1e+150"), pytest.param(0.5, 1e-30, id="1e-30"),
+                                       pytest.param(0.0, 1e-100, id="ridge0-1e-100")])
+def test_screen_past_float32_range_stays_exact(lam, scale):
     # at 1e150 the features overflow float32, so no row can be screened and
     # every row is recounted; at 1e-30 the float32 products underflow, which
-    # the bound's absolute term covers.  No RuntimeWarning may escape
+    # the bound's absolute term covers; at 1e-100 the coefficients (norm
+    # about 1.5e100) pass SCREEN_LIMIT, so every row is counted exactly.  No
+    # RuntimeWarning may escape
     n, m = 40, 600
     train = GAUSS.sample(n, stream(22, 0))
-    fits = FoldFits(ridge(0.5), TrainingSet(train.y, train.x * scale), resolve_partition(7, n))
+    fits = FoldFits(ridge(lam), TrainingSet(train.y, train.x * scale), resolve_partition(7, n))
     y_test, x_test = GAUSS.draw(m, stream(22, 1))
     x_test = x_test * scale
     gaps = np.abs(fits.fold_predictions(x_test) - fits.full_model.predict(x_test)[:, None])
@@ -704,7 +709,7 @@ def test_screen_past_float32_range_stays_exact(scale):
                 want = per_point_coverage(fits, CV_PLUS[0], a1, a2, d, x_test, y)
                 assert engine.coverage(CV_PLUS[0], a1, a2, d) == want, (scale, d, a1, a2)
         np.testing.assert_array_equal(engine.fold_exceedance(), (gaps > delta).mean(axis=0))
-        if scale > 1:
+        if scale != 1e-30:
             assert engine.recounted == m
 
 
