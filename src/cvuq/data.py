@@ -15,7 +15,7 @@ stream equal an ``m``-row draw from a fresh stream with the same key, which
 gives nested common random numbers across sample sizes, and successive draws
 from one generator continue its stream: :meth:`DgpSpec.draw_chunks` yields
 chunks of any size that concatenate to one ``draw`` of all their rows, bit
-for bit, at any BLAS thread count (for p up to 10,000).  A draw's x is a view of its (n, p + 1)
+for bit, at any BLAS thread count.  A draw's x is a view of its (n, p + 1)
 block of normals (for ``custom_table``, rows of the table), not a copy, so a
 test set costs its size once; :class:`TrainingSet` keeps its own contiguous,
 read-only copy.
@@ -222,16 +222,25 @@ def _array(params: dict, name: str) -> np.ndarray:
     return values
 
 
+# row_products takes each dot product in segments of this many entries:
+# OpenBLAS 0.3.31 splits a dot of more than 10,000 entries across threads.
+ROW_SEGMENT = 8192
+
+
 def row_products(x: np.ndarray, beta: np.ndarray) -> np.ndarray:
     """x'beta for each row of the (m, p) x, each row its own dot product, so
-    a row has the same bits alone or in any block, at any BLAS thread count
-    up to p = 10,000 (past that OpenBLAS 0.3.31 splits one dot across
-    threads).  ``beta`` broadcasts against the rows as a vector argument of
-    ``np.vecdot``: a (p,) vector gives (m,) products, an (m, p) array one
-    vector per row, and (k, 1, p) a (k, m) block.  Rows of x or beta whose
-    entries are not adjacent in memory are copied first: a strided dot
-    rounds differently."""
-    return np.vecdot(unit_stride_rows(x), np.ascontiguousarray(beta, dtype=float))
+    a row has the same bits alone or in any block, at any BLAS thread count:
+    the dot is the sum, left to right, of one ``np.vecdot`` per segment of
+    ``ROW_SEGMENT`` entries (one segment up to p = 8,192).  ``beta``
+    broadcasts against the rows as a vector argument of ``np.vecdot``: a (p,)
+    vector gives (m,) products, an (m, p) array one vector per row, and
+    (k, 1, p) a (k, m) block.  Rows of x or beta whose entries are not
+    adjacent in memory are copied first: a strided dot rounds differently."""
+    x, beta = unit_stride_rows(x), np.ascontiguousarray(beta, dtype=float)
+    out = np.vecdot(x[..., :ROW_SEGMENT], beta[..., :ROW_SEGMENT])
+    for at in range(ROW_SEGMENT, x.shape[-1], ROW_SEGMENT):
+        out += np.vecdot(x[..., at:at + ROW_SEGMENT], beta[..., at:at + ROW_SEGMENT])
+    return out
 
 
 def unit_stride_rows(x) -> np.ndarray:

@@ -90,10 +90,10 @@ max(1, C, B) < ``SCREEN_LIMIT`` = 2^100, and takes a row only while
 max(1, C, B) ||x|| + e + |y| + |f| + max |d| + max |u| + delta stays below
 ``SCREEN_LIMIT``: then no cast, product, sum or threshold overflows.  A row
 with a value inside its band, or past that limit, is recounted from
-``fold_predictions`` of just such rows of its chunk, with the exact
+``fold_predictions`` of just such rows of its block, with the exact
 comparisons.  At n = 200, p = 50 about 0.1% of rows are recounted.
 
-The pass draws the test set chunk by chunk from the DGP (see
+The pass draws the test set block by block from the DGP (see
 :meth:`CoverageEngine.drawn`) and counts the cv_plus atoms at the
 tolerances the engine was built with, so its memory is O(block) plus about
 20 B per test row at n <= 255 for the jackknife, whatever p: y and the
@@ -125,20 +125,17 @@ from .predictors import FoldFits
 from .rng import indexed_map, stream
 from .stability import equivalence_bound, resolve_partition, se_of_mean
 
-# Test rows are processed in blocks of about this many cells, (k or n) x
-# rows: 512 KiB of float32 (1 MiB of float64) per scratch block, which bounds a
-# pass's memory.  At n = 200, p = 50 float64 blocks of 64k to 262k cells ran
-# within noise of each other on a 2-core Xeon with 2 MiB of L2 per core; 32k
-# and 400k or more were slower.
-BLOCK_ATOMS = 1 << 17
-# A pass takes the test set in chunks of this many row blocks: 1.07 MB of x
-# at n = 200, p = 50.
-CHUNK_BLOCKS = 4
+# A pass takes the test set in blocks of about this many cells, n atoms x
+# rows: 1 MiB of float32 per scratch block, which bounds a pass's memory.  An
+# equivalence-shaped pass (n = 200, p = 50, 50k rows, one BLAS thread) took
+# 77 ms at 262k cells, 79 ms at 197k and 83 ms at 131k (medians of 10 runs)
+# on a 2-core Xeon with 2 MiB of L2 per core (BENCH_one_loop.json).
+BLOCK_ATOMS = 1 << 18
 
 
-def chunk_rows(n: int) -> int:
-    """Rows of a pass's test-set chunk: ``CHUNK_BLOCKS`` blocks at n atoms per row."""
-    return CHUNK_BLOCKS * max(1, BLOCK_ATOMS // n)
+def block_rows(n: int) -> int:
+    """Rows of a pass's test-set block: ``BLOCK_ATOMS`` cells at n atoms per row."""
+    return max(1, BLOCK_ATOMS // n)
 
 
 def iqr_factor(rule: str) -> float:
@@ -209,12 +206,13 @@ def _ridge_screen(fits: FoldFits):
 class CoverageEngine:
     """Vectorized per-test-point interval coverage for one training set and
     m test pairs, from one pass, run when the engine is built, that takes the
-    pairs from a source chunk by chunk: given arrays, it reads slices and
+    pairs from a source block by block: given arrays, it reads slices and
     copies no x whose rows have unit stride (a strided view of whole rows is
-    kept as it is; other chunks are copied for their products); built by
-    :meth:`drawn`, it draws each chunk from the DGP inside the pass, so x is
-    never held whole.  A chunk is ``CHUNK_BLOCKS`` row blocks of about
-    ``BLOCK_ATOMS`` cells, (k or n) x rows, the last chunk shorter.
+    kept as it is; other blocks are copied for their products); built by
+    :meth:`drawn`, it draws each block from the DGP inside the pass, so x is
+    never held whole.  A block is :func:`block_rows` rows, about
+    ``BLOCK_ATOMS`` cells at n atoms per row, the last block shorter; each is
+    drawn, predicted and counted before the next.
 
     The pass keeps y and the full-data prediction of each row: all that cv
     and fitted_values need.  cv_plus is counted at the tolerances ``cv_plus``
@@ -240,17 +238,16 @@ class CoverageEngine:
     blocks of fold predictions less the full-data one, compared with per-row
     thresholds widened by the band of the module docstring; a row with a
     value inside its band, or past ``SCREEN_LIMIT``, is recounted from the
-    exact predictions of just such rows of its chunk.  Every other kind is
+    exact predictions of just such rows of its block.  Every other kind is
     counted from the exact predictions one block at a time.  ``recounted`` is
     how many rows the pass counted from exact predictions: all m without the
     screen.
 
-    Memory is O(block) plus about 20 B per test row: a few scratch blocks
-    (float32: 512 KiB at 131k cells) and one chunk (2,620 rows at
-    n = 200, 1.07 MB at p = 50), then y and the full-data prediction (8 B
-    each) and the counts (1 B per tolerance, side and weight run up to
-    n = 255 during the pass; then 1 B per tolerance and side for the
-    jackknife, 2 B at k = 7).
+    Memory is O(block) plus about 20 B per test row: one block of x (1,310
+    rows at n = 200, 0.53 MB at p = 50), a few scratch blocks (float32: 1 MiB
+    at 262k cells), then y and the full-data prediction (8 B each) and the
+    counts (1 B per tolerance, side and weight run up to n = 255 during the
+    pass; then 1 B per tolerance and side for the jackknife, 2 B at k = 7).
     """
 
     def __init__(self, fits: FoldFits, x_test: np.ndarray, y_test: np.ndarray, cv_plus=(),
@@ -270,9 +267,9 @@ class CoverageEngine:
                       lambda rows: dgp.draw_chunks(m, stream(seed, *key), rows))
         return engine
 
-    def _start(self, fits: FoldFits, m: int, cv_plus, symmetrized: bool, exceed_delta, chunks) -> None:
-        """Set the engine up and run its pass over ``chunks``, a function of
-        rows to the (y, x) chunks of that many rows."""
+    def _start(self, fits: FoldFits, m: int, cv_plus, symmetrized: bool, exceed_delta, blocks) -> None:
+        """Set the engine up and run its pass over ``blocks``, a function of
+        rows to the (y, x) blocks of that many rows."""
         if exceed_delta is not None and not exceed_delta >= 0:
             raise InvalidTolerance(f"exceed_delta must be a nonnegative number, got {exceed_delta!r}")
         self.fits = fits
@@ -297,7 +294,7 @@ class CoverageEngine:
         self._run_units = units[starts].tolist()
         self._count_type = np.min_scalar_type(units.size)  # no byte count exceeds n
         self.recounted = 0
-        self._pass(chunks)
+        self._pass(blocks)
 
     def coverage(self, method: IntervalMethod, alpha1: float, alpha2: float, delta) -> float:
         """Fraction of the test pairs whose y lies in its interval."""
@@ -326,35 +323,32 @@ class CoverageEngine:
             np.add.reduce(hits[run].view(np.uint8), axis=0, dtype=self._count_type, out=row)
         return out
 
-    def _pass(self, chunks) -> None:
-        """The engine's one pass over the chunks of the test set: it keeps y
-        and the full-data predictions of each chunk and, when fold
-        predictions are needed, counts the chunk, screened (:meth:`_screen`)
-        or exactly by blocks (:meth:`_recount`); then it weighs each row's
-        run counts once."""
-        m, rows = self.m, chunk_rows(self.u.size)
-        width = rows // CHUNK_BLOCKS
+    def _pass(self, blocks) -> None:
+        """The engine's one pass over the blocks of the test set: it keeps y
+        and the full-data predictions of each block and, when fold
+        predictions are needed, counts the block, screened (:meth:`_screen`)
+        or exactly (:meth:`_recount`); then it weighs each row's run counts
+        once."""
+        m, rows = self.m, block_rows(self.u.size)
         self.y_test, self.full = np.empty(m), np.empty(m)
         counts = np.empty((len(self.cv_plus), 2, len(self._runs), m), self._count_type)
         exceed = np.zeros(self.partition.k, dtype=np.intp)
         counted = bool(self.cv_plus) or self.exceed_delta is not None  # fold predictions are needed
         screen = _ridge_screen(self.fits) if counted else None
-        scratch = self._scratch(min(width, m), min(rows, m)) if screen is not None else None
+        scratch = self._scratch(min(rows, m)) if screen is not None else None
         start = 0
-        for y_chunk, x_chunk in chunks(rows):
-            chunk = slice(start, start + y_chunk.size)
-            self.y_test[chunk] = y_chunk
-            full = self.full[chunk]
-            full[:] = self.fits.full_model.predict(x_chunk)
+        for y_block, x_block in blocks(rows):
+            block = slice(start, start + y_block.size)
+            self.y_test[block] = y_block
+            full = self.full[block]
+            full[:] = self.fits.full_model.predict(x_block)
             if screen is not None:
-                exceed += self._screen(x_chunk, y_chunk, full, counts[..., chunk], screen, scratch)
+                exceed += self._screen(x_block, y_block, full, counts[..., block], screen, scratch)
             elif counted:
-                for at in range(0, y_chunk.size, width):
-                    block = slice(at, at + width)
-                    exceed += self._recount(x_chunk[block], y_chunk[block], full[block], counts[..., chunk], block)
-                self.recounted += y_chunk.size
-            start = chunk.stop
-            del x_chunk  # freed before the next chunk is drawn
+                exceed += self._recount(x_block, y_block, full, counts[..., block], slice(None))
+                self.recounted += y_block.size
+            start = block.stop
+            del x_block  # freed before the next block is drawn
         # the weight of a row's counted atoms: an integer of at most W <= 2^53
         weight_type = np.min_scalar_type(self.partition.unit_total)
         self._counts = np.zeros(counts.shape[:2] + (m,), weight_type)
@@ -362,85 +356,68 @@ class CoverageEngine:
             self._counts += np.multiply(counts[:, :, run], unit, dtype=weight_type)
         self._exceed = exceed / m if self.exceed_delta is not None else None
 
-    def _scratch(self, width: int, rows: int) -> dict:
-        """The screen's scratch, allocated once: float32 blocks of ``width``
-        test rows, and per-row arrays of a chunk of at most ``rows`` rows."""
+    def _scratch(self, rows: int) -> dict:
+        """The screen's scratch for blocks of at most ``rows`` test rows,
+        allocated once."""
         n, k = self.u.size, self.partition.k
-        return {"width": width, "values": np.empty(k * width, np.float32),
-                "floats": np.empty((n, width), np.float32), "hits": np.empty((2, n, width), bool),
-                "res": self._res.astype(np.float32)[:, None], "per_fold": np.min_scalar_type(width),
-                "ok": np.empty(rows, bool), "spread": np.empty(rows, bool),
-                "exceed": np.empty((2, rows), np.min_scalar_type(k)),  # no count exceeds k
-                "maybe": np.empty((len(self.cv_plus), 2, len(self._runs), rows), self._count_type)}
+        return {"values": np.empty(k * rows, np.float32), "floats": np.empty((n, rows), np.float32),
+                "hits": np.empty((2, n, rows), bool), "res": self._res.astype(np.float32)[:, None],
+                "per_fold": np.min_scalar_type(rows), "maybe": np.empty((len(self._runs), rows), self._count_type)}
 
     def _screen(self, x, y, full, counts, screen, scratch) -> np.ndarray:
-        """Count one chunk into ``counts``, its (tolerances, 2, runs, rows) slice,
-        from float32 blocks of fold predictions less the full-data one
-        compared with thresholds widened by the band of the module docstring
+        """Count one block into ``counts``, its (tolerances, 2, runs, rows)
+        slice, from float32 fold predictions less the full-data one compared
+        with thresholds widened by the band of the module docstring
         (``screen`` from :func:`_ridge_screen`), then recount exactly the rows
-        the screen cannot decide; return the chunk's per-fold exceedance
+        the screen cannot decide; return the block's per-fold exceedance
         counts."""
-        k, m, delta, width = self.partition.k, y.size, self.exceed_delta, scratch["width"]
+        k, w, delta = self.partition.k, y.size, self.exceed_delta
         diff32, slope, constant, top = screen
-        ok, spread, maybe = scratch["ok"][:m], scratch["spread"][:m], scratch["maybe"][..., :m]
-        sure_ex, maybe_ex = scratch["exceed"][:, :m]
+        lo, hi = scratch["hits"][:, :, :w]
+        maybe = scratch["maybe"][:, :w]
         exceed = np.zeros(k, dtype=np.intp)
         with np.errstate(over="ignore", invalid="ignore"):  # rows past SCREEN_LIMIT are recounted
+            values = np.matmul(diff32, x.astype(np.float32).T, out=scratch["values"][:k * w].reshape(k, w))
+            norms = np.sqrt(np.einsum("ij,ij->i", x, x))
+            bound = slope * norms + constant
             y_abs, f_abs, rest = np.abs(y), np.abs(full), y - full
             # a row's magnitudes besides those of its products
             sizes = y_abs + f_abs + (max(map(abs, self.cv_plus), default=0.0) + self._res_top + (delta or 0.0))
-            # fl(a - d) <= y about where a - f crosses y - f + d, fl(a + d) < y where it crosses y - f - d
-            edges = [[rest + d, rest - d] if d else [rest] for d in self.cv_plus]
-            rest = np.abs(rest)
-            scales = [_BAND_S * (rest + (abs(d) + self._res_top)) + (_BAND_U64 * (y_abs + f_abs + abs(d)) + _BAND_ETA)
-                      for d in self.cv_plus]
-            for at in range(0, m, width):
-                rows = slice(at, at + width)
-                w = min(width, m - at)
-                block = x[rows]
-                values = np.matmul(diff32, block.astype(np.float32).T, out=scratch["values"][:k * w].reshape(k, w))
-                norms = np.sqrt(np.einsum("ij,ij->i", block, block))
-                bound = slope * norms + constant
-                np.less(top * norms + bound + sizes[rows], SCREEN_LIMIT, out=ok[rows])
-                bound *= _BAND_E
-                lo, hi = scratch["hits"][:, :, :w]
-                if delta is not None:  # |value| > delta about where it crosses delta
-                    band = bound + (_BAND_S * delta + _BAND_ETA)
-                    inside, outside = (delta - band).astype(np.float32), (delta + band).astype(np.float32)
-                    gap = np.abs(values, out=scratch["floats"][:k, :w])  # values are offsets from f
-                    certain = np.greater(gap, outside, out=hi[:k])  # kept until the exceedance is counted
-                    np.add.reduce(certain.view(np.uint8), axis=0, out=sure_ex[rows])
-                    np.add.reduce(np.greater(gap, inside, out=lo[:k]).view(np.uint8), axis=0, out=maybe_ex[rows])
-                    # the exceedance of rows it leaves undecided, or cannot screen, comes from the recount
-                    undecided = np.not_equal(sure_ex[rows], maybe_ex[rows], out=spread[rows])
-                    undecided = np.flatnonzero(np.logical_or(undecided, ~ok[rows], out=undecided))
-                    exceed += np.add.reduce(certain.view(np.uint8), axis=1, dtype=scratch["per_fold"])
-                    if undecided.size:
-                        exceed -= np.add.reduce(certain[:, undecided], axis=1)
-                if self.cv_plus:
-                    # atom j less full is values[fold(j)] + u_j, in place when fold(j) = j
-                    if self.columns is not None:  # mode "raise" would buffer the whole output
-                        values = np.take(values, self.columns, axis=0, out=scratch["floats"][:, :w], mode="clip")
-                    atoms = np.add(values, scratch["res"], out=values)
-                    for i, ts in enumerate(edges):
-                        band = bound + scales[i][rows]
-                        for side, t in enumerate(ts):
-                            below, above = (t[rows] - band).astype(np.float32), (t[rows] + band).astype(np.float32)
-                            self._tally(np.less_equal(atoms, below, out=lo), counts[i, side, :, rows])
-                            self._tally(np.less_equal(atoms, above, out=hi), maybe[i, side, :, rows])
-        unsure = ~ok
-        if delta is not None:
-            unsure |= spread
-        for i, ts in enumerate(edges):
-            unsure |= np.any(counts[i, 0] != maybe[i, 0], axis=0)
-            if len(ts) == 1:  # d = 0: both sides, which differ only at ties
-                counts[i, 1] = counts[i, 0]
-            else:
-                unsure |= np.any(counts[i, 1] != maybe[i, 1], axis=0)
+            unsure = ~np.less(top * norms + bound + sizes, SCREEN_LIMIT)  # NaN included
+            bound *= _BAND_E
+            if delta is not None:  # |value| > delta about where it crosses delta
+                band = bound + (_BAND_S * delta + _BAND_ETA)
+                inside, outside = (delta - band).astype(np.float32), (delta + band).astype(np.float32)
+                gap = np.abs(values, out=scratch["floats"][:k, :w])  # values are offsets from f
+                certain = np.greater(gap, outside, out=hi[:k])
+                possible = np.greater(gap, inside, out=lo[:k])
+                unsure = unsure | np.logical_or.reduce(np.not_equal(certain, possible, out=possible), axis=0)
+                # the exceedance of rows it leaves undecided, or cannot screen, comes from the recount
+                exceed += np.add.reduce(certain.view(np.uint8), axis=1, dtype=scratch["per_fold"])
+                if unsure.any():
+                    exceed -= np.add.reduce(certain[:, unsure], axis=1)
+            exceed_unsure = unsure  # the rows whose exceedance is recounted; unsure is only rebound below
+            if self.cv_plus:
+                # atom j less full is values[fold(j)] + u_j, in place when fold(j) = j
+                if self.columns is not None:  # mode "raise" would buffer the whole output
+                    values = np.take(values, self.columns, axis=0, out=scratch["floats"][:, :w], mode="clip")
+                atoms = np.add(values, scratch["res"], out=values)
+                rest_abs = np.abs(rest)
+                for i, d in enumerate(self.cv_plus):
+                    band = bound + (_BAND_S * (rest_abs + (abs(d) + self._res_top))
+                                    + (_BAND_U64 * (y_abs + f_abs + abs(d)) + _BAND_ETA))
+                    # fl(a - d) <= y about where a - f crosses y - f + d, fl(a + d) < y where it crosses y - f - d
+                    for side, t in enumerate([rest + d, rest - d] if d else [rest]):
+                        below, above = (t - band).astype(np.float32), (t + band).astype(np.float32)
+                        self._tally(np.less_equal(atoms, below, out=lo), counts[i, side])
+                        self._tally(np.less_equal(atoms, above, out=hi), maybe)
+                        unsure = unsure | np.logical_or.reduce(counts[i, side] != maybe, axis=0)
+                    if not d:  # both sides, which differ only at ties
+                        counts[i, 1] = counts[i, 0]
         redo = np.flatnonzero(unsure)
         if redo.size:
             self.recounted += redo.size
-            exceed += self._recount(x[redo], y[redo], full[redo], counts, redo, spread[redo])
+            exceed += self._recount(x[redo], y[redo], full[redo], counts, redo, exceed_unsure[redo])
         return exceed
 
     def _recount(self, x, y, full, counts, rows, exceed_rows=True) -> np.ndarray:

@@ -1,4 +1,10 @@
 import dataclasses
+import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +13,7 @@ from cvuq.data import (
     DgpSpec,
     TrainingSet,
     load_dataset,
+    row_products,
     sample_classification,
     sample_gaussian_linear,
     save_dataset,
@@ -220,6 +227,43 @@ def test_draw_chunks_concatenate_to_one_draw():
                         and np.array_equal(np.concatenate([c[1] for c in chunks]), x)):
                     failures.append([name, m, rows, "values"])
     assert failures == []
+
+
+def test_row_products_do_not_depend_on_blas_threads_at_any_p():
+    # OpenBLAS splits one dot of more than 10,000 entries across threads, so
+    # each product is summed over fixed segments; a row keeps its bits alone,
+    # in a block, and at 1 and 2 BLAS threads, past p = 10,000 too
+    script = textwrap.dedent("""
+        import hashlib, json
+        import numpy as np
+        from cvuq.data import row_products
+
+        rng = np.random.default_rng(23)
+        out = []
+        for p in (8192, 8193, 20000):
+            x, beta = rng.normal(size=(12, p)), rng.normal(size=(3, 1, p))
+            block = row_products(x, beta)
+            assert block.tobytes() == np.stack([row_products(x, b[0]) for b in beta]).tobytes()
+            assert block[:, 5].tobytes() == row_products(x[5:6], beta)[:, 0].tobytes()
+            out.append(hashlib.sha256(block.tobytes()).hexdigest())
+        print(json.dumps(out))
+    """)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(json.loads(proc.stdout))
+    assert outputs[0] == outputs[1]
+
+
+def test_row_products_take_one_vecdot_up_to_one_segment():
+    rng = np.random.default_rng(24)
+    for p in (1, 50, 8192):
+        x, beta = rng.normal(size=(9, p)), rng.normal(size=p)
+        assert row_products(x, beta).tobytes() == np.vecdot(x, beta).tobytes()
 
 
 DGP_CASES = {

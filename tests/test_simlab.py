@@ -8,14 +8,17 @@ import sys
 import textwrap
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cvuq import simlab
 from cvuq.data import DgpSpec, TrainingSet
 from cvuq.ecdf import LEVEL_GUARD
-from cvuq.errors import InvalidTolerance, NumericError
+from cvuq.errors import DegenerateFit, InvalidTolerance, NumericError
 from cvuq.intervals import IntervalMethod, interval
 from cvuq.levy_gauge import gauge
 from cvuq.predictors import FoldFits, FoldPartition, constant, max_response, ridge
@@ -496,10 +499,11 @@ def test_unequal_fold_pass_has_no_block_sized_temporaries():
 
 
 def test_drawn_engine_equals_array_engine():
-    # one test set of 2 * 2,620 + 1 rows, chunks of 2,620 at n = 200 with a
-    # one-row tail, seen whole and drawn chunk by chunk inside the pass of
-    # each engine, one engine per symmetrized flag
-    n, m = 200, 2 * 2620 + 1
+    # one test set of two blocks of simlab.block_rows(n) rows and a one-row
+    # tail, seen whole and drawn block by block inside the pass of each
+    # engine, one engine per symmetrized flag
+    n = 200
+    m = 2 * simlab.block_rows(n) + 1
     levels = ((0.05, 0.95, 0.0), (0.1, 0.9, 0.2), (0.0, 0.8, -0.1))
     for rule in ("jackknife", 7):
         fits = FoldFits(ridge(0.5), GAUSS.sample(n, stream(19, 0)), resolve_partition(rule, n))
@@ -527,7 +531,7 @@ def test_equivalence_draws_each_test_set_once(monkeypatch):
 
 @pytest.mark.parametrize("rule", ["jackknife", 7])
 def test_drawn_pass_holds_no_test_block(rule):
-    # a drawn engine holds one chunk of x at a time, never the 20 MB block:
+    # a drawn engine holds one block of x at a time, never the 20 MB test set:
     # draw, y and full-data predictions, cv+ counts at two tolerances and
     # the exceedance in one pass.  Byte counts are 4 B per row and weight run
     # here (one run for the jackknife, two at k = 7), and the weighted counts
@@ -619,17 +623,17 @@ def test_equivalence_rejects_bad_tolerances_before_any_rep(eps, stability_delta,
 
 
 def test_coverage_pass_draws_chunks_and_gauge_oracle_one_draw(monkeypatch):
-    # 4 blocks of 655 rows at n = 200; a pass draws its test rows in chunks
-    # of simlab.chunk_rows(n), and the gauge oracle its rows in one draw
-    assert simlab.chunk_rows(200) == 2620
+    # a pass draws its test rows in blocks of simlab.block_rows(n), 1,310
+    # rows at n = 200, and the gauge oracle its rows in one draw
+    assert simlab.block_rows(200) == 1310
     rows, sizes = [], []
     draw_chunks, draw = DgpSpec.draw_chunks, DgpSpec.draw
     monkeypatch.setattr(DgpSpec, "draw_chunks", lambda self, m, rng, r: rows.append(r) or draw_chunks(self, m, rng, r))
     monkeypatch.setattr(DgpSpec, "draw", lambda self, m, rng: sizes.append(m) or draw(self, m, rng))
-    monkeypatch.setattr(simlab, "chunk_rows", lambda n: 8 * n)
+    monkeypatch.setattr(simlab, "block_rows", lambda n: 8 * n)
     coverage_distribution(ridge(0.5), GAUSS, 12, IntervalMethod("cv_plus"), 0.05, 0.95, 0.0,
                           train_reps=1, mc_test=300, seed=2)
-    assert rows == [96] and sizes[1:] == [96, 96, 96, 12]  # the training set, then the chunks
+    assert rows == [96] and sizes[1:] == [96, 96, 96, 12]  # the training set, then the blocks
     rows.clear()
     sizes.clear()
     gauge_convergence(ridge(0.5), GAUSS, [10, 20], 0.1, train_reps=1, mc_oracle=300, seed=2)
@@ -731,3 +735,56 @@ def test_negative_exceedance_tolerance_is_rejected():
     for bad in (-0.1, math.nan):
         with pytest.raises(InvalidTolerance):
             CoverageEngine(fits, x_test, y_test, exceed_delta=bad)
+
+
+@st.composite
+def _engine_cases(draw):
+    """A small ridge problem on lattices, so that responses, features and
+    predictions tie: n in [3, 40], p in [1, 60], one row (training or test)
+    scaled by 10^+-k, a tiny or unit lambda, a jackknife, contiguous or
+    unequal non-contiguous partition, and the block size of the pass."""
+    n, p, m = draw(st.integers(3, 40)), draw(st.integers(1, 60)), draw(st.integers(1, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.integers(-8, 9, size=(n + m, p)) / 4
+    y = rng.integers(-8, 9, size=n + m) / 4
+    x[draw(st.integers(0, n + m - 1))] *= 10.0 ** draw(st.sampled_from([-6, -3, 0, 3, 6]))
+    rule = draw(st.sampled_from(["jackknife", "contiguous", "unequal"]))
+    k = draw(st.integers(2, n))
+    if rule == "contiguous":
+        partition = FoldPartition.contiguous(n, k)
+    elif rule == "unequal":
+        cuts = np.sort(rng.choice(np.arange(1, n), size=k - 1, replace=False))
+        folds = np.split(rng.permutation(n), cuts)
+        partition = resolve_partition(lambda size: FoldPartition(folds, size), n)
+    else:
+        partition = FoldPartition.singletons(n)
+    return dict(lam=draw(st.sampled_from([0.0, 1e-12, 1e-8, 1.0])), train=TrainingSet(y[:n], x[:n]),
+                partition=partition, x_test=x[n:], y_test=y[n:], d=draw(st.sampled_from([0.0, 0.25, -0.25, 0.1, -1.0])),
+                symmetrized=draw(st.booleans()), exceed=draw(st.sampled_from(["tie", 0.0, 0.1])),
+                rows=draw(st.integers(1, m)))
+
+
+@settings(max_examples=250, deadline=None, derandomize=True)
+@given(_engine_cases())
+def test_engine_does_not_depend_on_the_block_size(case):
+    # the pass counts each block of simlab.block_rows rows on its own: at any
+    # block size every cv, cv_plus and fitted_values hit equals interval's
+    # and the exceedance equals the dense one, ties and high leverage included
+    try:
+        fits = FoldFits(ridge(case["lam"]), case["train"], case["partition"])
+    except DegenerateFit:  # lambda = 0 with a rank-deficient X: no fit to count
+        return
+    x_test, y_test, d = case["x_test"], case["y_test"], case["d"]
+    delta = case["exceed"]
+    if delta == "tie":  # an exceedance tolerance equal to one of the fold-prediction gaps
+        gaps = np.abs(fits.fold_predictions(x_test) - fits.full_model.predict(x_test)[:, None])
+        delta = float(np.sort(gaps, axis=None)[gaps.size // 2])
+    with mock.patch.object(simlab, "block_rows", lambda n: case["rows"]):
+        engine = CoverageEngine(fits, x_test, y_test, cv_plus=[d], symmetrized=case["symmetrized"],
+                                exceed_delta=delta)
+    for base in ("cv", "cv_plus", "fitted_values"):
+        method = IntervalMethod(base, case["symmetrized"])
+        for a1, a2 in TIE_LEVELS:
+            want = per_point_coverage(fits, method, a1, a2, d, x_test, y_test)
+            assert engine.coverage(method, a1, a2, d) == want, (method, a1, a2)
+    np.testing.assert_array_equal(engine.fold_exceedance(), dense_fold_exceedance(fits, x_test, delta))
