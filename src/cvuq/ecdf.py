@@ -78,10 +78,7 @@ def weighted_ecdf(values, weights, total=1) -> StepCdf:
     fl(C / total) of an exact integer C; float weights pass total 1."""
     values = np.asarray(values, dtype=float)
     weights = np.asarray(weights, dtype=float)  # integers up to 2^53 stay exact, and so does their cumsum
-    if values.ndim != 1 or values.shape != weights.shape or values.size == 0:
-        raise WeightSumError("values and weights must be matching nonempty 1-d arrays")
-    if not np.all(np.isfinite(values)):
-        raise WeightSumError("atom values must be finite")
+    _check_values(values, weights.shape)
     if not np.all(weights > 0):  # NaN fails both comparisons, so test the good case
         raise WeightSumError("weights must be positive")
     mass = float(np.sum(weights))
@@ -93,10 +90,31 @@ def weighted_ecdf(values, weights, total=1) -> StepCdf:
 
 
 def uniform_ecdf(values) -> StepCdf:
-    """Plain empirical cdf with weight 1/n per observation: cumulative
-    weights fl(C / n)."""
+    """Plain empirical cdf with weight 1/n per observation: the run ends of
+    one ``np.sort``, each with cumulative weight fl(C / n), C its integer
+    rank.  Equal weights need no permutation, so these are the bits of
+    ``weighted_ecdf(values, ones, n)``, whose cumsum of ones is exact,
+    without its stable argsort."""
     values = np.asarray(values, dtype=float)
-    return weighted_ecdf(values, np.ones(values.size), values.size)
+    _check_values(values, (values.size,))
+    jumps = np.sort(values)
+    zero_end = jumps.searchsorted(0.0, "right") - 1
+    if zero_end >= 0 and jumps[zero_end] == 0:  # -0.0 == 0.0: the stable order ends the run at the last zero given
+        jumps[zero_end] = values[np.flatnonzero(values == 0)[-1]]
+    ends = np.flatnonzero(_run_ends(jumps))
+    return StepCdf(jumps[ends], (ends + 1) / values.size)
+
+
+def _check_values(values: np.ndarray, weights_shape) -> None:
+    if values.ndim != 1 or values.shape != weights_shape or values.size == 0:
+        raise WeightSumError("values and weights must be matching nonempty 1-d arrays")
+    if not np.all(np.isfinite(values)):
+        raise WeightSumError("atom values must be finite")
+
+
+def _run_ends(jumps: np.ndarray) -> np.ndarray:
+    """Mask of the last of each run of equal sorted values."""
+    return np.append(jumps[1:] != jumps[:-1], True)
 
 
 def fold_units(sizes) -> tuple[np.ndarray, int]:
@@ -170,7 +188,10 @@ class SortedAtoms:
     integer ``total`` of at most 2^53 (:func:`fold_units`) make every
     cumulative weight an exact integer C divided once: fl(C / total).  At
     :meth:`run_ends` they are :func:`weighted_ecdf`'s jumps and cumulative
-    weights."""
+    weights.  The stable argsort carries each weight with its value; of the
+    order within a run of equal values only the sign of a zero shows.  Equal
+    weights need no permutation, so :func:`uniform_ecdf` sorts the values
+    alone."""
 
     def __init__(self, values: np.ndarray, weights: np.ndarray, total=1):
         order = np.argsort(values, kind="stable")
@@ -180,4 +201,4 @@ class SortedAtoms:
 
     def run_ends(self) -> np.ndarray:
         """Mask of the last atom of each run of equal values, whose cum holds the run."""
-        return np.append(self.jumps[1:] != self.jumps[:-1], True)
+        return _run_ends(self.jumps)

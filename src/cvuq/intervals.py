@@ -141,10 +141,10 @@ def interval_ends(method: IntervalMethod, center, atoms: SortedAtoms, alpha1, al
     return q1 - delta, q2 + delta
 
 
-def _at_point(method: IntervalMethod, fits: FoldFits, xnew) -> tuple:
-    """The atoms and the full-data prediction (None for cv_plus) at ``xnew``,
-    each computed only if the method reads it."""
-    row = feature_row(xnew, fits.train.p)
+def _at_row(method: IntervalMethod, fits: FoldFits, row: np.ndarray) -> tuple:
+    """The atoms and the full-data prediction (None for cv_plus) at the
+    checked test point ``row = feature_row(xnew, p)``, each computed only if
+    the method reads it."""
     if method.base == "cv_plus":
         return interval_atoms(method, fits, fits.fold_predictions(row)[0]), None
     return interval_atoms(method, fits), float(fits.full_model.predict(row)[0])
@@ -159,7 +159,20 @@ def interval(
     delta: float = 0.0,
 ) -> PredInterval:
     """The delta-distorted interval at ``xnew`` with nominal coverage alpha2 - alpha1."""
-    atoms, center = _at_point(method, fits, xnew)
+    return interval_at_row(method, fits, feature_row(xnew, fits.train.p), alpha1, alpha2, delta)
+
+
+def interval_at_row(
+    method: IntervalMethod,
+    fits: FoldFits,
+    row: np.ndarray,
+    alpha1: float,
+    alpha2: float,
+    delta: float = 0.0,
+) -> PredInterval:
+    """:func:`interval` at the test point ``row = feature_row(xnew, p)``,
+    checked once by a caller that takes several intervals there."""
+    atoms, center = _at_row(method, fits, row)
     lo, hi = interval_ends(method, center, atoms, alpha1, alpha2, delta)
     return PredInterval(float(lo), float(hi))
 
@@ -179,7 +192,7 @@ def shortest_interval(
     alone, so its levels are not identified: every candidate ties and the
     scan returns (0, nominal)."""
     check_nominal(nominal)
-    atoms, center = _at_point(method, fits, xnew)
+    atoms, center = _at_row(method, fits, feature_row(xnew, fits.train.p))
     top = 1.0 - nominal
     cum = atoms.cum[atoms.run_ends()]  # a StepCdf's cum
     cand = np.concatenate(([0.0, top], cum[cum <= top], cum[cum >= nominal] - nominal))

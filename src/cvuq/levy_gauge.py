@@ -10,6 +10,13 @@ sup is attained on a finite candidate set, so everything here is exact: each
 one-sided difference is right-continuous and piecewise constant with
 breakpoints at the jumps of F and the shifted jumps of G, hence its sup over
 every constancy interval is the value at the interval's left endpoint.
+
+The sup of F(t) - G(t + delta) is taken over the two sorted candidate groups
+apart, with no merge or re-sort.  At F's own jumps F is ``F.cum``; at G's
+shifted jumps fl(b - delta) G is ``G.cum`` wherever fl(fl(b - delta) + delta)
+= b.  The other cdf, and G where that rounding misses b, are read by binary
+search, always of the smaller sorted set in the larger.  The first maximizer
+in candidate order is the smaller of the two groups' first maximizers.
 """
 
 from __future__ import annotations
@@ -40,12 +47,30 @@ class GaugeResult:
         return self.value
 
 
+def _at_sorted(F: StepCdf, t: np.ndarray) -> np.ndarray:
+    """F(t) at nondecreasing t, the bits of ``eval_cdf(F, t)``.  Many points
+    against few jumps search each jump in t and repeat the cdf's values."""
+    levels = np.concatenate(([0.0], F.cum))
+    if t.size <= F.jumps.size:
+        return levels[F.jumps.searchsorted(t, "right")]
+    firsts = t.searchsorted(F.jumps, "left")  # the first point at or past each jump
+    return np.repeat(levels, np.diff(firsts, prepend=0, append=t.size))
+
+
 def _one_side(F: StepCdf, G: StepCdf, delta: float):
-    # sup_t F(t) - G(t + delta), attained at a jump of F or a shifted jump of G
-    candidates = np.union1d(F.jumps, G.jumps - delta)
-    diffs = eval_cdf(F, candidates) - eval_cdf(G, candidates + delta)
-    best = int(np.argmax(diffs))
-    return float(diffs[best]), float(candidates[best])
+    # sup_t F(t) - G(t + delta), attained at a jump a of F or a shifted jump fl(b - delta) of G;
+    # both groups are sorted, since x -> fl(x +- delta) is nondecreasing
+    at_a = F.cum - _at_sorted(G, F.jumps + delta)
+    shifted = G.jumps - delta
+    back = shifted + delta
+    g_shifted = G.cum.copy()
+    missed = back != G.jumps
+    g_shifted[missed] = _at_sorted(G, back[missed])
+    at_b = _at_sorted(F, shifted) - g_shifted
+    i, j = int(np.argmax(at_a)), int(np.argmax(at_b))
+    if at_a[i] > at_b[j] or (at_a[i] == at_b[j] and F.jumps[i] <= shifted[j]):
+        return float(at_a[i]), float(F.jumps[i])
+    return float(at_b[j]), float(shifted[j])
 
 
 def gauge(F: StepCdf, G: StepCdf, delta: float) -> GaugeResult:

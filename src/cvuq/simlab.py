@@ -119,9 +119,10 @@ import numpy as np
 from .data import DgpSpec
 from .ecdf import LEVEL_GUARD, uniform_ecdf, weighted_ecdf
 from .errors import InvalidTolerance
-from .intervals import IntervalMethod, check_nominal, checked_delta, interval, interval_atoms, interval_ends
+from .intervals import (IntervalMethod, check_nominal, checked_delta, interval, interval_at_row, interval_atoms,
+                        interval_ends)
 from .levy_gauge import gauge
-from .predictors import FoldFits
+from .predictors import FoldFits, feature_row
 from .rng import indexed_map, stream
 from .stability import equivalence_bound, resolve_partition, se_of_mean
 
@@ -660,10 +661,11 @@ def length_compare(
     def one(r: int):
         train = dgp.sample(n, stream(seed, r, 0))
         _, xs = dgp.draw(1, stream(seed, r, 1))
+        row = feature_row(xs[0], train.p)  # one check for every interval of the replication
         out = []
         for spec in specs:
             fits = FoldFits(spec, train, partition)
-            out.append((interval(cv, fits, xs[0], a1, a2).length, interval(cvp, fits, xs[0], a1, a2).length))
+            out.append(tuple(interval_at_row(m, fits, row, a1, a2).length for m in (cv, cvp)))
         return out
 
     results = indexed_map(one, train_reps, threads)
@@ -710,7 +712,8 @@ def gauge_convergence(
     Replications share streams across n (nested samples), so trend
     comparisons use common random numbers.  Each replication draws its
     ``mc_oracle`` test rows at once, so a running replication peaks near
-    ``mc_oracle * (p + 14) * 8`` bytes: 51 MB traced at 1e5 rows and p = 50.
+    ``mc_oracle * (p + 10) * 8`` bytes: 48 MB traced at 1e5 rows and p = 50,
+    104 MB at 1e6 rows and p = 3.
     """
 
     def rep_at(n: int):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import DgpSpec, TrainingSet
-from .errors import InnerTooSmall, InvalidTolerance
+from .errors import InnerTooSmall, InvalidTolerance, TooFewRows
 from .predictors import FoldFits, FoldPartition, fit
 from .rng import indexed_map, stream
 
@@ -68,9 +68,13 @@ def _mean_se(values) -> McEstimate:
 
 
 def _draw_train_and_x(dgp: DgpSpec, n: int, rng) -> tuple[TrainingSet, np.ndarray]:
-    train = dgp.sample(n, rng)
-    _, x = dgp.draw(1, rng)
-    return train, x[0]
+    """A training set of n rows and a test point after it, from one draw of
+    n + 1 rows: by the prefix rule the bits of ``dgp.sample(n, rng)`` and
+    then ``dgp.draw(1, rng)``."""
+    if n < 2:  # sample()'s check, made before any row is drawn
+        raise TooFewRows("a sampled training set needs n >= 2")
+    y, x = dgp.draw(n + 1, rng)
+    return TrainingSet(y[:n], x[:n]), x[n]
 
 
 def oos_stability_profile(

@@ -1,8 +1,9 @@
 """Independent reference implementations used as test oracles.
 
 These deliberately avoid the library's breakpoint algorithms: the gauge
-oracle scans a dense grid, the Levy metric oracle bisects the defining
-infimum, the sandwich oracle bisects the quantile characterization, the
+oracles scan a dense grid or merge and re-sort both jump sets, the Levy
+metric oracle bisects the defining infimum, the sandwich oracle bisects the
+quantile characterization, the
 leave-fold-out oracles refit the predictor once per fold (ridge also by
 orthogonal least squares, without normal equations), and the coverage
 oracles build every test point's interval, from a validated step cdf or by
@@ -18,7 +19,7 @@ import math
 
 import numpy as np
 
-from cvuq.ecdf import LEVEL_GUARD, StepCdf, quantile, quantiles
+from cvuq.ecdf import LEVEL_GUARD, StepCdf, eval_cdf, quantile, quantiles
 from cvuq.intervals import PredInterval
 from cvuq.predictors import FoldPartition, fit
 
@@ -93,6 +94,25 @@ def grid_gauge(F: StepCdf, G: StepCdf, delta: float, num: int = 100_000, pad: fl
     d1 = eval_many(F, t) - eval_many(G, t + delta)
     d2 = eval_many(G, t) - eval_many(F, t + delta)
     return max(0.0, float(d1.max()), float(d2.max()))
+
+
+def _one_side(F: StepCdf, G: StepCdf, delta: float):
+    # sup_t F(t) - G(t + delta), attained at a jump of F or a shifted jump of G
+    candidates = np.union1d(F.jumps, G.jumps - delta)
+    diffs = eval_cdf(F, candidates) - eval_cdf(G, candidates + delta)
+    best = int(np.argmax(diffs))
+    return float(diffs[best]), float(candidates[best])
+
+
+def union_gauge(F: StepCdf, G: StepCdf, delta: float) -> tuple[float, float, str]:
+    """(value, witness_t, side) of the gauge at finite ``delta >= 0``, each
+    one-sided sup taken over the merged and re-sorted candidates
+    ``np.union1d(F.jumps, G.jumps - delta)``, first maximizer in that order."""
+    v_fg, t_fg = _one_side(F, G, delta)
+    v_gf, t_gf = _one_side(G, F, delta)
+    if v_fg >= v_gf:
+        return max(v_fg, 0.0), t_fg, "F_over_G"
+    return max(v_gf, 0.0), t_gf, "G_over_F"
 
 
 def supnorm_scan(F: StepCdf, G: StepCdf) -> float:

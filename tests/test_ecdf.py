@@ -60,6 +60,13 @@ def test_eval_cdf_and_left_limit_take_arrays():
             left_limit(F, bad)
 
 
+def test_uniform_ecdf_rejects_what_weighted_ecdf_rejects():
+    for bad in ([], [[0.0, 1.0], [2.0, 3.0]], 1.0, [0.0, np.nan], [np.inf, 1.0]):
+        for build in (uniform_ecdf, lambda v: weighted_ecdf(v, np.ones(np.size(v)), np.size(v))):
+            with pytest.raises(WeightSumError):
+                build(bad)
+
+
 def test_weighted_ecdf_rejects_bad_weights():
     with pytest.raises(WeightSumError):
         weighted_ecdf([0.0, 1.0], [0.5, 0.6])

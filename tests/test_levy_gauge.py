@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cvuq.ecdf import quantile, uniform_ecdf, weighted_ecdf
 from cvuq.errors import InvalidTolerance, UnboundedLoss
@@ -22,7 +24,7 @@ from cvuq.levy_gauge import (
     scaled,
     step_expectation,
 )
-from oracles import grid_gauge, levy_metric, random_step_cdf, sandwich_inf_eps, supnorm_scan
+from oracles import grid_gauge, levy_metric, random_step_cdf, sandwich_inf_eps, supnorm_scan, union_gauge
 
 
 def dirac(x):
@@ -305,3 +307,39 @@ def test_bad_tolerances_are_invalid_tolerance_errors():
             scaled(F, bad)
     with pytest.raises(InvalidTolerance):
         gauge_bound_wasserstein([0.0], [1.0], [1.0], 0.0)
+
+
+# Samples with ties within and across two cdfs: quarter steps are exact, so
+# shifted jumps collide with jumps; tenth steps make fl(b - 0.1) collide or
+# round; signed zeros, subnormals and huge values meet every delta below.
+TIED_SAMPLES = st.lists(
+    st.one_of(
+        st.integers(-12, 12).map(lambda k: k / 4),
+        st.integers(-30, 30).map(lambda k: k / 10),
+        st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1e-12, 1e300, -1e300]),
+        st.floats(-1e3, 1e3),
+    ),
+    min_size=1,
+    max_size=30,
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(TIED_SAMPLES, TIED_SAMPLES)
+def test_gauge_equals_the_merged_candidate_oracle(a, b):
+    # value, witness and side of the union1d sup; == on the witness, where
+    # np.unique keeps either zero of a -0.0/0.0 collision
+    F, G = uniform_ecdf(a), uniform_ecdf(b)
+    for delta in (0.0, 5e-324, 1e-12, 0.1, 1e300):
+        for P, Q in ((F, G), (G, F)):
+            r = gauge(P, Q, delta)
+            assert (r.value, r.witness_t, r.side) == union_gauge(P, Q, delta)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(TIED_SAMPLES)
+def test_uniform_ecdf_has_the_bits_of_unit_weights(values):
+    # one np.sort, no permutation: the stable argsort's jumps (the sign of a
+    # mixed run of zeros included) and cumulative weights fl(C / n)
+    U, W = uniform_ecdf(values), weighted_ecdf(values, np.ones(len(values)), len(values))
+    assert U.jumps.tobytes() == W.jumps.tobytes() and U.cum.tobytes() == W.cum.tobytes()

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from cvuq import simlab
 from cvuq.data import DgpSpec, TrainingSet
 from cvuq.ecdf import LEVEL_GUARD
-from cvuq.errors import DegenerateFit, InvalidTolerance, NumericError
+from cvuq.errors import DegenerateFit, InvalidTolerance, MalformedInput, NumericError
 from cvuq.intervals import IntervalMethod, interval
 from cvuq.levy_gauge import gauge
 from cvuq.predictors import FoldFits, FoldPartition, constant, max_response, ridge
@@ -147,6 +147,43 @@ def test_length_compare_dominance():
     j = rep.lengths_cv["neg_max_response"]
     jp = rep.lengths_cvp["neg_max_response"]
     assert np.all(j <= jp + 1e-12)
+
+
+def test_length_compare_checks_each_test_point_once():
+    # one feature_row per replication serves both specs' cv and cv+ intervals,
+    # whose lengths are interval()'s at the drawn point; a non-finite point fails alike
+    from cvuq import intervals, predictors
+
+    specs, n, reps, seed = [max_response(), ridge(0.5)], 10, 6, 3
+    checks = []
+
+    def counted(xnew, p):
+        checks.append(p)
+        return predictors.feature_row(xnew, p)
+
+    with mock.patch.object(intervals, "feature_row", counted), mock.patch.object(simlab, "feature_row", counted):
+        rep = length_compare(specs, GAUSS1, n, 0.6, train_reps=reps, seed=seed)
+    assert len(checks) == reps
+    a1 = (1.0 - 0.6) / 2.0
+    for r in range(reps):
+        train = GAUSS1.sample(n, stream(seed, r, 0))
+        _, xs = GAUSS1.draw(1, stream(seed, r, 1))
+        for spec in specs:
+            fits = FoldFits(spec, train, resolve_partition("jackknife", n))
+            for lengths, base in ((rep.lengths_cv, "cv"), (rep.lengths_cvp, "cv_plus")):
+                assert lengths[spec.kind][r] == interval(IntervalMethod(base), fits, xs[0], a1, a1 + 0.6).length
+
+    draw = DgpSpec.draw
+
+    def nan_point(dgp, m, rng):
+        y, x = draw(dgp, m, rng)
+        if m == 1:
+            x = x.copy()
+            x[0, 0] = np.nan
+        return y, x
+
+    with mock.patch.object(DgpSpec, "draw", nan_point), pytest.raises(MalformedInput, match="xnew must be finite"):
+        length_compare(specs, GAUSS1, n, 0.6, train_reps=reps, seed=seed)
 
 
 def test_gauge_convergence_decreasing_for_stable():

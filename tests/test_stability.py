@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from cvuq.data import DgpSpec
-from cvuq.errors import InnerTooSmall, InvalidTolerance
+from cvuq.errors import InnerTooSmall, InvalidTolerance, TooFewRows
+from cvuq.rng import stream
 from cvuq.stability import (
+    _draw_train_and_x,
     equivalence_bound,
     m_stability,
     oos_stability_profile,
@@ -156,3 +158,30 @@ def test_threaded_profile_bit_identical():
     b = oos_stability_profile(ridge(0.3), GAUSS, 24, 4, threads=8, **kwargs)
     np.testing.assert_array_equal(a.exceed_prob, b.exceed_prob)
     assert a.mean_abs.value == b.mean_abs.value
+
+
+FIVE_KINDS = (
+    GAUSS,
+    DgpSpec("student_linear", {"beta": [0.5, -1.0], "sigma": 1.5, "dof": 3.0}),
+    DgpSpec("classification_grid", {"p": 2, "class_count": 3}),
+    DgpSpec("custom_table", {"table_y": [1.0, 2.0, 3.0], "table_x": [[0.0, 1.0], [1.0, 0.0], [2.0, 2.0]]}),
+    DgpSpec("dirac_first_coord", {"p": 3, "point": 1.5}),
+)
+
+
+@pytest.mark.parametrize("dgp", FIVE_KINDS, ids=lambda d: d.kind)
+def test_train_and_test_point_come_from_one_draw(dgp):
+    # the n + 1 rows drawn at once have the bits of the n-row sample and the
+    # one-row draw after it; a size below 2 fails before the stream is read
+    for n in (2, 7, 40):
+        train, x = _draw_train_and_x(dgp, n, stream(13, n))
+        rng = stream(13, n)
+        want = dgp.sample(n, rng)
+        _, want_x = dgp.draw(1, rng)
+        assert train.y.tobytes() == want.y.tobytes() and train.x.tobytes() == want.x.tobytes()
+        assert x.tobytes() == want_x[0].tobytes()
+    for n in (1, 0, -1):
+        rng = stream(13)
+        with pytest.raises(TooFewRows):
+            _draw_train_and_x(dgp, n, rng)
+        assert rng.random() == stream(13).random()
