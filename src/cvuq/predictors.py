@@ -1,33 +1,37 @@
 """Prediction algorithms and leave-fold-out fits.
 
-Built-in algorithm kinds
-------------------------
-ridge            x'beta_hat with beta_hat = (X'X + lambda*n*I)^{-1} X'Y
-knn_mean         mean response of the `neighbors` nearest rows (ties by
-                 lowest canonical index)
-max_response     max_i y_i, ignoring x
-neg_max_response -max_i y_i
-dirac_threshold  level * 1{x1 < m} with m the training-set size
-constant         a fixed value
+Each built-in kind has one prediction rule ``rule(X, theta)`` at the rows of
+X, and a fit (:class:`Fitted`) is its kind's rule at the parameter theta
+fitted on the training set:
+
+ridge            x'theta (:func:`cvuq.data.row_products`), theta = beta_hat =
+                 (X'X + lambda*n*I)^{-1} X'Y
+knn_mean         mean response of the theta[2] = min(neighbors, n) nearest of
+                 the canonically ordered rows (ties by lowest index)
+max_response     theta = max_i y_i at every row, ignoring x
+neg_max_response the same rule, theta = -max_i y_i
+constant         the same rule, theta = a fixed value
+dirac_threshold  level * 1{x1 < theta}, theta = m, the training-set size, or a
+                 fixed threshold
 
 All built-ins are symmetric.  To make that exact in floating point, fitting
 canonicalizes the row order (lexicographic in (y, x)), so any permutation of
-the training rows yields bit-identical predictions.
-
+the training rows yields bit-identical predictions.  ridge and
+dirac_threshold raise DimensionMismatch on a training set without features.
 Predictor arguments throughout the library accept either a
 :class:`PredictorSpec` or a plain callable ``(xnew, train) -> float`` for
-ad-hoc algorithms.
+ad-hoc algorithms, with theta = (callable, training set).
 
-Leave-fold-out predictions come from :class:`FoldFits` alone: for ridge, one
+Leave-fold-out predictions come from :class:`FoldFits` alone, which keeps one
+parameter per fold and predicts with the full-data fit's rule: one rule per
+kind gives the full-data predictions, every fold's predictions and the
+leave-fold-out residuals alike.  For ridge the fold parameters come from one
 thin SVD of X (never X'X, so accuracy follows the condition number of X, not
 its square) and a batched Woodbury update of every fold, guarded by
-``WOODBURY_MIN_EIG`` and ``PIVOT_RTOL``; closed forms for constant, the max
-kinds and dirac_threshold; one refit per fold for knn_mean and callables.  A
-FoldFits is the only input of the interval constructions in
-:mod:`cvuq.intervals`, which read from it what their method needs.  Its
-``fold_predictions`` are exact: each row is computed on its own, so it has
-the same bits in any block; for ridge every x'c, full-data or leave-fold-out,
-is one dot product per row (:func:`cvuq.data.row_products`).
+``WOODBURY_MIN_EIG`` and ``PIVOT_RTOL``; closed forms give them for
+constant, the max kinds and dirac_threshold, one refit per fold for knn_mean
+and callables.  A FoldFits is the only input of the interval constructions
+in :mod:`cvuq.intervals`, which read from it what their method needs.
 """
 
 from __future__ import annotations
@@ -35,6 +39,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -62,10 +67,10 @@ WOODBURY_MIN_EIG = 1e-4
 class PredictorSpec:
     """Algorithm kind plus its hyperparameters, which the constructor alone
     reads from ``params``, parsing them once into the read-only attributes
-    fitting uses: ridge ``lam`` (``lambda >= 0``); knn_mean ``neighbors >= 1``;
-    constant ``value``; dirac_threshold ``level`` and ``threshold``, None for
-    the training-set size unless ``threshold_uses_train_size=False`` fixes it.
-    An absent number is 0.  Equality and :meth:`to_json` use ``params``.
+    fitting uses: ridge ``lam`` (``lambda >= 0``); knn_mean ``neighbors``, an
+    integer >= 1 (3.0 counts); constant ``value``; dirac_threshold ``level``
+    and ``threshold``, None for the training-set size unless the bool
+    ``threshold_uses_train_size`` is false.  An absent number is 0.  Equality and :meth:`to_json` use ``params``.
     """
 
     kind: str
@@ -75,10 +80,12 @@ class PredictorSpec:
         if self.kind not in PREDICTOR_KINDS:
             raise MalformedInput(f"unknown predictor kind {self.kind!r}")
         values = {name: self.params.get(name, 0.0) for name in ("lambda", "neighbors", "value", "level", "threshold")}
-        for name, value in values.items():
-            if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+        for name, value in values.items():  # finite: an integer too large for a float is not
+            if isinstance(value, bool) or not isinstance(value, numbers.Real) or not abs(value) <= sys.float_info.max:
                 raise MalformedInput(f"{self.kind} {name} must be a finite number, got {value!r}")
-        lam, neighbors = float(values["lambda"]), int(values["neighbors"])
+        lam, neighbors = float(values["lambda"]), values["neighbors"]
+        if not float(neighbors).is_integer():
+            raise MalformedInput(f"{self.kind} neighbors must be an integer, got {neighbors!r}")
         if self.kind == "ridge" and not lam >= 0:
             raise MalformedInput("ridge lambda must be nonnegative")
         if self.kind == "knn_mean" and neighbors < 1:
@@ -87,9 +94,11 @@ class PredictorSpec:
             raise MalformedInput("dirac_threshold needs a level")
         if self.kind == "constant" and "value" not in self.params:
             raise MalformedInput("constant needs a value")
-        fixed = not self.params.get("threshold_uses_train_size", True)
-        vars(self).update(lam=lam, neighbors=neighbors, value=float(values["value"]), level=float(values["level"]),
-                          threshold=float(values["threshold"]) if fixed else None)  # frozen: set past __setattr__
+        uses_train_size = self.params.get("threshold_uses_train_size", True)
+        if not isinstance(uses_train_size, bool):
+            raise MalformedInput(f"threshold_uses_train_size must be true or false, got {uses_train_size!r}")
+        vars(self).update(lam=lam, neighbors=int(neighbors), value=float(values["value"]),
+                          level=float(values["level"]), threshold=None if uses_train_size else float(values["threshold"]))  # frozen: set past __setattr__
 
     def to_json(self) -> str:
         return json.dumps({"kind": self.kind, **self.params})
@@ -180,59 +189,55 @@ def ridge_coefficients(train: TrainingSet, lam: float) -> np.ndarray:
     return _ridge_solve(d, vt, uty, lam * train.n)
 
 
-class _Fitted:
+def _values(X: np.ndarray, value) -> np.ndarray:
+    """The rule of constant, max_response and neg_max_response: the value
+    copied to every row (its last axis, if any, lines up with the rows)."""
+    out = np.empty(np.shape(value)[:-1] + (X.shape[0],))
+    out[...] = value
+    return out
+
+
+def _knn(X: np.ndarray, theta) -> np.ndarray:
+    """The rule of knn_mean at theta = (canonical x, y, neighbors)."""
+    x, y, neighbors = theta
+    out = np.empty(X.shape[0])
+    for i, row in enumerate(X):
+        d = np.einsum("ij,ij->i", x - row, x - row)
+        sel = np.argsort(d, kind="stable")[:neighbors]
+        out[i] = y[np.sort(sel)].sum() / neighbors
+    return out
+
+
+def _call(X: np.ndarray, theta) -> np.ndarray:
+    """The rule of a callable predictor at theta = (fn, training set)."""
+    fn, train = theta
+    return np.array([fn(row, train) for row in X], dtype=float)
+
+
+def _rule(spec, train: TrainingSet):
+    """The rule ``rule(X, theta)`` of ``spec``'s kind, which fits and
+    :class:`FoldFits` both take from here; DimensionMismatch for ridge and
+    dirac_threshold on a training set without features."""
+    if not isinstance(spec, PredictorSpec):
+        return _call
+    if train.p == 0 and spec.kind in ("ridge", "dirac_threshold"):
+        raise DimensionMismatch(f"{spec.kind} reads features, and the training set has none")
+    if spec.kind == "dirac_threshold":
+        return lambda X, threshold: spec.level * (X[:, 0] < threshold)
+    return row_products if spec.kind == "ridge" else _knn if spec.kind == "knn_mean" else _values
+
+
+class Fitted:
+    """A fitted model: its kind's rule at the fitted parameter ``theta``."""
+
+    def __init__(self, rule, theta):
+        self.rule, self.theta = rule, theta
+
+    def predict(self, X: np.ndarray) -> np.ndarray:
+        return self.rule(X, self.theta)
+
     def predict_one(self, x: np.ndarray) -> float:
         return float(self.predict(np.asarray(x, dtype=float).reshape(1, -1))[0])
-
-
-class FittedRidge(_Fitted):
-    def __init__(self, beta: np.ndarray):
-        self.beta = beta
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        return row_products(X, self.beta)
-
-
-class FittedConstant(_Fitted):
-    def __init__(self, value: float):
-        self.value = float(value)
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        return np.full(X.shape[0], self.value)
-
-
-class FittedDirac(_Fitted):
-    def __init__(self, level: float, threshold: float):
-        self.level = float(level)
-        self.threshold = float(threshold)
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        return self.level * (X[:, 0] < self.threshold)
-
-
-class FittedKnn(_Fitted):
-    def __init__(self, x: np.ndarray, y: np.ndarray, neighbors: int):
-        self.x = x  # canonical order
-        self.y = y
-        # fold refits shrink the sample; clamp to the available rows
-        self.neighbors = min(int(neighbors), y.size)
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        out = np.empty(X.shape[0])
-        for i, row in enumerate(X):
-            d = np.einsum("ij,ij->i", self.x - row, self.x - row)
-            sel = np.argsort(d, kind="stable")[: self.neighbors]
-            out[i] = self.y[np.sort(sel)].sum() / self.neighbors
-        return out
-
-
-class FittedCallable(_Fitted):
-    def __init__(self, fn, train: TrainingSet):
-        self.fn = fn
-        self.train = train
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        return np.array([self.fn(row, self.train) for row in X], dtype=float)
 
 
 def _dirac_threshold(spec: PredictorSpec, train_size: int) -> float:
@@ -240,22 +245,22 @@ def _dirac_threshold(spec: PredictorSpec, train_size: int) -> float:
     return float(train_size) if spec.threshold is None else spec.threshold
 
 
-def fit(spec, train: TrainingSet):
-    """Fit ``spec`` on ``train`` and return a model with ``predict``/``predict_one``."""
-    if callable(spec) and not isinstance(spec, PredictorSpec):
-        return FittedCallable(spec, train)
-    if spec.kind == "ridge":
-        return FittedRidge(ridge_coefficients(train, spec.lam))
-    if spec.kind == "knn_mean":
+def fit(spec, train: TrainingSet) -> Fitted:
+    """Fit ``spec`` on ``train``: its kind's rule at the parameter fitted here."""
+    rule = _rule(spec, train)
+    kind = spec.kind if isinstance(spec, PredictorSpec) else None
+    if kind is None:
+        return Fitted(rule, (spec, train))
+    if kind == "ridge":
+        return Fitted(rule, ridge_coefficients(train, spec.lam))
+    if kind == "knn_mean":  # fold refits shrink the sample: clamp to the available rows
         order = _canonical_order(train)
-        return FittedKnn(train.x[order], train.y[order], spec.neighbors)
-    if spec.kind == "max_response":
-        return FittedConstant(train.y.max())
-    if spec.kind == "neg_max_response":
-        return FittedConstant(-train.y.max())
-    if spec.kind == "dirac_threshold":
-        return FittedDirac(spec.level, _dirac_threshold(spec, train.n))
-    return FittedConstant(spec.value)
+        return Fitted(rule, (train.x[order], train.y[order], min(spec.neighbors, train.n)))
+    if kind in ("max_response", "neg_max_response"):
+        return Fitted(rule, train.y.max() if kind == "max_response" else -train.y.max())
+    if kind == "dirac_threshold":
+        return Fitted(rule, _dirac_threshold(spec, train.n))
+    return Fitted(rule, spec.value)
 
 
 def feature_row(xnew, p: int) -> np.ndarray:
@@ -335,24 +340,27 @@ class FoldPartition:
 
 class FoldFits:
     """Cached full-data and leave-fold-out fits for one training set, computed
-    once and reused across test points.  Each predictor kind takes one path:
+    once and reused across test points.  Fold j predicts with the full-data
+    fit's rule at theta_j, the parameter of the fit on the rows outside it:
+    the leave-fold-out residual of row i is y_i - rule(x_i, theta_{j(i)}).
+    The fold parameters are one array, or one refit's per fold:
 
-    * ridge: one thin SVD X = U diag(d) V' (r = min(n, p) singular values).
-      For fold size s and c = lambda*(n - s), X'X + cI has spectrum d^2 + c;
-      with h = 1/sqrt(d^2 + c), beta_s = V(d h^2 U'Y) and Z_f = U_f diag(d h),
-      a fold f has the Woodbury update beta_f = beta_s - V diag(h) Z_f'
-      (I - Z_f Z_f')^{-1} r_f, r_f = y_f - X_f beta_s, solved for all folds in
-      one stacked call (the r x r form when s > r).  When p >= n, U_f U_f' =
-      I, so I - Z_f Z_f' = U_f diag(c h^2) U_f' has no cancellation.  A fold
-      is refitted from its own rows when its capacitance matrix fails
-      ``WOODBURY_MIN_EIG``, when its own X'X + cI may count as singular (by
-      the bound eig * (d_min^2 + c) on its smallest eigenvalue), or when its
-      size's X'X + cI does; a refit raises ``DegenerateFit`` as a direct fit
-      would.  ``fallback_folds`` lists them, and ``coef`` holds the (p, k)
-      leave-fold-out coefficients (None for every other kind).
-    * constant, max_response, neg_max_response: O(n) closed forms.
-    * dirac_threshold: fold j predicts level * 1{x1 < t_j}, with t_j the
-      size n - |K_j| of its training rows or the fixed threshold.
+    * ridge: the (k, p) leave-fold-out coefficient rows, whose (p, k) view is
+      ``coef`` (None for every other kind), from one thin SVD X = U diag(d) V'
+      (r = min(n, p) singular values).  For fold size s and c = lambda*(n -
+      s), X'X + cI has spectrum d^2 + c; with h = 1/sqrt(d^2 + c), beta_s =
+      V(d h^2 U'Y) and Z_f = U_f diag(d h), a fold f has the Woodbury update
+      beta_f = beta_s - V diag(h) Z_f' (I - Z_f Z_f')^{-1} r_f, r_f = y_f -
+      X_f beta_s, solved for all folds in one stacked call (the r x r form
+      when s > r).  When p >= n, U_f U_f' = I, so I - Z_f Z_f' = U_f diag(c
+      h^2) U_f' has no cancellation.  A fold is refitted from its own rows
+      when its capacitance matrix fails ``WOODBURY_MIN_EIG``, when its own
+      X'X + cI may count as singular (by the bound eig * (d_min^2 + c) on its
+      smallest eigenvalue), or when its size's X'X + cI does; a refit raises
+      ``DegenerateFit`` as a direct fit would.  ``fallback_folds`` lists them
+      (a tuple of fold indices, empty for every other kind).
+    * constant, max_response, neg_max_response: the fold values, O(n).
+    * dirac_threshold: t_j, the size n - |K_j| or the fixed threshold.
     * knn_mean and callables: one refit per fold.
     """
 
@@ -363,44 +371,34 @@ class FoldFits:
         self.train = train
         self.partition = partition
         kind = spec.kind if isinstance(spec, PredictorSpec) else None
-        self.coef = self._values = self._thresholds = None
-        self._fallback = ()
+        self.coef, self.fallback_folds = None, ()
         if kind == "ridge":
-            self.full_model, self.coef, self._fallback = self._ridge_fits()
-            self.loo_residuals = train.y - row_products(train.x, self.coef.T[partition.fold_of])
-            return
-        self.full_model = fit(spec, train)
-        if kind in ("constant", "max_response", "neg_max_response"):
-            self._values = self._complement_values(kind)
-            self.loo_residuals = train.y - self._values[partition.fold_of]
-        elif kind == "dirac_threshold":
-            self._thresholds = np.array([_dirac_threshold(spec, train.n - f.size) for f in partition.folds])
-            self.loo_residuals = train.y - self.full_model.level * (train.x[:, 0] < self._thresholds[partition.fold_of])
+            rule = _rule(spec, train)  # the feature check comes before the SVD
+            beta, self._theta, self.fallback_folds = self._ridge_fits()
+            self.full_model, self.coef = Fitted(rule, beta), self._theta.T
         else:
-            self._models = [self._refit(f) for f in partition.folds]
+            self.full_model = fit(spec, train)
+            self._theta = self._fold_parameters(kind)
+        rule, theta = self.full_model.rule, self._theta
+        if isinstance(theta, list):
             self.loo_residuals = np.empty(train.n)
-            for model, f in zip(self._models, partition.folds):
-                self.loo_residuals[f] = train.y[f] - model.predict(train.x[f])
-
-    @property
-    def fallback_folds(self) -> tuple:
-        """Indices of the ridge folds refitted from their own rows instead of
-        updated in closed form."""
-        return self._fallback
+            for t, f in zip(theta, partition.folds):
+                self.loo_residuals[f] = train.y[f] - rule(train.x[f], t)
+        else:
+            self.loo_residuals = train.y - rule(train.x, theta[partition.fold_of])
 
     def _refit(self, fold: np.ndarray):
         return fit(self.spec, self.train.subset(np.delete(np.arange(self.train.n), fold)))
 
-    def _ridge_fits(self) -> tuple[FittedRidge, np.ndarray, tuple]:
-        """The full-data fit, the (p, k) leave-fold-out coefficients (the
-        transpose of C-contiguous (k, p) rows, which row products read with
-        unit stride) and the folds refitted from their own rows, from one thin
-        SVD of X."""
+    def _ridge_fits(self) -> tuple[np.ndarray, np.ndarray, tuple]:
+        """The full-data coefficients, the C-contiguous (k, p) leave-fold-out
+        coefficient rows (which row products read with unit stride) and the
+        folds refitted from their own rows, from one thin SVD of X."""
         lam = self.spec.lam
         train, folds = self.train, self.partition.folds
         U, d, vt, uty = _ridge_svd(train)
         # ridge_coefficients' expression, so a full-data DegenerateFit comes first
-        full = FittedRidge(_ridge_solve(d, vt, uty, lam * train.n))
+        beta = _ridge_solve(d, vt, uty, lam * train.n)
         coef = np.empty((len(folds), train.p))
         sizes = np.array([f.size for f in folds])
         square = d.size == train.n  # p >= n: U is orthogonal, so U_f U_f' = I
@@ -436,41 +434,41 @@ class FoldFits:
             fallback.extend(members[~ok])
         fallback = tuple(sorted(int(j) for j in fallback))
         for j in fallback:
-            coef[j] = self._refit(folds[j]).beta
-        return full, coef.T, fallback
+            coef[j] = self._refit(folds[j]).theta
+        return beta, coef, fallback
 
-    def _complement_values(self, kind: str) -> np.ndarray:
-        """Per-fold value of a fit on the rows outside the fold."""
+    def _fold_parameters(self, kind):
+        """Per fold, the parameter of the fit on the rows outside it: closed
+        forms for the value kinds and dirac_threshold, else a refit's."""
+        part = self.partition
         if kind == "constant":
-            return np.full(self.partition.k, self.spec.value)
+            return np.full(part.k, self.spec.value)
+        if kind == "dirac_threshold":
+            return np.array([_dirac_threshold(self.spec, part.n - f.size) for f in part.folds])
+        if kind not in ("max_response", "neg_max_response"):
+            return [self._refit(f).theta for f in part.folds]
         # only the fold holding the first argmax can lose the maximum
         y = self.train.y
         i = y.argmax()
-        top = self.partition.fold_of[i]
+        top = part.fold_of[i]
         rest = y.copy()
-        rest[self.partition.folds[top]] = -np.inf
-        values = np.full(self.partition.k, y[i])
+        rest[part.folds[top]] = -np.inf
+        values = np.full(part.k, y[i])
         values[top] = rest.max()
         return values if kind == "max_response" else -values
 
     def fold_predictions(self, X: np.ndarray) -> np.ndarray:
-        """(m, k) matrix of per-fold predictions at the rows of X, in
-        Fortran order: its transpose is a C-contiguous (k, m) block.  These
-        are the exact values: each row's is its own computation, so a row
-        gets the same bits in any block, alone (as :func:`cvuq.intervals.interval`
-        asks for it) or among others, in any memory order, at any BLAS
-        thread count.  For ridge that is one dot product per row and fold,
-        :func:`cvuq.data.row_products` of the rows and each fold's
-        coefficients, the bits of the leave-fold-out residuals."""
-        if self.coef is not None:
-            P = row_products(X, self.coef.T[:, None, :])
-        elif self._values is not None:
-            P = self._values[:, None].repeat(X.shape[0], axis=1)
-        elif self._thresholds is not None:
-            P = self.full_model.level * (X[:, 0] < self._thresholds[:, None])
-        else:
-            P = np.stack([m.predict(X) for m in self._models])
-        return P.T
+        """(m, k) matrix of per-fold predictions rule(X, theta_j) at the rows
+        of X, in Fortran order: its transpose is a C-contiguous (k, m) block.
+        These are the exact values: each row's is its own computation, so a
+        row gets the same bits in any block, alone (as
+        :func:`cvuq.intervals.interval` asks for it) or among others, in any
+        memory order, at any BLAS thread count, and the bits of the
+        leave-fold-out residuals."""
+        rule, theta = self.full_model.rule, self._theta
+        if isinstance(theta, list):
+            return np.stack([rule(X, t) for t in theta]).T
+        return rule(X, theta[:, None]).T
 
     def fitted_values(self) -> np.ndarray:
         return self.full_model.predict(self.train.x)

@@ -187,7 +187,7 @@ def _ridge_screen(fits: FoldFits):
     screen would take no row (p u or a coefficient norm too large)."""
     if fits.coef is None:
         return None
-    coef, beta = fits.coef, fits.full_model.beta
+    coef, beta = fits.coef, fits.full_model.theta
     p = coef.shape[0]
     diff = coef - beta[:, None]
     # the largest fold difference, fold coefficient and full-data norms, widened by 2^-20

@@ -400,6 +400,9 @@ def strict_json(text: str):
         '{"kind": "knn_mean", "neighbors": "x"}',
         '{"kind": "constant", "value": Infinity}',
         '{"kind": "dirac_threshold", "level": -Infinity}',
+        '{"kind": "knn_mean", "neighbors": 2.5}',
+        '{"kind": "dirac_threshold", "level": 1.0, "threshold_uses_train_size": "no"}',
+        pytest.param('{"kind": "ridge", "lambda": 1%s}' % ("0" * 400), id="ridge-lambda-10^400"),
     ],
 )
 def test_non_numeric_predictor_params_exit_3(capsys, workdir, spec):
@@ -411,6 +414,30 @@ def test_non_numeric_predictor_params_exit_3(capsys, workdir, spec):
     ])
     assert code == 3
     assert strict_json(capsys.readouterr().out)["error"] == "MalformedInput"
+
+
+@pytest.mark.parametrize("kind", ["ridge", "dirac_threshold", "constant", "max_response", "knn_mean"])
+def test_zero_feature_data_exits_3_for_kinds_that_read_features(capsys, tmp_path, kind):
+    # a dataset of responses alone (header "y", as save_dataset writes p = 0)
+    # or a custom_table DGP with empty feature rows
+    data, pred, dgp = tmp_path / "y.csv", tmp_path / "pred.json", tmp_path / "dgp.json"
+    data.write_text("y\n0.2\n1.1\n-0.5\n2.0\n0.9\n")
+    pred.write_text(json.dumps({"kind": kind, "lambda": 1.0, "level": 1.0, "value": 0.5, "neighbors": 2}))
+    dgp.write_text('{"kind": "custom_table", "table_y": [1.0, 2.0, 3.0], "table_x": [[], [], []]}')
+    runs = [
+        ("interval", "--data", str(data), "--predictor", str(pred), "--alpha1", "0.1", "--alpha2", "0.9",
+         "--xnew", ""),
+        ("risk", "--data", str(data), "--predictor", str(pred)),
+        ("sim", "coverage", "--dgp", str(dgp), "--predictor", str(pred), "--n", "3", "--train-reps", "2",
+         "--mc-test", "5"),
+    ]
+    for argv in runs:
+        code = main(list(argv))
+        payload = strict_json(capsys.readouterr().out)
+        if kind in ("ridge", "dirac_threshold"):
+            assert (code, payload["error"]) == (3, "DimensionMismatch"), argv
+        else:
+            assert code == 0 and "error" not in payload, argv
 
 
 @pytest.mark.parametrize(

@@ -10,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cvuq import predictors
 from cvuq.data import DgpSpec, TrainingSet, row_products
@@ -90,7 +92,7 @@ def test_ridge_fold_fits_take_one_svd(monkeypatch):
         calls.clear()
         fits = FoldFits(ridge(lam), train, resolve_partition(rule, n))
         assert len(calls) == 1
-        assert np.array_equal(fits.full_model.beta, ridge_coefficients(train, lam))
+        assert np.array_equal(fits.full_model.theta, ridge_coefficients(train, lam))
     with pytest.raises(DegenerateFit):
         FoldFits(ridge(0.0), toy_train([1.0, 2.0, 3.0], [[1.0, 1.0], [2.0, 2.0], [3.0, 3.0]]),
                  FoldPartition.singletons(3))
@@ -438,6 +440,65 @@ def test_ridge_fold_fits_match_lstsq_oracle(case):
     resid, preds = lstsq_refit_leave_fold_out(lam, train, part, X)
     _assert_close(fits.loo_residuals, resid, rtol_resid)
     _assert_close(fits.fold_predictions(X), preds, rtol_pred)
+
+
+@st.composite
+def _fold_fit_cases(draw):
+    """A small problem on lattices, so that responses and features tie: n in
+    [3, 30], p in [1, 40], a first feature on 0..n (where the size-dependent
+    dirac thresholds bite), a jackknife, contiguous or unequal callable
+    partition, and one spec of every kind."""
+    n, p = draw(st.integers(3, 30)), draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.integers(-4, 5, size=(n + 4, p)) / 2
+    x[:, 0] = rng.integers(0, n + 1, size=n + 4)
+    y = rng.integers(-4, 5, size=n) / 2
+    rule = draw(st.sampled_from(["jackknife", "contiguous", "unequal"]))
+    k = draw(st.integers(2, n))
+    if rule == "contiguous":
+        rule = k
+    elif rule == "unequal":
+        cuts = np.sort(rng.choice(np.arange(1, n), size=k - 1, replace=False))
+        folds = np.split(rng.permutation(n), cuts)
+        rule = lambda size: FoldPartition(folds, size)
+    partition = resolve_partition(rule, n)
+    level, value = (float(v) for v in rng.integers(-4, 5, size=2) / 2)
+    spec = draw(st.sampled_from([
+        *(ridge(lam) for lam in (0.0, 1e-12, 1e-8, 1.0)), constant(value), max_response(), neg_max_response(),
+        dirac_threshold(level),
+        PredictorSpec("dirac_threshold", {"level": level, "threshold_uses_train_size": False,
+                                          "threshold": float(rng.integers(0, n + 1))}),
+        knn_mean(draw(st.integers(1, n))), lambda row, train: float(np.median(train.y) + row[0] / train.n),
+    ]))
+    return spec, TrainingSet(y, x[:n]), partition, x[n:]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_fold_fit_cases())
+def test_fold_fits_of_every_kind_match_their_refits(case):
+    # the leave-fold-out residuals are y less the own-fold predictions, bit for
+    # bit; every kind but ridge equals its refits bit for bit, and ridge lies
+    # within LSTSQ_CASES' widest tolerances of its refits, or raises
+    # DegenerateFit exactly where they do.  The least-squares oracle is no
+    # reference here: at p > n and lambda = 1e-12, [X; sqrt(c) I] has condition
+    # number ~1e7, and lstsq missed an exact rational solution by 1.9e-10
+    # where FoldFits (every fold refitted) was within 4e-15 of it
+    spec, train, part, X = case
+    try:
+        resid, preds = refit_leave_fold_out(spec, train, part, X)
+    except DegenerateFit:
+        with pytest.raises(DegenerateFit):
+            FoldFits(spec, train, part)
+        return
+    fits = FoldFits(spec, train, part)
+    own = fits.fold_predictions(train.x)[np.arange(train.n), part.fold_of]
+    assert fits.loo_residuals.tobytes() == (train.y - own).tobytes()
+    if getattr(spec, "kind", None) == "ridge":
+        _assert_close(fits.loo_residuals, resid, max(c[3] for c in LSTSQ_CASES.values()))
+        _assert_close(fits.fold_predictions(X), preds, max(c[4] for c in LSTSQ_CASES.values()))
+    else:
+        assert fits.loo_residuals.tobytes() == resid.tobytes()
+        assert fits.fold_predictions(X).tobytes() == preds.tobytes()
 
 
 def test_ridge_fallback_folds_hold_the_high_leverage_row():
