@@ -30,7 +30,7 @@ import numpy as np
 
 from . import risk as risk_mod
 from . import simlab, stability
-from .data import DgpSpec, load_dataset, save_dataset
+from .data import DgpSpec, json_flag, json_object, load_dataset, read_json, save_dataset, write_csv
 from .ecdf import StepCdf
 from .errors import DataError, InvalidTolerance, MalformedInput, NumericError
 from .intervals import IntervalMethod, interval, shortest_interval
@@ -88,13 +88,6 @@ def _delta(text: str):
         raise UsageError(f"bad delta {text!r}: use a number or iqr:FACTOR") from exc
 
 
-def _load_dgp(path: str) -> DgpSpec:
-    try:
-        return DgpSpec.from_dict(json.loads(Path(path).read_text()))
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
-        raise MalformedInput(f"bad dgp file {path}: {exc}") from exc
-
-
 def _fold_rule(text: str):
     if text in ("n", "jackknife"):
         return "jackknife"
@@ -137,13 +130,6 @@ def _emit(payload: dict, out: str | None, code: int = 0) -> int:
         os.close(devnull)
         return 1
     return code
-
-
-def _write_csv(path: str, header: list[str], rows) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(repr(float(v)) if isinstance(v, (float, np.floating)) else str(v) for v in row))
-    Path(path).write_text("\n".join(lines) + "\n")
 
 
 def _build_parser(defaults: dict) -> _Parser:
@@ -240,11 +226,10 @@ def _build_parser(defaults: dict) -> _Parser:
     if unknown:
         raise UsageError(f"unknown config keys: {sorted(unknown)}")
     for action in (a for a in flags if a.dest in defaults):
-        value = defaults[action.dest]
-        switch = isinstance(action, argparse._StoreTrueAction)
-        action.default = value if switch else str(value)
-        if switch and not isinstance(value, bool) or action.choices and action.default not in action.choices:
-            raise UsageError(f"config key {action.dest!r} cannot be {value!r}")
+        switch = isinstance(action, argparse._StoreTrueAction)  # a JSON flag; main makes its error a usage error
+        action.default = json_flag(defaults, action.dest, "config key") if switch else str(defaults[action.dest])
+        if action.choices and action.default not in action.choices:
+            raise UsageError(f"config key {action.dest!r} cannot be {defaults[action.dest]!r}")
     return parser
 
 
@@ -336,7 +321,7 @@ def _cmd_risk(args):
 
 def _cmd_dgp(args):
     _require(args, "dgp", "n", "data_out")
-    dgp = _load_dgp(args.dgp)
+    dgp = DgpSpec.from_json(Path(args.dgp).read_text())
     train = dgp.sample(args.n, stream(args.seed))
     save_dataset(train, args.data_out, args.format)
     return {"written": str(args.data_out), "n": train.n, "p": train.p}, None
@@ -356,7 +341,7 @@ def _cmd_stability(args):
         return {"mode": mode, "bound": value}, None
     _require(args, "predictor", "dgp", "n")
     spec = PredictorSpec.from_json(Path(args.predictor).read_text())
-    dgp = _load_dgp(args.dgp)
+    dgp = DgpSpec.from_json(Path(args.dgp).read_text())
     payload = {"mode": mode}
     if mode == "profile":
         prof = stability.oos_stability_profile(
@@ -386,7 +371,7 @@ def _cmd_sim(args):
     mode = args.mode
     _require(args, "dgp")
     _require(args, *_SIM_NEEDS[mode])
-    dgp = _load_dgp(args.dgp)
+    dgp = DgpSpec.from_json(Path(args.dgp).read_text())
     if mode == "length":
         kinds = (args.predictors or "max_response,neg_max_response").split(",")
         rep = simlab.length_compare(
@@ -450,19 +435,18 @@ def main(argv=None) -> int:
         pre.add_argument("--config")
         known, _ = pre.parse_known_args(argv)
         defaults = {}
-        if known.config:
-            try:
-                defaults = json.loads(Path(known.config).read_text())
-            except (OSError, ValueError) as exc:  # ValueError: invalid JSON or text
-                raise UsageError(f"bad config file: {exc}") from exc
-            if not isinstance(defaults, dict):
-                raise UsageError("config must be a JSON object")
-        args = _parser_for(json.dumps(defaults, sort_keys=True)).parse_args(argv)
+        try:
+            if known.config:
+                defaults = json_object(read_json(Path(known.config).read_text(), "config"), "config")
+            parser = _parser_for(json.dumps(defaults, sort_keys=True))
+        except (OSError, ValueError, MalformedInput) as exc:  # ValueError: text that is not UTF-8
+            raise UsageError(f"bad config file: {exc}") from exc
+        args = parser.parse_args(argv)
         _check_counts(args)
         _check_levels(args)
         payload, csv = COMMANDS[args.command](args)
         if csv and args.csv:
-            _write_csv(args.csv, *csv)
+            write_csv(args.csv, *csv)
         return _emit(payload, args.out)
     except SystemExit:  # argparse exits only after printing --help: error() raises UsageError
         return 0

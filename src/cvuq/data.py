@@ -3,8 +3,14 @@
 File formats
 ------------
 CSV with header ``y,x1,...,xp`` and one row per observation, numbers written
-with full round-trip precision; or a JSON array of ``{"y": number,
-"x": [number, ...]}`` objects.  Non-finite values are rejected.
+with full round-trip precision by :func:`write_csv`, the one CSV writer; or a
+JSON array of ``{"y": number, "x": [number, ...]}`` objects.  Non-finite
+values are rejected.
+
+Every JSON input (dataset, DGP, predictor and step-cdf files) goes through
+one reader: :func:`read_json`, :func:`json_object`, and one rule each for a
+number (a real but not a bool, and finite: an integer too large for a float
+is infinite), an integer, a flag and a rectangular array of numbers.
 
 Sampling contract
 -----------------
@@ -98,9 +104,7 @@ def _from_rows(rows: list[tuple[float, list[float]]]) -> TrainingSet:
     p = len(rows[0][1])
     if any(len(x) != p for _, x in rows):
         raise MalformedInput("ragged rows: feature dimensions differ")
-    y = np.array([y for y, _ in rows], dtype=float)
-    x = np.array([x for _, x in rows], dtype=float).reshape(len(rows), p)
-    return TrainingSet(y, x)
+    return TrainingSet([y for y, _ in rows], np.array([x for _, x in rows], dtype=float).reshape(len(rows), p))
 
 
 def load_dataset(path, format: str = "csv") -> TrainingSet:
@@ -108,9 +112,16 @@ def load_dataset(path, format: str = "csv") -> TrainingSet:
     text = Path(path).read_text()
     if format == "csv":
         return _parse_csv(text)
-    if format == "json":
-        return _parse_json(text)
-    raise MalformedInput(f"unknown format {format!r}")
+    if format != "json":
+        raise MalformedInput(f"unknown format {format!r}")
+    data = read_json(text, "JSON dataset")
+    if not isinstance(data, list):
+        raise MalformedInput("JSON dataset must be an array of {y, x} objects")
+    rows = []
+    for i, obj in enumerate(data):
+        obj = json_object(obj, f"element {i}")
+        rows.append((json_number(obj, "y", f"element {i}"), json_array(obj, "x", f"element {i}", 1)))
+    return _from_rows(rows)
 
 
 def _parse_csv(text: str) -> TrainingSet:
@@ -134,39 +145,90 @@ def _parse_csv(text: str) -> TrainingSet:
     return _from_rows(rows)
 
 
-def _parse_json(text: str) -> TrainingSet:
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise MalformedInput(f"invalid JSON: {exc}") from exc
-    if not isinstance(data, list):
-        raise MalformedInput("JSON dataset must be an array of {y, x} objects")
-    rows = []
-    for i, obj in enumerate(data):
-        if not isinstance(obj, dict) or "y" not in obj or "x" not in obj:
-            raise MalformedInput(f"element {i}: expected an object with keys y and x")
-        y = _parse_float(str(obj["y"]), f"element {i}")
-        xs = obj["x"]
-        if not isinstance(xs, list):
-            raise MalformedInput(f"element {i}: x must be an array")
-        rows.append((y, [_parse_float(str(v), f"element {i}") for v in xs]))
-    return _from_rows(rows)
-
-
 def save_dataset(train: TrainingSet, path, format: str = "csv") -> None:
     """Write a dataset with round-trip decimal precision."""
     path = Path(path)
     if format == "csv":
-        lines = ["y," + ",".join(f"x{i}" for i in range(1, train.p + 1)) if train.p else "y"]
-        for i in range(train.n):
-            fields = [repr(float(train.y[i]))] + [repr(float(v)) for v in train.x[i]]
-            lines.append(",".join(fields))
-        path.write_text("\n".join(lines) + "\n")
+        write_csv(path, ["y", *(f"x{i}" for i in range(1, train.p + 1))], np.column_stack((train.y, train.x)))
     elif format == "json":
-        rows = [{"y": float(train.y[i]), "x": [float(v) for v in train.x[i]]} for i in range(train.n)]
-        path.write_text(json.dumps(rows))
+        path.write_text(json.dumps([{"y": y, "x": x} for y, x in zip(train.y.tolist(), train.x.tolist())]))
     else:
         raise MalformedInput(f"unknown format {format!r}")
+
+
+def write_csv(path, header, rows) -> None:
+    """A header line, then one line per row: floats as ``repr(float(v))``, other cells as ``str(v)``."""
+    lines = (",".join(repr(float(v)) if isinstance(v, (float, np.floating)) else str(v) for v in row) for row in rows)
+    Path(path).write_text("\n".join([",".join(header), *lines]) + "\n")
+
+
+def read_json(text: str, what: str):
+    """The value of the JSON ``text``; MalformedInput unless it parses."""
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:  # ValueError: bad JSON, or an integer of too many digits
+        raise MalformedInput(f"{what}: invalid JSON: {exc}") from exc
+
+
+def json_object(value, what: str) -> dict:
+    """``value`` if it is a JSON object, else MalformedInput."""
+    if not isinstance(value, dict):
+        raise MalformedInput(f"{what} must be a JSON object, got {value!r}")
+    return value
+
+
+def _entry(obj: dict, key: str, what: str, default):
+    """``obj[key]``, or ``default`` where it is absent (None: required)."""
+    if key not in obj and default is None:
+        raise MalformedInput(f"{what} {key!r} is required")
+    return obj.get(key, default)
+
+
+def _real(value, what: str, key: str) -> float:
+    """A real but not a bool, as a float (an integer too large for one is +-inf)."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:
+            return math.inf if value > 0 else -math.inf
+    raise MalformedInput(f"{what} {key!r} must hold numbers only, got {value!r}")
+
+
+def json_number(obj: dict, key: str, what: str, default=None) -> float:
+    """``obj[key]`` (:func:`_entry`): a real but not a bool, and finite."""
+    number = _real(_entry(obj, key, what, default), what, key)
+    if not math.isfinite(number):
+        raise MalformedInput(f"{what} {key!r} must be a finite number, got {number!r}")
+    return number
+
+
+def json_integer(obj: dict, key: str, what: str, default=None, least=1) -> int:
+    """A :func:`json_number` with no fraction, at least ``least``."""
+    value = json_number(obj, key, what, default)
+    if not (value.is_integer() and value >= least):
+        raise MalformedInput(f"{what} {key!r} must be an integer >= {least}, got {value!r}")
+    return int(value)
+
+
+def json_flag(obj: dict, key: str, what: str, default=None) -> bool:
+    """``obj[key]`` (:func:`_entry`): true or false."""
+    value = _entry(obj, key, what, default)
+    if not isinstance(value, bool):
+        raise MalformedInput(f"{what} {key!r} must be true or false, got {value!r}")
+    return value
+
+
+def json_array(obj: dict, key: str, what: str, ndim: int) -> np.ndarray:
+    """``obj[key]`` (required): nested arrays (or a NumPy array) of ``ndim`` equal-length
+    axes, of reals but not bools, as floats; finiteness is the caller's check."""
+    value = _entry(obj, key, what, None)
+    items, shape = [value.tolist() if isinstance(value, np.ndarray) else value], []
+    for _ in range(ndim):
+        if not all(isinstance(v, (list, tuple)) for v in items) or len({len(v) for v in items}) > 1:
+            raise MalformedInput(f"{what} {key!r} must be a rectangular array of {ndim} axes, got {value!r}")
+        shape.append(len(items[0]) if items else 0)
+        items = [v for row in items for v in row]
+    return np.array([_real(v, what, key) for v in items], dtype=float).reshape(shape)
 
 
 def _special():
@@ -184,38 +246,8 @@ def _student_t_quantile(q: np.ndarray, dof: float) -> np.ndarray:
     return t
 
 
-def _param(params: dict, name: str, default=None):
-    if name not in params and default is None:
-        raise MalformedInput(f"dgp parameter {name!r} is required")
-    return params.get(name, default)
-
-
-def _number(params: dict, name: str, default=None) -> float:
-    value = _param(params, name, default)
-    if isinstance(value, numbers.Real) and not isinstance(value, bool):
-        try:
-            number = float(value)
-        except OverflowError:  # an integer too large for a float
-            number = math.nan
-        if not math.isnan(number):
-            return number
-    raise MalformedInput(f"dgp parameter {name!r} must be a number, got {value!r}")
-
-
-def _integer(params: dict, name: str, default=None, least: int = 1) -> int:
-    value = _number(params, name, default)
-    if not value.is_integer():
-        raise MalformedInput(f"dgp parameter {name!r} must be an integer, got {value!r}")
-    if value < least:
-        raise MalformedInput(f"{name} must be at least {least}")
-    return int(value)
-
-
-def _array(params: dict, name: str) -> np.ndarray:
-    try:
-        values = np.array(_param(params, name), dtype=float)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise MalformedInput(f"dgp parameter {name!r} must hold numbers: {exc}") from exc
+def _finite_array(params: dict, name: str, ndim: int) -> np.ndarray:
+    values = json_array(params, name, "dgp parameter", ndim)
     if not np.all(np.isfinite(values)):
         raise MalformedInput(f"dgp parameter {name!r} must be finite")
     values.setflags(write=False)
@@ -278,28 +310,26 @@ class DgpSpec:
         params = self.params
         beta = sigma = dof = class_count = point = table_y = table_x = None
         if self.kind in ("gaussian_linear", "student_linear"):
-            beta = _array(params, "beta")
-            if beta.ndim != 1:
-                raise DimensionMismatch("beta must be a vector")
-            sigma = _number(params, "sigma", 1.0)
+            beta = _finite_array(params, "beta", 1)
+            sigma = json_number(params, "sigma", "dgp parameter", 1.0)
             if not sigma > 0:
                 raise MalformedInput("sigma must be positive")
             if self.kind == "student_linear":
-                dof = _number(params, "dof")
+                dof = json_number(params, "dof", "dgp parameter")
                 if not dof > 0:
                     raise MalformedInput("dof must be positive")
             p = beta.size
         elif self.kind == "custom_table":
-            table_y, table_x = _array(params, "table_y"), _array(params, "table_x")
-            if table_y.ndim != 1 or table_y.size == 0 or table_x.ndim != 2 or table_x.shape[0] != table_y.size:
+            table_y, table_x = _finite_array(params, "table_y", 1), _finite_array(params, "table_x", 2)
+            if table_y.size == 0 or table_x.shape[0] != table_y.size:
                 raise MalformedInput("table_y must be a nonempty vector and table_x a matrix with one row per entry")
             p = table_x.shape[1]
         else:
-            p = _integer(params, "p", 1)
+            p = json_integer(params, "p", "dgp parameter", 1)
             if self.kind == "classification_grid":
-                class_count = _integer(params, "class_count", least=2)
+                class_count = json_integer(params, "class_count", "dgp parameter", least=2)
             if self.kind == "dirac_first_coord":
-                point = _number(params, "point")
+                point = json_number(params, "point", "dgp parameter")
         vars(self).update(p=p, beta=beta, sigma=sigma, dof=dof, class_count=class_count, point=point,
                           table_y=table_y, table_x=table_x)  # frozen: set past __setattr__
 
@@ -334,16 +364,17 @@ class DgpSpec:
         return TrainingSet(*self.draw(n, rng))
 
     def to_dict(self) -> dict:
-        params = {
-            k: (v.tolist() if isinstance(v, np.ndarray) else v) for k, v in self.params.items()
-        }
+        params = {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in self.params.items()}
         return {"kind": self.kind, **params}
 
     @classmethod
     def from_dict(cls, obj: dict) -> "DgpSpec":
         obj = dict(obj)
-        kind = obj.pop("kind")
-        return cls(kind, obj)
+        return cls(obj.pop("kind", None), obj)
+
+    @classmethod
+    def from_json(cls, text: str) -> "DgpSpec":
+        return cls.from_dict(json_object(read_json(text, "dgp file"), "dgp file"))
 
 
 def sample_gaussian_linear(n: int, p: int, beta, sigma: float, seed: int) -> TrainingSet:

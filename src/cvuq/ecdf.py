@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyFold, MalformedInput, WeightSumError
+from .data import json_array, json_object, read_json
+from .errors import EmptyFold, WeightSumError
 
 # Cumulative weights are rounded (float weights also accumulated) in floating
 # point, so level comparisons tolerate this much slack.
@@ -62,13 +63,8 @@ class StepCdf:
 
     @classmethod
     def from_json(cls, text: str) -> "StepCdf":
-        try:
-            obj = json.loads(text)
-            jumps = np.asarray(obj["jumps"], dtype=float)
-            cum = np.asarray(obj["cum"], dtype=float)
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-            raise MalformedInput(f"bad step-cdf JSON: {exc}") from exc
-        return cls(jumps, cum)
+        obj = json_object(read_json(text, "step-cdf file"), "step-cdf file")
+        return cls(json_array(obj, "jumps", "step cdf", 1), json_array(obj, "cum", "step cdf", 1))
 
 
 def weighted_ecdf(values, weights, total=1) -> StepCdf:

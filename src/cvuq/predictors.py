@@ -38,14 +38,12 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
-import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
-from .data import TrainingSet, row_products
+from .data import TrainingSet, json_flag, json_integer, json_number, json_object, read_json, row_products
 from .ecdf import fold_units
 from .errors import DegenerateFit, DimensionMismatch, EmptyFold, FoldLeavesNothing, MalformedInput
 
@@ -69,8 +67,10 @@ class PredictorSpec:
     reads from ``params``, parsing them once into the read-only attributes
     fitting uses: ridge ``lam`` (``lambda >= 0``); knn_mean ``neighbors``, an
     integer >= 1 (3.0 counts); constant ``value``; dirac_threshold ``level``
-    and ``threshold``, None for the training-set size unless the bool
-    ``threshold_uses_train_size`` is false.  An absent number is 0.  Equality and :meth:`to_json` use ``params``.
+    and ``threshold``, None for the training-set size unless the flag
+    ``threshold_uses_train_size`` is false.  An absent number is 0, but
+    constant needs its value and dirac_threshold its level.  Equality and
+    :meth:`to_json` use ``params``.
     """
 
     kind: str
@@ -79,40 +79,25 @@ class PredictorSpec:
     def __post_init__(self):
         if self.kind not in PREDICTOR_KINDS:
             raise MalformedInput(f"unknown predictor kind {self.kind!r}")
-        values = {name: self.params.get(name, 0.0) for name in ("lambda", "neighbors", "value", "level", "threshold")}
-        for name, value in values.items():  # finite: an integer too large for a float is not
-            if isinstance(value, bool) or not isinstance(value, numbers.Real) or not abs(value) <= sys.float_info.max:
-                raise MalformedInput(f"{self.kind} {name} must be a finite number, got {value!r}")
-        lam, neighbors = float(values["lambda"]), values["neighbors"]
-        if not float(neighbors).is_integer():
-            raise MalformedInput(f"{self.kind} neighbors must be an integer, got {neighbors!r}")
+        params, what = self.params, f"{self.kind} parameter"
+        lam = json_number(params, "lambda", what, 0.0)
+        neighbors = json_integer(params, "neighbors", what, 0, least=1 if self.kind == "knn_mean" else -math.inf)
+        value = json_number(params, "value", what, None if self.kind == "constant" else 0.0)
+        level = json_number(params, "level", what, None if self.kind == "dirac_threshold" else 0.0)
+        threshold = json_number(params, "threshold", what, 0.0)
         if self.kind == "ridge" and not lam >= 0:
             raise MalformedInput("ridge lambda must be nonnegative")
-        if self.kind == "knn_mean" and neighbors < 1:
-            raise MalformedInput("knn_mean needs neighbors >= 1")
-        if self.kind == "dirac_threshold" and "level" not in self.params:
-            raise MalformedInput("dirac_threshold needs a level")
-        if self.kind == "constant" and "value" not in self.params:
-            raise MalformedInput("constant needs a value")
-        uses_train_size = self.params.get("threshold_uses_train_size", True)
-        if not isinstance(uses_train_size, bool):
-            raise MalformedInput(f"threshold_uses_train_size must be true or false, got {uses_train_size!r}")
-        vars(self).update(lam=lam, neighbors=int(neighbors), value=float(values["value"]),
-                          level=float(values["level"]), threshold=None if uses_train_size else float(values["threshold"]))  # frozen: set past __setattr__
+        uses_train_size = json_flag(params, "threshold_uses_train_size", what, True)
+        vars(self).update(lam=lam, neighbors=neighbors, value=value, level=level,
+                          threshold=None if uses_train_size else threshold)  # frozen: set past __setattr__
 
     def to_json(self) -> str:
         return json.dumps({"kind": self.kind, **self.params})
 
     @classmethod
     def from_json(cls, text: str) -> "PredictorSpec":
-        try:
-            obj = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise MalformedInput(f"bad predictor JSON: {exc}") from exc
-        if not isinstance(obj, dict) or "kind" not in obj:
-            raise MalformedInput("predictor JSON must be an object with a kind")
-        obj = dict(obj)
-        return cls(obj.pop("kind"), obj)
+        obj = json_object(read_json(text, "predictor file"), "predictor file")
+        return cls(obj.pop("kind", None), obj)
 
 
 def ridge(lam: float) -> PredictorSpec:
@@ -152,8 +137,10 @@ def _canonical_order(train: TrainingSet) -> np.ndarray:
 
 
 def _ridge_svd(train: TrainingSet) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """U (rows in training order), d, V' and U'Y of the thin SVD U diag(d) V'
-    of the canonically ordered X: any row order gives the same bits."""
+    """U (rows in training order), d, V' and U'Y of the thin SVD U diag(d) V' of the canonically
+    ordered X (any row order gives the same bits); DimensionMismatch at p = 0."""
+    if train.p == 0:
+        raise DimensionMismatch("ridge reads features, and the training set has none")
     order = _canonical_order(train)
     u, d, vt = np.linalg.svd(train.x[order], full_matrices=False)
     # np.linalg.matrix_rank's rule: singular values at the SVD's rounding are 0
@@ -216,13 +203,13 @@ def _call(X: np.ndarray, theta) -> np.ndarray:
 
 def _rule(spec, train: TrainingSet):
     """The rule ``rule(X, theta)`` of ``spec``'s kind, which fits and
-    :class:`FoldFits` both take from here; DimensionMismatch for ridge and
-    dirac_threshold on a training set without features."""
+    :class:`FoldFits` both take from here; DimensionMismatch for
+    dirac_threshold on a training set without features (ridge's SVD checks)."""
     if not isinstance(spec, PredictorSpec):
         return _call
-    if train.p == 0 and spec.kind in ("ridge", "dirac_threshold"):
-        raise DimensionMismatch(f"{spec.kind} reads features, and the training set has none")
     if spec.kind == "dirac_threshold":
+        if train.p == 0:
+            raise DimensionMismatch("dirac_threshold reads features, and the training set has none")
         return lambda X, threshold: spec.level * (X[:, 0] < threshold)
     return row_products if spec.kind == "ridge" else _knn if spec.kind == "knn_mean" else _values
 
@@ -373,9 +360,8 @@ class FoldFits:
         kind = spec.kind if isinstance(spec, PredictorSpec) else None
         self.coef, self.fallback_folds = None, ()
         if kind == "ridge":
-            rule = _rule(spec, train)  # the feature check comes before the SVD
             beta, self._theta, self.fallback_folds = self._ridge_fits()
-            self.full_model, self.coef = Fitted(rule, beta), self._theta.T
+            self.full_model, self.coef = Fitted(_rule(spec, train), beta), self._theta.T
         else:
             self.full_model = fit(spec, train)
             self._theta = self._fold_parameters(kind)

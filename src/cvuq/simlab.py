@@ -118,7 +118,7 @@ import numpy as np
 
 from .data import DgpSpec
 from .ecdf import LEVEL_GUARD, uniform_ecdf, weighted_ecdf
-from .errors import InvalidTolerance
+from .errors import InvalidTolerance, MalformedInput
 from .intervals import (IntervalMethod, check_nominal, checked_delta, interval, interval_at_row, interval_atoms,
                         interval_ends)
 from .levy_gauge import gauge
@@ -206,14 +206,15 @@ def _ridge_screen(fits: FoldFits):
 
 class CoverageEngine:
     """Vectorized per-test-point interval coverage for one training set and
-    m test pairs, from one pass, run when the engine is built, that takes the
-    pairs from a source block by block: given arrays, it reads slices and
-    copies no x whose rows have unit stride (a strided view of whole rows is
-    kept as it is; other blocks are copied for their products); built by
-    :meth:`drawn`, it draws each block from the DGP inside the pass, so x is
-    never held whole.  A block is :func:`block_rows` rows, about
-    ``BLOCK_ATOMS`` cells at n atoms per row, the last block shorter; each is
-    drawn, predicted and counted before the next.
+    m >= 1 test pairs (InvalidTolerance for none), from one pass, run when
+    the engine is built, that takes the pairs from a source block by block:
+    given arrays, it reads slices and copies no x whose rows have unit stride
+    (a strided view of whole rows is kept as it is; other blocks are copied
+    for their products); built by :meth:`drawn`, it draws each block from
+    the DGP inside the pass, so x is never held whole.  A block is
+    :func:`block_rows` rows, about ``BLOCK_ATOMS`` cells at n atoms per row,
+    the last block shorter; each is drawn, predicted and counted before the
+    next.
 
     The pass keeps y and the full-data prediction of each row: all that cv
     and fitted_values need.  cv_plus is counted at the tolerances ``cv_plus``
@@ -271,6 +272,8 @@ class CoverageEngine:
     def _start(self, fits: FoldFits, m: int, cv_plus, symmetrized: bool, exceed_delta, blocks) -> None:
         """Set the engine up and run its pass over ``blocks``, a function of
         rows to the (y, x) blocks of that many rows."""
+        if m < 1:
+            raise InvalidTolerance(f"a coverage pass needs at least one test point, got {m!r}")
         if exceed_delta is not None and not exceed_delta >= 0:
             raise InvalidTolerance(f"exceed_delta must be a nonnegative number, got {exceed_delta!r}")
         self.fits = fits
@@ -476,8 +479,6 @@ def conditional_coverage(
     partition_rule="jackknife",
 ) -> float:
     """P(y in PI | training set), estimated from mc_test fresh test pairs."""
-    if mc_test < 1:
-        raise InvalidTolerance("mc_test must be at least 1")
     fits = FoldFits(spec, train, resolve_partition(partition_rule, train.n))
     engine = CoverageEngine.drawn(fits, dgp, mc_test, seed, **_declared(method, delta))
     return engine.coverage(method, alpha1, alpha2, delta)
@@ -650,8 +651,11 @@ def length_compare(
     alpha1: float | None = None,
     threads: int = 1,
 ) -> LengthReport:
-    """Per-replication Jackknife vs Jackknife+ interval lengths for each spec."""
+    """Per-replication Jackknife vs Jackknife+ interval lengths for each spec, named by its kind."""
     check_nominal(nominal)
+    names = [getattr(s, "kind", f"spec{i}") for i, s in enumerate(specs)]
+    if len(set(names)) < len(names):
+        raise MalformedInput(f"each spec needs its own name, got {names}")
     a1 = (1.0 - nominal) / 2.0 if alpha1 is None else alpha1
     a2 = a1 + nominal
     partition = resolve_partition("jackknife", n)
@@ -669,7 +673,6 @@ def length_compare(
         return out
 
     results = indexed_map(one, train_reps, threads)
-    names = [getattr(s, "kind", f"spec{i}") for i, s in enumerate(specs)]
     lengths_cv = {name: np.array([res[i][0] for res in results]) for i, name in enumerate(names)}
     lengths_cvp = {name: np.array([res[i][1] for res in results]) for i, name in enumerate(names)}
     return LengthReport(tuple(names), lengths_cv, lengths_cvp)

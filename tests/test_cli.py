@@ -720,3 +720,141 @@ def test_overflowing_features_exit_4(capsys, workdir):
     out = capsys.readouterr().out
     assert code == 4 and out.count("\n") == 1
     assert json.loads(out)["error"] == "DegenerateFit"
+
+
+# A file of each kind, the command that reads it, and the valid file the
+# fuzzed one stands in for.  Each command is tiny: n <= 10, no replications.
+FILE_COMMANDS = {
+    "dgp": ["dgp", "--dgp", "{file}", "--n", "5", "--data-out", "{out}"],
+    "predictor": ["risk", "--data", "{data}", "--predictor", "{file}"],
+    "cdf": ["gauge", "--f", "{file}", "--g", "{cdf}", "--delta", "0.1"],
+    "dataset": ["risk", "--data", "{file}", "--format", "json", "--predictor", "{pred}"],
+}
+
+
+@pytest.mark.parametrize(
+    "kind, text",
+    [
+        pytest.param("dgp", '{"kind": "student_linear", "beta": [1.0], "dof": 1e999}', id="dgp-dof-inf"),
+        pytest.param("dgp", '{"kind": "gaussian_linear", "beta": [1.0], "sigma": 1e999}', id="dgp-sigma-inf"),
+        pytest.param("dgp", '{"kind": "dirac_first_coord", "p": 1, "point": -1e999}', id="dgp-point-minus-inf"),
+        pytest.param("dgp", '{"kind": "gaussian_linear", "beta": ["1.0"]}', id="dgp-beta-string"),
+        pytest.param("dgp", '{"kind": "gaussian_linear", "beta": [true]}', id="dgp-beta-bool"),
+        pytest.param("dgp", '{"kind": "custom_table", "table_y": [1, 2], "table_x": [[0], [1, 2]]}',
+                     id="dgp-table-ragged"),
+        pytest.param("dataset", '[{"y": "1.5", "x": ["2"]}, {"y": 1.0, "x": [1.0]}]', id="dataset-strings"),
+        pytest.param("dataset", '[{"y": 1.5, "x": [true]}, {"y": 1.0, "x": [1.0]}]', id="dataset-bool"),
+        pytest.param("dataset", '[{"y": true, "x": [2.0]}, {"y": 1.0, "x": [1.0]}]', id="dataset-y-bool"),
+        pytest.param("cdf", '{"jumps": [true, "2"], "cum": ["0.5", 1]}', id="cdf-bool-and-strings"),
+        pytest.param("cdf", '{"jumps": [[0.0, 1.0]], "cum": [[0.5, 1.0]]}', id="cdf-two-axes"),
+        pytest.param("dgp", '"ab"', id="dgp-string"),
+        pytest.param("dgp", '[["kind", "gaussian_linear"], ["beta", [1.0]]]', id="dgp-list-of-pairs"),
+        pytest.param("dgp", '{"beta": [1.0]}', id="dgp-without-kind"),
+        pytest.param("dgp", '{"kind": "classification_grid", "p": 1, "class_count": 1%s}' % ("0" * 5000),
+                     id="dgp-integer-of-5000-digits"),
+        pytest.param("predictor", '{"kind": "ridge", "lambda": 1%s}' % ("0" * 5000),
+                     id="predictor-integer-of-5000-digits"),
+        pytest.param("dataset", '[{"y": 1%s, "x": [1.0]}, {"y": 1.0, "x": [2.0]}]' % ("0" * 5000),
+                     id="dataset-integer-of-5000-digits"),
+        pytest.param("predictor", '"ab"', id="predictor-string"),
+        pytest.param("cdf", "[0.5, 1.0]", id="cdf-array"),
+    ],
+)
+def test_json_inputs_outside_the_formats_exit_3(capsys, workdir, kind, text):
+    cdf = workdir / "f.json"
+    cdf.write_text(uniform_ecdf([0.0, 1.0]).to_json())
+    (workdir / "input.json").write_text(text)
+    paths = {"file": workdir / "input.json", "out": workdir / "out.csv", "data": workdir / "d.csv", "cdf": cdf,
+             "pred": workdir / "ridge.json"}
+    code = main([token.format(**paths) for token in FILE_COMMANDS[kind]])
+    out = capsys.readouterr().out
+    assert code == 3 and out.count("\n") == 1
+    assert strict_json(out)["error"] == "MalformedInput"
+
+
+def test_sim_length_rejects_a_repeated_predictor_kind(capsys, workdir):
+    code, payload = run_cli(capsys, "sim", "length", "--dgp", str(workdir / "dgp.json"), "--n", "6",
+                            "--train-reps", "2", "--predictors", "max_response,max_response")
+    assert code == 3 and payload["error"] == "MalformedInput"
+
+
+# JSON values for one slot of an input file, as file text: numbers, non-finite
+# and overflowing ones, numeric strings, bools, null, nested arrays, objects,
+# arrays of pairs and a bare string.
+FILE_VALUES = st.sampled_from([
+    "0", "1", "2", "-1", "0.5", "3.0", "1e999", "-1e999", "NaN", "1" + "0" * 400, '"1.5"', '"2"', "true",
+    "false", "null", "[]", "[1.0]", "[1.0, 2.0]", "[[1.0]]", "[[1.0], [2.0, 3.0]]", "[true]", '["1.0"]',
+    "{}", '{"a": 1}', '[["kind", "ridge"]]', '"ab"',
+])
+# File texts with one slot, @, for a value
+FILE_TEMPLATES = {
+    "dgp": [
+        '{"kind": "gaussian_linear", "beta": @, "sigma": 1.0}',
+        '{"kind": "gaussian_linear", "beta": [1.0, @], "sigma": 1.0}',
+        '{"kind": "gaussian_linear", "beta": [1.0], "sigma": @}',
+        '{"kind": "student_linear", "beta": [1.0], "dof": @}',
+        '{"kind": "classification_grid", "p": @, "class_count": 3}',
+        '{"kind": "classification_grid", "p": 1, "class_count": @}',
+        '{"kind": "dirac_first_coord", "p": 2, "point": @}',
+        '{"kind": "custom_table", "table_y": @, "table_x": [[0.0], [1.0]]}',
+        '{"kind": "custom_table", "table_y": [1.0, 2.0], "table_x": @}',
+        '{"kind": "custom_table", "table_y": [1.0, 2.0], "table_x": [[0.0], @]}',
+        '{"kind": @, "beta": [1.0]}',
+        "@",
+    ],
+    "predictor": [
+        '{"kind": "ridge", "lambda": @}',
+        '{"kind": "knn_mean", "neighbors": @}',
+        '{"kind": "constant", "value": @}',
+        '{"kind": "dirac_threshold", "level": @}',
+        '{"kind": "dirac_threshold", "level": 1.0, "threshold_uses_train_size": @, "threshold": 0.5}',
+        '{"kind": "dirac_threshold", "level": 1.0, "threshold_uses_train_size": false, "threshold": @}',
+        '{"kind": @}',
+        "@",
+    ],
+    "cdf": [
+        '{"jumps": @, "cum": [0.5, 1.0]}',
+        '{"jumps": [0.0, 1.0], "cum": @}',
+        '{"jumps": [0.0, @], "cum": [0.5, 1.0]}',
+        '{"jumps": [0.0, 1.0], "cum": [@, 1.0]}',
+        "@",
+    ],
+    "dataset": [
+        '[{"y": @, "x": [0.1]}, {"y": 1.0, "x": [0.5]}, {"y": 2.0, "x": [0.9]}]',
+        '[{"y": 0.5, "x": @}, {"y": 1.0, "x": [0.5]}, {"y": 2.0, "x": [0.9]}]',
+        '[{"y": 0.5, "x": [@]}, {"y": 1.0, "x": [0.5]}, {"y": 2.0, "x": [0.9]}]',
+        '[@, {"y": 1.0, "x": [0.5]}, {"y": 2.0, "x": [0.9]}]',
+        "@",
+    ],
+}
+
+
+@st.composite
+def fuzz_file(draw):
+    kind = draw(st.sampled_from(sorted(FILE_TEMPLATES)))
+    return kind, draw(st.sampled_from(FILE_TEMPLATES[kind])).replace("@", draw(FILE_VALUES))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@example(file=("dgp", '{"kind": "student_linear", "beta": [1.0], "dof": 1e999}'))
+@example(file=("dgp", '{"kind": "gaussian_linear", "beta": [1.0], "sigma": 1e999}'))
+@example(file=("dgp", '{"kind": "gaussian_linear", "beta": ["1.0"]}'))
+@example(file=("dgp", '{"kind": "gaussian_linear", "beta": [true]}'))
+@example(file=("dataset", '[{"y": "1.5", "x": ["2"]}, {"y": 1.0, "x": [1.0]}]'))
+@example(file=("dataset", '[{"y": 1.5, "x": [true]}, {"y": 1.0, "x": [1.0]}]'))
+@example(file=("predictor", '{"kind": "ridge", "lambda": 1%s}' % ("0" * 400)))
+@example(file=("predictor", '{"kind": "knn_mean", "neighbors": 2.5}'))
+@example(file=("cdf", '{"jumps": [true, "2"], "cum": ["0.5", 1]}'))
+@example(file=("dgp", '"ab"'))
+@example(file=("dgp", '[["kind", "gaussian_linear"], ["beta", [1.0]]]'))
+@given(file=fuzz_file())
+def test_fuzzed_input_files_exit_with_strict_json(fuzz_files, file):
+    kind, text = file
+    path = Path(fuzz_files["config"]).with_name(f"fuzzed_{kind}.json")
+    path.write_text(text)
+    argv = [token.format(**fuzz_files, file=path) for token in FILE_COMMANDS[kind]]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    assert code in (0, 3, 4), (argv, text)
+    strict_json(out.getvalue())

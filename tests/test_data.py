@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -12,11 +13,16 @@ import pytest
 from cvuq.data import (
     DgpSpec,
     TrainingSet,
+    json_array,
+    json_flag,
+    json_integer,
+    json_number,
     load_dataset,
     row_products,
     sample_classification,
     sample_gaussian_linear,
     save_dataset,
+    write_csv,
 )
 from cvuq.errors import DimensionMismatch, MalformedInput, TooFewRows
 from cvuq.rng import stream
@@ -304,3 +310,60 @@ def test_dgp_parsed_arrays_are_read_only_copies():
         dgp.sigma = 3.0
     table = DgpSpec("custom_table", DGP_CASES["custom_table"])
     assert not (table.table_y.flags.writeable or table.table_x.flags.writeable)
+
+
+BIG = 10**400  # an integer too large for a float
+
+
+@pytest.mark.parametrize("value", [True, "1.5", None, [1.0], {}, math.inf, -math.inf, math.nan, BIG, -BIG])
+def test_json_number_is_a_finite_real_but_not_a_bool(value):
+    with pytest.raises(MalformedInput):
+        json_number({"v": value}, "v", "test")
+
+
+def test_json_number_integer_and_flag_rules():
+    assert json_number({"v": 2}, "v", "test") == 2.0 and json_number({}, "v", "test", 0.5) == 0.5
+    with pytest.raises(MalformedInput):
+        json_number({}, "v", "test")  # no default: required
+    assert json_integer({"v": 3.0}, "v", "test") == 3
+    for value, least in ((2.5, 1), (0, 1), (1, 2), (True, 0)):
+        with pytest.raises(MalformedInput):
+            json_integer({"v": value}, "v", "test", least=least)
+    assert json_flag({"v": False}, "v", "test") is False and json_flag({}, "v", "test", True) is True
+    for value in (0, 1, "true", None):
+        with pytest.raises(MalformedInput):
+            json_flag({"v": value}, "v", "test")
+
+
+def test_json_array_is_rectangular_reals_and_leaves_finiteness_to_the_caller():
+    got = json_array({"v": [[1, 2.5], [BIG, -BIG]]}, "v", "test", 2)
+    assert got.tolist() == [[1.0, 2.5], [math.inf, -math.inf]]
+    assert json_array({"v": np.array([0.5, 1.0])}, "v", "test", 1).tolist() == [0.5, 1.0]
+    assert json_array({"v": [[], []]}, "v", "test", 2).shape == (2, 0)
+    for value, ndim in (([True], 1), (["1.0"], 1), ([None], 1), ([[1.0], [2.0, 3.0]], 2), ([1.0], 2),
+                        ([[1.0]], 1), (1.0, 1), ({"a": 1}, 1), ("ab", 1)):
+        with pytest.raises(MalformedInput):
+            json_array({"v": value}, "v", "test", ndim)
+
+
+def test_save_dataset_csv_is_write_csv_of_the_rows(tmp_path):
+    train = TrainingSet(np.array([0.1, -2.0]), np.array([[1.0 / 3.0, 1e-300], [-0.0, 5.0]]))
+    save_dataset(train, tmp_path / "a.csv", "csv")
+    write_csv(tmp_path / "b.csv", ["y", "x1", "x2"], [(0.1, 1.0 / 3.0, 1e-300), (-2.0, -0.0, 5.0)])
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+    assert (tmp_path / "a.csv").read_text() == "y,x1,x2\n0.1,0.3333333333333333,1e-300\n-2.0,-0.0,5.0\n"
+
+
+@pytest.mark.parametrize(
+    "kind, params",
+    [
+        ("gaussian_linear", {"beta": [1.0], "sigma": math.inf}),
+        ("student_linear", {"beta": [1.0], "dof": math.inf}),
+        ("dirac_first_coord", {"p": 1, "point": -math.inf}),
+        ("gaussian_linear", {"beta": [1.0], "sigma": BIG}),
+    ],
+)
+def test_infinite_dgp_numbers_are_malformed_at_parse(kind, params):
+    # gaussian_linear is the infinite-dof DGP; no DGP number may be infinite
+    with pytest.raises(MalformedInput):
+        DgpSpec(kind, params)

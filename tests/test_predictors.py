@@ -738,3 +738,14 @@ def test_ridge_on_overflowing_features_raises(lam):
     # at 1e150, X'X is finite and beta scales back exactly as it should
     beta = ridge_coefficients(TrainingSet(y, x * 1e150), 0.0) * 1e150
     np.testing.assert_allclose(beta, ridge_coefficients(TrainingSet(y, x), 0.0), rtol=1e-12)
+
+
+def test_ridge_without_features_raises_dimension_mismatch_on_every_path():
+    # a direct ridge_coefficients call reaches the same SVD check as fit and FoldFits
+    train = TrainingSet(np.array([0.5, 1.0, -0.2]), np.empty((3, 0)))
+    with pytest.raises(DimensionMismatch):
+        ridge_coefficients(train, 1.0)
+    with pytest.raises(DimensionMismatch):
+        predictors.fit(ridge(1.0), train)
+    with pytest.raises(DimensionMismatch):
+        FoldFits(ridge(1.0), train, FoldPartition.singletons(3))

@@ -825,3 +825,23 @@ def test_engine_does_not_depend_on_the_block_size(case):
             want = per_point_coverage(fits, method, a1, a2, d, x_test, y_test)
             assert engine.coverage(method, a1, a2, d) == want, (method, a1, a2)
     np.testing.assert_array_equal(engine.fold_exceedance(), dense_fold_exceedance(fits, x_test, delta))
+
+
+def test_experiments_without_test_points_raise_invalid_tolerance():
+    # one check, in the engine, for every experiment that counts test points
+    method = IntervalMethod("cv")
+    with pytest.raises(InvalidTolerance):
+        coverage_distribution(ridge(1.0), GAUSS, 10, method, 0.1, 0.9, 0.0, train_reps=2, mc_test=0, seed=1)
+    with pytest.raises(InvalidTolerance):
+        jk_vs_jkplus_gap(ridge(1.0), GAUSS, 10, 0.1, 0.9, 0.0, train_reps=2, mc_test=0, seed=1)
+    with pytest.raises(InvalidTolerance):
+        conditional_coverage(ridge(1.0), GAUSS, GAUSS.sample(10, stream(2)), method, 0.1, 0.9, 0.0, 0, seed=3)
+
+
+def test_length_compare_rejects_a_repeated_name_before_any_replication():
+    calls = []
+    sample = DgpSpec.sample
+    with mock.patch.object(DgpSpec, "sample", lambda self, n, rng: calls.append(n) or sample(self, n, rng)):
+        with pytest.raises(MalformedInput):
+            length_compare([ridge(0.01), ridge(100.0)], GAUSS1, 10, 0.6, train_reps=3, seed=1)
+    assert calls == []
