@@ -3,8 +3,9 @@
 Machine-readable JSON goes to stdout (or ``--out``); optional tidy CSV, its
 cells plain numbers or labels, goes to ``--csv``; anything human-facing,
 ``--help`` included, goes to stderr.  Every output object carries
-``"schema": "1"``.  Exit codes: 0 success, 2 usage error, 3 data error, 4
-numeric failure, each with a one-line JSON error object on stdout; 1 when
+``"schema": "1"``.  Exit codes: 0 success, 2 usage error, 3 data error (an
+input file that is not UTF-8 among them), 4 numeric failure or an allocation
+NumPy refuses, each with a one-line JSON error object on stdout; 1 when
 stdout is closed before the JSON is written, with nothing on stderr.
 
 A JSON config file (``--config``) supplies defaults; explicit flags win.  A
@@ -30,7 +31,7 @@ import numpy as np
 
 from . import risk as risk_mod
 from . import simlab, stability
-from .data import DgpSpec, json_flag, json_object, load_dataset, read_json, save_dataset, write_csv
+from .data import DgpSpec, json_flag, json_object, load_dataset, read_json, read_text, save_dataset, write_csv
 from .ecdf import StepCdf
 from .errors import DataError, InvalidTolerance, MalformedInput, NumericError
 from .intervals import IntervalMethod, interval, shortest_interval
@@ -273,7 +274,7 @@ def _fields(report, *names) -> dict:
 def _cmd_interval(args):
     _require(args, "data", "predictor", "alpha1", "alpha2", "xnew")
     train = load_dataset(args.data, args.format)
-    spec = PredictorSpec.from_json(Path(args.predictor).read_text())
+    spec = PredictorSpec.from_json(read_text(args.predictor, "predictor file"))
     partition = resolve_partition(_fold_rule(args.k), train.n)
     xnew = np.asarray(_floats(args.xnew))
     method = IntervalMethod(args.method, symmetrized=args.symmetrized)
@@ -290,15 +291,15 @@ def _cmd_interval(args):
 
 def _cmd_gauge(args):
     _require(args, "f", "g", "delta")
-    F = StepCdf.from_json(Path(args.f).read_text())
-    G = StepCdf.from_json(Path(args.g).read_text())
+    F = StepCdf.from_json(read_text(args.f, "step cdf file"))
+    G = StepCdf.from_json(read_text(args.g, "step cdf file"))
     return _fields(gauge(F, G, args.delta), "value", "witness_t", "side"), None
 
 
 def _cmd_risk(args):
     _require(args, "data", "predictor")
     train = load_dataset(args.data, args.format)
-    spec = PredictorSpec.from_json(Path(args.predictor).read_text())
+    spec = PredictorSpec.from_json(read_text(args.predictor, "predictor file"))
     partition = resolve_partition(_fold_rule(args.k), train.n)
     u = FoldFits(spec, train, partition).loo_residuals
     payload: dict = {"mse": risk_mod.mse_estimate(u)}
@@ -321,7 +322,7 @@ def _cmd_risk(args):
 
 def _cmd_dgp(args):
     _require(args, "dgp", "n", "data_out")
-    dgp = DgpSpec.from_json(Path(args.dgp).read_text())
+    dgp = DgpSpec.from_json(read_text(args.dgp, "DGP file"))
     train = dgp.sample(args.n, stream(args.seed))
     save_dataset(train, args.data_out, args.format)
     return {"written": str(args.data_out), "n": train.n, "p": train.p}, None
@@ -340,8 +341,8 @@ def _cmd_stability(args):
         value = stability.equivalence_bound(args.eps, _float_flag(args.delta, "--delta"), _floats(args.exceed))
         return {"mode": mode, "bound": value}, None
     _require(args, "predictor", "dgp", "n")
-    spec = PredictorSpec.from_json(Path(args.predictor).read_text())
-    dgp = DgpSpec.from_json(Path(args.dgp).read_text())
+    spec = PredictorSpec.from_json(read_text(args.predictor, "predictor file"))
+    dgp = DgpSpec.from_json(read_text(args.dgp, "DGP file"))
     payload = {"mode": mode}
     if mode == "profile":
         prof = stability.oos_stability_profile(
@@ -371,7 +372,7 @@ def _cmd_sim(args):
     mode = args.mode
     _require(args, "dgp")
     _require(args, *_SIM_NEEDS[mode])
-    dgp = DgpSpec.from_json(Path(args.dgp).read_text())
+    dgp = DgpSpec.from_json(read_text(args.dgp, "DGP file"))
     if mode == "length":
         kinds = (args.predictors or "max_response,neg_max_response").split(",")
         rep = simlab.length_compare(
@@ -385,7 +386,7 @@ def _cmd_sim(args):
                              "frac_cvp_shorter_or_equal": np.mean(lp <= lj + 1e-12)}
             rows.extend((kind, i, a, b) for i, (a, b) in enumerate(zip(lj, lp)))
         return payload, (["kind", "rep", "len_cv", "len_cvp"], rows)
-    spec = PredictorSpec.from_json(Path(args.predictor).read_text())
+    spec = PredictorSpec.from_json(read_text(args.predictor, "predictor file"))
     if mode == "coverage":
         rep = simlab.coverage_distribution(
             spec, dgp, args.n, IntervalMethod(args.method, symmetrized=args.symmetrized),
@@ -437,9 +438,9 @@ def main(argv=None) -> int:
         defaults = {}
         try:
             if known.config:
-                defaults = json_object(read_json(Path(known.config).read_text(), "config"), "config")
+                defaults = json_object(read_json(read_text(known.config, "config"), "config"), "config")
             parser = _parser_for(json.dumps(defaults, sort_keys=True))
-        except (OSError, ValueError, MalformedInput) as exc:  # ValueError: text that is not UTF-8
+        except (OSError, MalformedInput) as exc:
             raise UsageError(f"bad config file: {exc}") from exc
         args = parser.parse_args(argv)
         _check_counts(args)
@@ -458,6 +459,8 @@ def main(argv=None) -> int:
         failure = 4, type(exc).__name__, exc
     except OSError as exc:
         failure = 3, "io", exc
+    except MemoryError as exc:  # an allocation NumPy refuses at once; the OS may still kill a run short of RAM
+        failure = 4, "MemoryError", exc
     code, error, exc = failure
     return _emit({"error": error, "message": str(exc)}, None, code)
 

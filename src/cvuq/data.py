@@ -109,7 +109,7 @@ def _from_rows(rows: list[tuple[float, list[float]]]) -> TrainingSet:
 
 def load_dataset(path, format: str = "csv") -> TrainingSet:
     """Read a dataset file; ``format`` is ``"csv"`` or ``"json"``."""
-    text = Path(path).read_text()
+    text = read_text(path, "dataset")
     if format == "csv":
         return _parse_csv(text)
     if format != "json":
@@ -160,6 +160,15 @@ def write_csv(path, header, rows) -> None:
     """A header line, then one line per row: floats as ``repr(float(v))``, other cells as ``str(v)``."""
     lines = (",".join(repr(float(v)) if isinstance(v, (float, np.floating)) else str(v) for v in row) for row in rows)
     Path(path).write_text("\n".join([",".join(header), *lines]) + "\n")
+
+
+def read_text(path, what: str) -> str:
+    """The text of the input file at ``path``, read as UTF-8; MalformedInput
+    when it is not UTF-8."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise MalformedInput(f"{what} is not UTF-8 text: {exc}") from exc
 
 
 def read_json(text: str, what: str):

@@ -22,12 +22,13 @@ Predictor arguments throughout the library accept either a
 :class:`PredictorSpec` or a plain callable ``(xnew, train) -> float`` for
 ad-hoc algorithms, with theta = (callable, training set).
 
-Leave-fold-out predictions come from :class:`FoldFits` alone, which keeps one
-parameter per fold and predicts with the full-data fit's rule: one rule per
-kind gives the full-data predictions, every fold's predictions and the
-leave-fold-out residuals alike.  For ridge the fold parameters come from one
-thin SVD of X (never X'X, so accuracy follows the condition number of X, not
-its square) and a batched Woodbury update of every fold, guarded by
+:func:`fit` alone chooses by kind: each kind's branch gives its rule, its
+full-data parameter and the parameters of the fits on the rows outside each
+fold, which :class:`FoldFits` keeps, predicting with the full-data fit's
+rule: one rule per kind gives the full-data predictions, every fold's
+predictions and the leave-fold-out residuals alike.  For ridge they come
+from a batched Woodbury update of the full fit's thin SVD of X (never X'X,
+so accuracy follows the condition number of X, not its square), guarded by
 ``WOODBURY_MIN_EIG`` and ``PIVOT_RTOL``; closed forms give them for
 constant, the max kinds and dirac_threshold, one refit per fold for knn_mean
 and callables.  A FoldFits is the only input of the interval constructions
@@ -176,6 +177,66 @@ def ridge_coefficients(train: TrainingSet, lam: float) -> np.ndarray:
     return _ridge_solve(d, vt, uty, lam * train.n)
 
 
+def _ridge_folds(spec: PredictorSpec, train: TrainingSet, partition: FoldPartition, svd) -> tuple[np.ndarray, tuple]:
+    """The C-contiguous (k, p) leave-fold-out coefficient rows (which row
+    products read with unit stride) and the folds refitted from their own
+    rows, from the full fit's thin SVD X = U diag(d) V' (r = min(n, p)
+    singular values).  For fold size s and c = lambda*(n - s), X'X + cI has
+    spectrum d^2 + c; with h = 1/sqrt(d^2 + c), beta_s = V(d h^2 U'Y) and
+    Z_f = U_f diag(d h), a fold f has the Woodbury update beta_f = beta_s -
+    V diag(h) Z_f' (I - Z_f Z_f')^{-1} r_f, r_f = y_f - X_f beta_s, solved
+    for all folds in one stacked call (the r x r form when s > r).  When
+    p >= n, U_f U_f' = I, so I - Z_f Z_f' = U_f diag(c h^2) U_f' has no
+    cancellation.  A fold is refitted when its capacitance matrix fails
+    ``WOODBURY_MIN_EIG``, when its own X'X + cI may count as singular (by
+    the bound eig * (d_min^2 + c) on its smallest eigenvalue), or when its
+    size's X'X + cI does, raising ``DegenerateFit`` as a direct fit would."""
+    U, d, vt, uty = svd
+    lam, folds = spec.lam, partition.folds
+    coef = np.empty((len(folds), train.p))
+    sizes = np.array([f.size for f in folds])
+    square = d.size == train.n  # p >= n: U is orthogonal, so U_f U_f' = I
+    fallback = []
+    for s in np.unique(sizes):
+        members = np.flatnonzero(sizes == s)
+        c = lam * (train.n - s)
+        try:
+            lo, hi = _spectrum(d, train.p, c)
+        except DegenerateFit:
+            fallback.extend(members)
+            continue
+        h2 = 1.0 / (d * d + c)
+        h = np.sqrt(h2)
+        rows = np.concatenate([folds[j] for j in members]).reshape(-1, s)  # (folds, s)
+        Uf = U[rows]  # (folds, s, r)
+        Z = Uf * (d * h)
+        Zt = Z.transpose(0, 2, 1)
+        small = s <= d.size  # s x s capacitance matrices, else r x r by push-through
+        if square:  # I - Z_f Z_f' and r_f without cancellation, to relative precision
+            M, r = (Uf * (c * h2)) @ Uf.transpose(0, 2, 1), Uf @ (c * h2 * uty)
+        else:
+            M = np.eye(s) - Z @ Zt if small else np.eye(d.size) - Zt @ Z
+            r = train.y[rows] - Uf @ (d * d * h2 * uty)
+        eig = np.linalg.eigvalsh(M)
+        # rounding error in M is relative to its largest eigenvalue, at most 1
+        # for I - Z_f Z_f'; the fold's own X'X + cI has eigenvalues in [eig lo, hi]
+        ok = (eig[:, 0] >= WOODBURY_MIN_EIG * (eig[:, -1] if square else 1.0)) & (
+            eig[:, 0] * lo >= PIVOT_RTOL**2 * hi)
+        Z, Zt, M, r = Z[ok], Zt[ok], M[ok], r[ok, :, None]
+        v = Zt @ np.linalg.solve(M, r) if small else np.linalg.solve(M, Zt @ r)
+        coef[members[ok]] = (vt.T @ ((d * h2 * uty)[:, None] - h[:, None] * v[..., 0].T)).T
+        fallback.extend(members[~ok])
+    fallback = tuple(sorted(int(j) for j in fallback))
+    for j in fallback:
+        coef[j] = _refits(spec, train, [folds[j]])[0]
+    return coef, fallback
+
+
+def _refits(spec, train: TrainingSet, folds) -> list:
+    """The parameters of the fits of ``spec`` on the rows outside each fold."""
+    return [fit(spec, train.subset(np.delete(np.arange(train.n), f))).theta for f in folds]
+
+
 def _values(X: np.ndarray, value) -> np.ndarray:
     """The rule of constant, max_response and neg_max_response: the value
     copied to every row (its last axis, if any, lines up with the rows)."""
@@ -201,24 +262,14 @@ def _call(X: np.ndarray, theta) -> np.ndarray:
     return np.array([fn(row, train) for row in X], dtype=float)
 
 
-def _rule(spec, train: TrainingSet):
-    """The rule ``rule(X, theta)`` of ``spec``'s kind, which fits and
-    :class:`FoldFits` both take from here; DimensionMismatch for
-    dirac_threshold on a training set without features (ridge's SVD checks)."""
-    if not isinstance(spec, PredictorSpec):
-        return _call
-    if spec.kind == "dirac_threshold":
-        if train.p == 0:
-            raise DimensionMismatch("dirac_threshold reads features, and the training set has none")
-        return lambda X, threshold: spec.level * (X[:, 0] < threshold)
-    return row_products if spec.kind == "ridge" else _knn if spec.kind == "knn_mean" else _values
-
-
 class Fitted:
-    """A fitted model: its kind's rule at the fitted parameter ``theta``."""
+    """A fitted model: its kind's rule at the fitted parameter ``theta``, and
+    ``fold_parameters(partition)``, the parameters of the fits on the rows
+    outside each fold and the folds refitted from their own rows
+    (:class:`FoldFits`)."""
 
-    def __init__(self, rule, theta):
-        self.rule, self.theta = rule, theta
+    def __init__(self, rule, theta, fold_parameters):
+        self.rule, self.theta, self.fold_parameters = rule, theta, fold_parameters
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         return self.rule(X, self.theta)
@@ -227,27 +278,47 @@ class Fitted:
         return float(self.predict(np.asarray(x, dtype=float).reshape(1, -1))[0])
 
 
-def _dirac_threshold(spec: PredictorSpec, train_size: int) -> float:
-    """The threshold of a dirac_threshold fit on ``train_size`` rows."""
-    return float(train_size) if spec.threshold is None else spec.threshold
-
-
 def fit(spec, train: TrainingSet) -> Fitted:
-    """Fit ``spec`` on ``train``: its kind's rule at the parameter fitted here."""
-    rule = _rule(spec, train)
-    kind = spec.kind if isinstance(spec, PredictorSpec) else None
-    if kind is None:
-        return Fitted(rule, (spec, train))
+    """Fit ``spec`` on ``train``: its kind's rule, parameter and fold
+    parameters, from the one place that chooses by kind; DimensionMismatch
+    for ridge and dirac_threshold on a training set without features."""
+    if not isinstance(spec, PredictorSpec):
+        return Fitted(_call, (spec, train), lambda part: (_refits(spec, train, part.folds), ()))
+    kind = spec.kind
     if kind == "ridge":
-        return Fitted(rule, ridge_coefficients(train, spec.lam))
+        svd = _ridge_svd(train)
+        beta = _ridge_solve(*svd[1:], spec.lam * train.n)
+        return Fitted(row_products, beta, lambda part: _ridge_folds(spec, train, part, svd))
     if kind == "knn_mean":  # fold refits shrink the sample: clamp to the available rows
         order = _canonical_order(train)
-        return Fitted(rule, (train.x[order], train.y[order], min(spec.neighbors, train.n)))
-    if kind in ("max_response", "neg_max_response"):
-        return Fitted(rule, train.y.max() if kind == "max_response" else -train.y.max())
+        return Fitted(_knn, (train.x[order], train.y[order], min(spec.neighbors, train.n)),
+                      lambda part: (_refits(spec, train, part.folds), ()))
     if kind == "dirac_threshold":
-        return Fitted(rule, _dirac_threshold(spec, train.n))
-    return Fitted(rule, spec.value)
+        if train.p == 0:
+            raise DimensionMismatch("dirac_threshold reads features, and the training set has none")
+
+        def threshold(size: int) -> float:
+            return float(size) if spec.threshold is None else spec.threshold
+
+        return Fitted(lambda X, t: spec.level * (X[:, 0] < t), threshold(train.n),
+                      lambda part: (np.array([threshold(part.n - f.size) for f in part.folds]), ()))
+    if kind == "constant":
+        return Fitted(_values, spec.value, lambda part: (np.full(part.k, spec.value), ()))
+    if kind == "max_response":
+        return Fitted(_values, train.y.max(), lambda part: (_max_outside(train.y, part), ()))
+    return Fitted(_values, -train.y.max(), lambda part: (-_max_outside(train.y, part), ()))
+
+
+def _max_outside(y: np.ndarray, part: FoldPartition) -> np.ndarray:
+    """Per fold, the largest response outside it: only the fold holding the
+    first argmax can lose the maximum."""
+    i = y.argmax()
+    top = part.fold_of[i]
+    rest = y.copy()
+    rest[part.folds[top]] = -np.inf
+    values = np.full(part.k, y[i])
+    values[top] = rest.max()
+    return values
 
 
 def feature_row(xnew, p: int) -> np.ndarray:
@@ -330,118 +401,28 @@ class FoldFits:
     once and reused across test points.  Fold j predicts with the full-data
     fit's rule at theta_j, the parameter of the fit on the rows outside it:
     the leave-fold-out residual of row i is y_i - rule(x_i, theta_{j(i)}).
-    The fold parameters are one array, or one refit's per fold:
-
-    * ridge: the (k, p) leave-fold-out coefficient rows, whose (p, k) view is
-      ``coef`` (None for every other kind), from one thin SVD X = U diag(d) V'
-      (r = min(n, p) singular values).  For fold size s and c = lambda*(n -
-      s), X'X + cI has spectrum d^2 + c; with h = 1/sqrt(d^2 + c), beta_s =
-      V(d h^2 U'Y) and Z_f = U_f diag(d h), a fold f has the Woodbury update
-      beta_f = beta_s - V diag(h) Z_f' (I - Z_f Z_f')^{-1} r_f, r_f = y_f -
-      X_f beta_s, solved for all folds in one stacked call (the r x r form
-      when s > r).  When p >= n, U_f U_f' = I, so I - Z_f Z_f' = U_f diag(c
-      h^2) U_f' has no cancellation.  A fold is refitted from its own rows
-      when its capacitance matrix fails ``WOODBURY_MIN_EIG``, when its own
-      X'X + cI may count as singular (by the bound eig * (d_min^2 + c) on its
-      smallest eigenvalue), or when its size's X'X + cI does; a refit raises
-      ``DegenerateFit`` as a direct fit would.  ``fallback_folds`` lists them
-      (a tuple of fold indices, empty for every other kind).
-    * constant, max_response, neg_max_response: the fold values, O(n).
-    * dirac_threshold: t_j, the size n - |K_j| or the fixed threshold.
-    * knn_mean and callables: one refit per fold.
+    The fold parameters, one array or one refit's per fold, and
+    ``fallback_folds``, the folds refitted from their own rows when a closed
+    form would be inaccurate (a tuple of fold indices), come from the
+    full-data fit (:func:`fit`).  ``coef`` is the (p, k) view of the fold
+    coefficient rows of a linear rule x'theta (ridge), else None.
     """
 
     def __init__(self, spec, train: TrainingSet, partition: FoldPartition):
         if partition.n != train.n:
             raise DimensionMismatch("partition size differs from training size")
-        self.spec = spec
         self.train = train
         self.partition = partition
-        kind = spec.kind if isinstance(spec, PredictorSpec) else None
-        self.coef, self.fallback_folds = None, ()
-        if kind == "ridge":
-            beta, self._theta, self.fallback_folds = self._ridge_fits()
-            self.full_model, self.coef = Fitted(_rule(spec, train), beta), self._theta.T
-        else:
-            self.full_model = fit(spec, train)
-            self._theta = self._fold_parameters(kind)
+        self.full_model = fit(spec, train)
+        self._theta, self.fallback_folds = self.full_model.fold_parameters(partition)
         rule, theta = self.full_model.rule, self._theta
+        self.coef = theta.T if rule is row_products else None
         if isinstance(theta, list):
             self.loo_residuals = np.empty(train.n)
             for t, f in zip(theta, partition.folds):
                 self.loo_residuals[f] = train.y[f] - rule(train.x[f], t)
         else:
             self.loo_residuals = train.y - rule(train.x, theta[partition.fold_of])
-
-    def _refit(self, fold: np.ndarray):
-        return fit(self.spec, self.train.subset(np.delete(np.arange(self.train.n), fold)))
-
-    def _ridge_fits(self) -> tuple[np.ndarray, np.ndarray, tuple]:
-        """The full-data coefficients, the C-contiguous (k, p) leave-fold-out
-        coefficient rows (which row products read with unit stride) and the
-        folds refitted from their own rows, from one thin SVD of X."""
-        lam = self.spec.lam
-        train, folds = self.train, self.partition.folds
-        U, d, vt, uty = _ridge_svd(train)
-        # ridge_coefficients' expression, so a full-data DegenerateFit comes first
-        beta = _ridge_solve(d, vt, uty, lam * train.n)
-        coef = np.empty((len(folds), train.p))
-        sizes = np.array([f.size for f in folds])
-        square = d.size == train.n  # p >= n: U is orthogonal, so U_f U_f' = I
-        fallback = []
-        for s in np.unique(sizes):
-            members = np.flatnonzero(sizes == s)
-            c = lam * (train.n - s)
-            try:
-                lo, hi = _spectrum(d, train.p, c)
-            except DegenerateFit:
-                fallback.extend(members)
-                continue
-            h2 = 1.0 / (d * d + c)
-            h = np.sqrt(h2)
-            rows = np.concatenate([folds[j] for j in members]).reshape(-1, s)  # (folds, s)
-            Uf = U[rows]  # (folds, s, r)
-            Z = Uf * (d * h)
-            Zt = Z.transpose(0, 2, 1)
-            small = s <= d.size  # s x s capacitance matrices, else r x r by push-through
-            if square:  # I - Z_f Z_f' and r_f without cancellation, to relative precision
-                M, r = (Uf * (c * h2)) @ Uf.transpose(0, 2, 1), Uf @ (c * h2 * uty)
-            else:
-                M = np.eye(s) - Z @ Zt if small else np.eye(d.size) - Zt @ Z
-                r = train.y[rows] - Uf @ (d * d * h2 * uty)
-            eig = np.linalg.eigvalsh(M)
-            # rounding error in M is relative to its largest eigenvalue, at most 1
-            # for I - Z_f Z_f'; the fold's own X'X + cI has eigenvalues in [eig lo, hi]
-            ok = (eig[:, 0] >= WOODBURY_MIN_EIG * (eig[:, -1] if square else 1.0)) & (
-                eig[:, 0] * lo >= PIVOT_RTOL**2 * hi)
-            Z, Zt, M, r = Z[ok], Zt[ok], M[ok], r[ok, :, None]
-            v = Zt @ np.linalg.solve(M, r) if small else np.linalg.solve(M, Zt @ r)
-            coef[members[ok]] = (vt.T @ ((d * h2 * uty)[:, None] - h[:, None] * v[..., 0].T)).T
-            fallback.extend(members[~ok])
-        fallback = tuple(sorted(int(j) for j in fallback))
-        for j in fallback:
-            coef[j] = self._refit(folds[j]).theta
-        return beta, coef, fallback
-
-    def _fold_parameters(self, kind):
-        """Per fold, the parameter of the fit on the rows outside it: closed
-        forms for the value kinds and dirac_threshold, else a refit's."""
-        part = self.partition
-        if kind == "constant":
-            return np.full(part.k, self.spec.value)
-        if kind == "dirac_threshold":
-            return np.array([_dirac_threshold(self.spec, part.n - f.size) for f in part.folds])
-        if kind not in ("max_response", "neg_max_response"):
-            return [self._refit(f).theta for f in part.folds]
-        # only the fold holding the first argmax can lose the maximum
-        y = self.train.y
-        i = y.argmax()
-        top = part.fold_of[i]
-        rest = y.copy()
-        rest[part.folds[top]] = -np.inf
-        values = np.full(part.k, y[i])
-        values[top] = rest.max()
-        return values if kind == "max_response" else -values
 
     def fold_predictions(self, X: np.ndarray) -> np.ndarray:
         """(m, k) matrix of per-fold predictions rule(X, theta_j) at the rows

@@ -8,7 +8,8 @@ leave-fold-out oracles refit the predictor once per fold (ridge also by
 orthogonal least squares, without normal equations), and the coverage
 oracles build every test point's interval, from a validated step cdf or by
 sorting each row of cv_plus atoms, with each cumulative weight an exact
-integer sum over the least common denominator, rounded once.  ``merged_ecdf`` builds a step cdf by
+integer sum over the least common denominator, rounded once; the integer
+reach of a level bisects its defining float test.  ``merged_ecdf`` builds a step cdf by
 merging equal atoms before it sums their weights, and ``ReadCountingDict``
 counts the reads of a spec's parameters.
 """
@@ -63,6 +64,21 @@ def ceil_guarded(x: float, guard: float = LEVEL_GUARD) -> int:
     if abs(x - nearest) <= guard:
         return int(nearest)
     return int(math.ceil(x))
+
+
+def least_reach(alpha: float, total: int) -> float:
+    """The least C in [1, W] with fl(C / W) >= alpha - LEVEL_GUARD, by
+    bisection, since the test is monotone in C; -inf for alpha <= 0 and +inf
+    for alpha > 1."""
+    if alpha <= 0:
+        return -math.inf
+    if alpha > 1:
+        return math.inf
+    lo, hi = 1, total
+    while lo < hi:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if mid / total >= alpha - LEVEL_GUARD else (mid + 1, hi)
+    return lo
 
 
 def eval_many(F: StepCdf, t: np.ndarray) -> np.ndarray:

@@ -772,6 +772,38 @@ def test_json_inputs_outside_the_formats_exit_3(capsys, workdir, kind, text):
     assert strict_json(out)["error"] == "MalformedInput"
 
 
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        *(pytest.param(argv, 3, id=kind) for kind, argv in FILE_COMMANDS.items()),
+        pytest.param(["risk", "--data", "{file}", "--predictor", "{pred}"], 3, id="csv-dataset"),
+        pytest.param(["--config", "{file}", "gauge", "--f", "{cdf}", "--g", "{cdf}", "--delta", "0.1"], 2,
+                     id="config"),
+    ],
+)
+def test_input_files_that_are_not_utf8_exit_with_json_error(capsys, workdir, argv, code):
+    # a 0xff byte, which no UTF-8 text holds; a config file stays a usage error
+    cdf = workdir / "f.json"
+    cdf.write_text(uniform_ecdf([0.0, 1.0]).to_json())
+    (workdir / "input").write_bytes(b'{"kind": "\xff"}\n')
+    paths = {"file": workdir / "input", "out": workdir / "out.csv", "data": workdir / "d.csv", "cdf": cdf,
+             "pred": workdir / "ridge.json"}
+    assert main([token.format(**paths) for token in argv]) == code
+    out = capsys.readouterr().out
+    assert out.count("\n") == 1
+    assert strict_json(out)["error"] == ("MalformedInput" if code == 3 else "usage")
+
+
+def test_an_allocation_numpy_refuses_exits_4(capsys, tmp_path):
+    # NumPy refuses the 14.2 PiB block of normals at once, so nothing is allocated
+    dgp = tmp_path / "bigp.json"
+    dgp.write_text('{"kind": "classification_grid", "p": 1e15, "class_count": 2}')
+    code = main(["dgp", "--dgp", str(dgp), "--n", "2", "--data-out", str(tmp_path / "o.csv")])
+    out = capsys.readouterr().out
+    assert code == 4 and out.count("\n") == 1
+    assert strict_json(out)["error"] == "MemoryError"
+
+
 def test_sim_length_rejects_a_repeated_predictor_kind(capsys, workdir):
     code, payload = run_cli(capsys, "sim", "length", "--dgp", str(workdir / "dgp.json"), "--n", "6",
                             "--train-reps", "2", "--predictors", "max_response,max_response")

@@ -8,6 +8,7 @@ import sys
 import textwrap
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 
 from cvuq import simlab
 from cvuq.data import DgpSpec, TrainingSet
-from cvuq.ecdf import LEVEL_GUARD
+from cvuq.ecdf import LEVEL_GUARD, fold_units
 from cvuq.errors import DegenerateFit, InvalidTolerance, MalformedInput, NumericError
 from cvuq.intervals import IntervalMethod, interval
 from cvuq.levy_gauge import gauge
@@ -37,7 +38,8 @@ from cvuq.simlab import (
     sqrt_n_family,
 )
 from cvuq.stability import resolve_partition
-from oracles import dense_fold_exceedance, isotonic_trend_ok, per_point_coverage, sorted_atom_coverage, unequal_folds
+from oracles import (dense_fold_exceedance, isotonic_trend_ok, least_reach, per_point_coverage, sorted_atom_coverage,
+                     unequal_folds)
 
 GAUSS = DgpSpec("gaussian_linear", {"beta": [1.0, -0.5], "sigma": 1.0})
 GAUSS1 = DgpSpec("gaussian_linear", {"beta": [0.0], "sigma": 1.0})
@@ -448,6 +450,34 @@ def test_engine_reach_matches_interval_at_every_prefix_weight(rule):
         for a1, a2 in [(a, 1.0) for a in levels] + [(0.0, a) for a in levels]:
             fast = engine.coverage(method, a1, a2, 0.0)
             assert fast == per_point_coverage(fits, method, a1, a2, 0.0, x_test, y_test), (method, a1, a2)
+
+
+@st.composite
+def reach_cases(draw):
+    if draw(st.booleans()):
+        total = int(fold_units(draw(st.lists(st.integers(1, 30), min_size=2, max_size=12)))[1])
+    else:
+        total = 2**53 - draw(st.integers(0, 2**20))
+    return total, draw(st.integers(1, total)), draw(st.floats(-0.1, 1.1))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(case=reach_cases())
+def test_engine_reach_is_the_least_count_that_reaches_the_level(case):
+    total, count, free = case
+    engine = SimpleNamespace(partition=SimpleNamespace(unit_total=total))  # all _reach reads
+    at = count / total
+    shifted = at + LEVEL_GUARD  # walked to the least alpha with alpha - LEVEL_GUARD >= fl(C / W)
+    while shifted - LEVEL_GUARD >= at:
+        shifted = math.nextafter(shifted, 0.0)
+    while shifted - LEVEL_GUARD < at:
+        shifted = math.nextafter(shifted, 2.0)
+    for alpha in (at, math.nextafter(at, 0.0), math.nextafter(at, 2.0), at - LEVEL_GUARD, shifted,
+                  math.nextafter(shifted, 0.0), math.nextafter(shifted, 2.0), 0.0, 5e-324, 1.0,
+                  math.nextafter(1.0, 2.0), math.inf, -math.inf, free):
+        assert CoverageEngine._reach(engine, alpha) == least_reach(alpha, total), (total, alpha)
+    with pytest.raises(ValueError):
+        CoverageEngine._reach(engine, math.nan)
 
 
 def test_infinite_delta_is_rejected():
