@@ -4,7 +4,7 @@ A :class:`StepCdf` stores the jump locations and cumulative weights of a
 right-continuous step function: ``F(t) = cum[j]`` for ``jumps[j] <= t <
 jumps[j+1]``, ``0`` before the first jump and ``1`` from the last jump on.
 Quantiles follow the extended definition ``Q_a(F) = inf{x: F(x) >= a}`` with
-``-inf`` for ``a <= 0`` and ``+inf`` for ``a > 1``, one rule in :func:`quantiles`,
+``-inf`` for ``a <= 0`` and ``+inf`` for ``a > 1``, one rule in :func:`quantile`,
 which also reads order statistics off unmerged weighted atoms (:class:`SortedAtoms`),
 whose run ends (:meth:`SortedAtoms.run_ends`) are a step cdf: one sort-and-merge rule.
 """
@@ -160,22 +160,18 @@ def left_limit(F: StepCdf, t):
     return _weight_below(F, t, "left")
 
 
-def quantile(F: StepCdf, alpha: float) -> float:
+def quantile(F, alpha):
     """Extended quantile: -inf for alpha <= 0, +inf for alpha > 1, else the
-    smallest jump whose cumulative weight reaches alpha (within LEVEL_GUARD).
-    """
-    return float(quantiles(F, alpha))
-
-
-def quantiles(F, alphas) -> np.ndarray:
-    """:func:`quantile` at every level of ``alphas``; ``F`` is a
+    smallest jump whose cumulative weight reaches alpha (within LEVEL_GUARD);
+    a float at one level, an array at an array of levels.  ``F`` is a
     :class:`StepCdf` or :class:`SortedAtoms`."""
-    alphas = np.asarray(alphas, dtype=float)
-    if np.isnan(alphas).any():
+    alpha = np.asarray(alpha, dtype=float)
+    if np.isnan(alpha).any():
         raise ValueError("alpha must not be NaN")
     # the index is clamped to the last jump only for levels above 1
-    q = F.jumps[np.minimum(F.cum.searchsorted(alphas - LEVEL_GUARD), F.jumps.size - 1)]
-    return np.where(alphas <= 0.0, -math.inf, np.where(alphas > 1.0, math.inf, q))
+    q = F.jumps[np.minimum(F.cum.searchsorted(alpha - LEVEL_GUARD), F.jumps.size - 1)]
+    q = np.where(alpha <= 0.0, -math.inf, np.where(alpha > 1.0, math.inf, q))
+    return float(q) if q.ndim == 0 else q
 
 
 class SortedAtoms:

@@ -12,7 +12,7 @@ for cv_plus, and the in-sample fitted values for fitted_values.
 
 An interval is [Q_{a1} - delta, Q_{a2} + delta] of the method's weighted
 atoms; ``delta`` may be negative (shrunken) but must be finite.  Every
-endpoint follows one quantile rule, :func:`cvuq.ecdf.quantiles` on the sorted
+endpoint follows one quantile rule, :func:`cvuq.ecdf.quantile` on the sorted
 atoms (:class:`cvuq.ecdf.SortedAtoms`): Q_a is the first sorted atom whose
 cumulative weight reaches a (within LEVEL_GUARD), -inf for a <= 0 and +inf
 for a > 1, an order statistic of the atoms; no step cdf is built.
@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ecdf import SortedAtoms, eval_cdf, left_limit, quantile, quantiles, weighted_ecdf
+from .ecdf import SortedAtoms, eval_cdf, left_limit, quantile, weighted_ecdf
 from .errors import InvalidBundle, InvalidTolerance, NumericError
 from .predictors import FoldFits, feature_row
 
@@ -133,9 +133,9 @@ def interval_ends(method: IntervalMethod, center, atoms: SortedAtoms, alpha1, al
     if method.symmetrized and method.base != "cv_plus":  # center +- radius
         if np.any(np.isinf(alpha1) & (alpha1 == alpha2)):  # alpha2 - alpha1 would be inf - inf
             raise InvalidTolerance(f"symmetrized levels alpha1 = {alpha1}, alpha2 = {alpha2} have no alpha2 - alpha1")
-        radius = quantiles(atoms, alpha2 - alpha1) + delta
+        radius = quantile(atoms, alpha2 - alpha1) + delta
         return center - radius, center + radius
-    q1, q2 = quantiles(atoms, [alpha1, alpha2])
+    q1, q2 = quantile(atoms, [alpha1, alpha2])
     if method.base != "cv_plus":
         q1, q2 = center + q1, center + q2
     return q1 - delta, q2 + delta
@@ -209,6 +209,5 @@ def coverage_ceiling(fits: FoldFits, alpha1: float, alpha2: float, delta: float)
     if not delta > 0:
         raise InvalidTolerance("delta must be positive")
     F = weighted_ecdf(fits.loo_residuals, fits.partition.atom_units, fits.partition.unit_total)
-    q1 = quantile(F, alpha1)
-    q2 = quantile(F, alpha2)
+    q1, q2 = quantile(F, [alpha1, alpha2])
     return eval_cdf(F, q2 + 2 * delta) - left_limit(F, q1 - 2 * delta)

@@ -100,8 +100,7 @@ def quantile_sandwich(F: StepCdf, G: StepCdf, delta: float, alpha: float):
     with L the gauge between F and G at tolerance delta.  Returns (lo, hi).
     """
     L = gauge(F, G, delta).value
-    lo = quantile(F, alpha - L)
-    hi = quantile(F, alpha + L)
+    lo, hi = quantile(F, [alpha - L, alpha + L]).tolist()
     lo = lo - delta if math.isfinite(lo) else lo
     hi = hi + delta if math.isfinite(hi) else hi
     return lo, hi

@@ -8,7 +8,7 @@ hit equals :func:`cvuq.intervals.interval`'s: the full-data predictions
 (:meth:`cvuq.predictors.FoldFits.fold_predictions`) give each row the same
 bits in any block as alone.  One :class:`CoverageEngine` serves one
 :class:`cvuq.predictors.FoldFits` and one test set, from one pass over it;
-it and ``interval`` follow one quantile rule, :func:`cvuq.ecdf.quantiles`:
+it and ``interval`` follow one quantile rule, :func:`cvuq.ecdf.quantile`:
 Q_a is the first sorted atom whose cumulative fold weight reaches a.  The cv
 and fitted_values offsets are order statistics of the residuals, sorted per
 query.  The cv_plus atoms a_j = yhat^{(-fold(j))}(x) + u_j are counted,
@@ -104,8 +104,10 @@ the pass.  x is never held whole.
 ``delta`` arguments accept a float, a string ``"iqr:FACTOR"`` (factor times
 the interquartile range of the leave-fold-out residuals), or a callable
 mapping the residual vector to a float; the tolerance it resolves to must be
-finite.  The standard errors of the trend probes follow
-:func:`cvuq.stability.se_of_mean`: inf from a single replication.
+finite.  That range, like the reports' q05/q50/q95 and ``q95_gap``, is
+``np.quantile``'s linear interpolation by definition.  The standard errors of
+the trend probes follow :func:`cvuq.stability.se_of_mean`: inf from a single
+replication.
 """
 
 from __future__ import annotations
@@ -441,7 +443,7 @@ class CoverageEngine:
     def _reach(self, alpha: float) -> float:
         """The least weight C >= 1 of a row's counted atoms at which they
         hold Q_alpha: the least integer with fl(C / W) >= alpha - LEVEL_GUARD,
-        W the unit total, as :func:`cvuq.ecdf.quantiles` reads the cumulative
+        W the unit total, as :func:`cvuq.ecdf.quantile` reads the cumulative
         weights fl(C / W) of :func:`cvuq.intervals.interval_atoms`; -inf for
         alpha <= 0 and +inf for alpha > 1, as the infinite quantile there
         passes every y or none."""
@@ -487,9 +489,10 @@ def conditional_coverage(
 @dataclass(frozen=True)
 class CoverageReport:
     """Conditional coverages over training sets; ``std_err`` is the standard
-    error of their mean (:func:`cvuq.stability.se_of_mean`) and
-    ``binomial_se`` the Monte-Carlo standard error of each rep's coverage c
-    from its test points, sqrt(c (1 - c) / mc_test_points)."""
+    error of their mean (:func:`cvuq.stability.se_of_mean`), ``binomial_se``
+    the Monte-Carlo standard error of each rep's coverage c from its test
+    points, sqrt(c (1 - c) / mc_test_points), and q05/q50/q95 their
+    ``np.quantile`` (linear interpolation)."""
 
     nominal: float
     conditional_cov: np.ndarray
@@ -548,7 +551,8 @@ def coverage_distribution(
 class EquivalenceReport:
     """Per-training-set CV vs CV+ conditional coverages plus the finite-sample
     equivalence check: the frequency of the coverage-deficit event must stay
-    below the stability-based bound."""
+    below the stability-based bound.  ``q95_gap`` is the ``np.quantile``
+    (linear interpolation) at 0.95 of the per-rep |cov_cv - cov_cvp|."""
 
     cov_cv: np.ndarray
     cov_cvp: np.ndarray
@@ -713,10 +717,11 @@ def gauge_convergence(
     of fresh prediction errors, per training size.
 
     Replications share streams across n (nested samples), so trend
-    comparisons use common random numbers.  Each replication draws its
-    ``mc_oracle`` test rows at once, so a running replication peaks near
-    ``mc_oracle * (p + 10) * 8`` bytes: 48 MB traced at 1e5 rows and p = 50,
-    104 MB at 1e6 rows and p = 3.
+    comparisons use common random numbers.  The oracle errors y - yhat(x) come
+    from one :class:`CoverageEngine` pass with no queries, in
+    :func:`block_rows` blocks, so a replication peaks near 80 B per oracle row
+    whatever p: 8.3 MB traced at 1e5 rows, p = 50 and n = 200, 80 MB at 1e6
+    rows and p = 3.
     """
 
     def rep_at(n: int):
@@ -726,8 +731,8 @@ def gauge_convergence(
             train = dgp.sample(n, stream(seed, r, 0))
             fits = FoldFits(spec, train, partition)
             F_hat = weighted_ecdf(fits.loo_residuals, partition.atom_units, partition.unit_total)
-            y, x = dgp.draw(mc_oracle, stream(seed, r, 1))
-            return gauge(F_hat, uniform_ecdf(y - fits.full_model.predict(x)), delta).value
+            oracle = CoverageEngine.drawn(fits, dgp, mc_oracle, seed, r, 1)
+            return gauge(F_hat, uniform_ecdf(oracle.y_test - oracle.full), delta).value
 
         return one
 

@@ -20,7 +20,7 @@ import math
 
 import numpy as np
 
-from cvuq.ecdf import LEVEL_GUARD, StepCdf, eval_cdf, quantile, quantiles
+from cvuq.ecdf import LEVEL_GUARD, StepCdf, eval_cdf, quantile
 from cvuq.intervals import PredInterval
 from cvuq.predictors import FoldPartition, fit
 
@@ -164,9 +164,9 @@ def _sandwich_holds(F: StepCdf, G: StepCdf, delta: float, eps: float) -> bool:
     # so checking every piece's right endpoint is exhaustive.
     levels = np.concatenate(([0.0, 1.0], F.cum, G.cum))
     alphas = np.unique(np.concatenate((levels, levels + eps, levels - eps)))
-    qg = quantiles(G, alphas)
-    lo = quantiles(F, alphas - eps)
-    hi = quantiles(F, alphas + eps)
+    qg = quantile(G, alphas)
+    lo = quantile(F, alphas - eps)
+    hi = quantile(F, alphas + eps)
     lo = np.where(np.isfinite(lo), lo - delta, lo)
     hi = np.where(np.isfinite(hi), hi + delta, hi)
     return bool(np.all(lo <= qg) and np.all(qg <= hi))

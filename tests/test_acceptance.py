@@ -13,7 +13,7 @@ import numpy as np
 import conftest
 
 from cvuq.data import DgpSpec
-from cvuq.ecdf import quantiles, uniform_ecdf, weighted_ecdf
+from cvuq.ecdf import quantile, uniform_ecdf, weighted_ecdf
 from cvuq.intervals import IntervalMethod, interval
 from cvuq.levy_gauge import (
     MonotoneFn,
@@ -140,9 +140,9 @@ def test_criterion_03_quantile_sandwich_and_characterization():
         F, G = random_pair(rng)
         for delta in (0.0, 0.1, 1.0):
             L = gauge(F, G, delta).value
-            qg = quantiles(G, grid)
-            lo = quantiles(F, grid - L)
-            hi = quantiles(F, grid + L)
+            qg = quantile(G, grid)
+            lo = quantile(F, grid - L)
+            hi = quantile(F, grid + L)
             lo = np.where(np.isfinite(lo), lo - delta, lo)
             hi = np.where(np.isfinite(hi), hi + delta, hi)
             violations += int(np.sum(lo > qg + 1e-9) + np.sum(qg > hi + 1e-9))

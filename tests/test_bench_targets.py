@@ -52,7 +52,4 @@ def test_benchmark_smoke_run_passes_every_check():
         if r["trace"]:
             metrics = {name: metric["value"] for name, metric in r["metrics"].items()}
             assert metrics["trace.targets_absent"] == 0, r["workload"]
-            # probes_loo reports one missing layer, ecdf.quantile: the tracer
-            # targets cvuq.ecdf:quantile, which the intervals no longer call
-            if r["workload"] != "probes_loo":
-                assert metrics["trace.layers_missing"] == 0, r["workload"]
+            assert metrics["trace.layers_missing"] == 0, r["workload"]

@@ -14,7 +14,6 @@ from cvuq.ecdf import (
     fold_ecdf,
     left_limit,
     quantile,
-    quantiles,
     uniform_ecdf,
     weighted_ecdf,
 )
@@ -127,11 +126,24 @@ def test_quantile_extended_range():
 
 
 def test_quantiles_vectorized_matches_scalar():
+    # one function: a float at one level, an array at an array of levels,
+    # from a step cdf or from unmerged sorted atoms alike
     F = uniform_ecdf([0.0, 1.0, 5.0, 9.0])
     alphas = np.linspace(-0.2, 1.2, 29)
-    vec = quantiles(F, alphas)
+    vec = quantile(F, alphas)
     for a, q in zip(alphas, vec):
-        assert quantile(F, float(a)) == q
+        assert type(quantile(F, float(a))) is float and quantile(F, float(a)) == q
+    # tied values with integer units out of their sum: the atoms' quantiles
+    # are those of the step cdf that merges them, bit for bit
+    values = np.array([2.0, -1.0, 2.0, 0.5, -1.0, 2.0, 3.0, 0.5])
+    units = np.array([3, 1, 2, 3, 3, 1, 2, 1])
+    atoms, merged = SortedAtoms(values, units, units.sum()), weighted_ecdf(values, units, units.sum())
+    levels = np.concatenate((alphas, atoms.cum, np.nextafter(atoms.cum, -1.0), np.nextafter(atoms.cum, 2.0),
+                             atoms.cum - LEVEL_GUARD, atoms.cum + 2 * LEVEL_GUARD))
+    np.testing.assert_array_equal(quantile(atoms, levels), quantile(merged, levels))
+    for a in levels:
+        assert type(quantile(atoms, float(a))) is float
+        assert quantile(atoms, float(a)) == quantile(merged, float(a))
 
 
 def test_quantile_guard_at_machine_levels():

@@ -22,7 +22,7 @@ from cvuq.ecdf import LEVEL_GUARD, fold_units
 from cvuq.errors import DegenerateFit, InvalidTolerance, MalformedInput, NumericError
 from cvuq.intervals import IntervalMethod, interval
 from cvuq.levy_gauge import gauge
-from cvuq.predictors import FoldFits, FoldPartition, constant, max_response, ridge
+from cvuq.predictors import FoldFits, FoldPartition, constant, dirac_threshold, max_response, ridge
 from cvuq.rng import stream
 from cvuq.simlab import (
     DEFAULT_PAIR_GRID,
@@ -197,9 +197,9 @@ def test_gauge_convergence_decreasing_for_stable():
 
 
 def test_gauge_convergence_oracle_errors_do_not_depend_on_blas_threads():
-    # a whole draw of 10,485 rows at p = 50, split across threads by a
-    # 2-thread OpenBLAS if x'beta were one matrix product; each row's is its
-    # own, so the oracle errors are the same bits at 1 and 2 threads
+    # 10,485 oracle rows at p = 50 in blocks of 4,369 (n = 60), split across
+    # threads by a 2-thread OpenBLAS if x'beta were one matrix product; each
+    # row's is its own, so the oracle errors are the same bits at 1 and 2 threads
     script = textwrap.dedent("""
         import hashlib, json
         import numpy as np
@@ -225,6 +225,20 @@ def test_gauge_convergence_oracle_errors_do_not_depend_on_blas_threads():
     assert outputs[0] == outputs[1]
 
 
+def test_gauge_oracle_memory_does_not_grow_with_p():
+    # the oracle rows come through a coverage pass, one block of x at a time:
+    # at p = 50 a whole draw of 1e5 rows would trace 48 MB
+    p = 50
+    dgp = DgpSpec("gaussian_linear", {"beta": [1 / math.sqrt(p)] * p, "sigma": 1.0})
+    tracemalloc.start()
+    try:
+        gauge_convergence(ridge(1.0), dgp, [200], 0.1, train_reps=1, mc_oracle=100_000, seed=5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
+
+
 def test_gauge_convergence_residual_ecdf_takes_interval_cumulative_weights(monkeypatch):
     # F_hat's cumulative weights are fl(C / W), the ones interval reads, even
     # at n = 10, where a float cumsum of 1/10 misses fl(3/10)
@@ -246,6 +260,25 @@ def test_gauge_monotone_in_delta_per_rep():
     y_o, x_o = GAUSS1.draw(500, stream(9, 1))
     F_or = uniform_ecdf(y_o - fits.full_model.predict(x_o))
     assert gauge(F_hat, F_or, 0.5).value <= gauge(F_hat, F_or, 0.0).value
+
+
+@pytest.mark.parametrize("n", [20, 100])
+@pytest.mark.parametrize("rule", ["jackknife", 5])
+def test_cv_fails_without_stability_where_cv_plus_keeps_its_level(n, rule):
+    """The abstract's last sentence on one probe.  dirac_threshold(3) has its
+    threshold at the training size, and dirac_first_coord pins x1 at
+    n - 0.5: the full fit predicts 3 there and every fold fit 0.  So cv shifts
+    every atom y_i by 3 and cv+ does not.  1 - 2 alpha = 0.8 at levels
+    0.05/0.95 is Barber et al.'s jackknife+ bound (Ann. Statist. 49(1),
+    2021), pinned here on this probe only, not derived for the lab's signed
+    residuals: cv's marginal coverage (the mean over training sets) lies far
+    below it and cv+'s above it, each by more than 3 standard errors."""
+    dgp = DgpSpec("dirac_first_coord", {"p": 1, "point": n - 0.5})
+    cv, cv_plus = (coverage_distribution(dirac_threshold(3.0), dgp, n, IntervalMethod(base), 0.05, 0.95, 0.0,
+                                         train_reps=400, mc_test=2000, seed=26, partition_rule=rule)
+                   for base in ("cv", "cv_plus"))
+    bound = 1 - 2 * 0.1
+    assert cv.mean + 3 * cv.std_err < bound < cv_plus.mean - 3 * cv_plus.std_err, (cv.mean, cv_plus.mean)
 
 
 def test_infinite_length_probe_growth_and_control():
@@ -689,9 +722,9 @@ def test_equivalence_rejects_bad_tolerances_before_any_rep(eps, stability_delta,
     assert calls == []
 
 
-def test_coverage_pass_draws_chunks_and_gauge_oracle_one_draw(monkeypatch):
+def test_coverage_pass_and_gauge_oracle_draw_in_blocks(monkeypatch):
     # a pass draws its test rows in blocks of simlab.block_rows(n), 1,310
-    # rows at n = 200, and the gauge oracle its rows in one draw
+    # rows at n = 200, and the gauge oracle is such a pass
     assert simlab.block_rows(200) == 1310
     rows, sizes = [], []
     draw_chunks, draw = DgpSpec.draw_chunks, DgpSpec.draw
@@ -704,7 +737,7 @@ def test_coverage_pass_draws_chunks_and_gauge_oracle_one_draw(monkeypatch):
     rows.clear()
     sizes.clear()
     gauge_convergence(ridge(0.5), GAUSS, [10, 20], 0.1, train_reps=1, mc_oracle=300, seed=2)
-    assert rows == [] and sizes == [10, 300, 20, 300]
+    assert rows == [80, 160] and sizes == [10, 80, 80, 80, 60, 20, 160, 140]
 
 
 TIE_LEVELS = ((0.05, 0.95), (0.1, 0.8))
@@ -866,6 +899,8 @@ def test_experiments_without_test_points_raise_invalid_tolerance():
         jk_vs_jkplus_gap(ridge(1.0), GAUSS, 10, 0.1, 0.9, 0.0, train_reps=2, mc_test=0, seed=1)
     with pytest.raises(InvalidTolerance):
         conditional_coverage(ridge(1.0), GAUSS, GAUSS.sample(10, stream(2)), method, 0.1, 0.9, 0.0, 0, seed=3)
+    with pytest.raises(InvalidTolerance):
+        gauge_convergence(ridge(1.0), GAUSS, [10], 0.1, train_reps=2, mc_oracle=0, seed=1)
 
 
 def test_length_compare_rejects_a_repeated_name_before_any_replication():
